@@ -13,7 +13,7 @@ from stratmc import (
     RandomStream,
     StratumSpec,
     plain_mc_estimate,
-    sample_stratum_1d,
+    sample_strata,
     two_stage_estimate,
 )
 
@@ -32,11 +32,15 @@ def payoff(z):
 def main():
     stream = RandomStream(7)
 
+    dirs = DirectionSet(v[:, None], orthogonal=True)
+    spec = StratumSpec((STRATA,))
+
     print("1. What a stratified draw looks like")
     print("   projections of draws conditioned on slab k of", STRATA)
     for k in (1, STRATA // 2, STRATA):  # strata are numbered 1..K
-        draw = sample_stratum_1d(v, k, STRATA, stream.child(k), size=4)
-        proj = np.sort(draw.z @ v)
+        # the sampler takes flat 0-based stratum indices, one per draw
+        z, _ = sample_strata(dirs, spec, np.full(4, k - 1), stream.child(k))
+        proj = np.sort(z @ v)
         print(f"   k={k:2d}: v.z in [{proj[0]: .3f}, {proj[-1]: .3f}]")
     print("   every draw's projection sits inside its slab's quantile box.")
 
@@ -46,8 +50,6 @@ def main():
     print(f"   plain MC      price {mc.price:.5f}   "
           f"single-draw variance {mc.variance:.5f}")
 
-    dirs = DirectionSet(v[:, None], orthogonal=True)
-    spec = StratumSpec((STRATA,))
     for rule in ("const", "opt"):
         rep = two_stage_estimate(payoff, dirs, spec, BUDGET,
                                  stream.child(200), allocation=rule)

@@ -15,7 +15,7 @@ from stratmc import (
     RandomStream,
     StratumSpec,
     plain_mc_estimate,
-    sample_stratum_nonorthogonal,
+    sample_strata,
     two_stage_estimate,
 )
 
@@ -29,27 +29,25 @@ def main():
     spec = StratumSpec((2, 2))
     stream = RandomStream(21)
 
+    upper = 3  # flat index of stratum (2, 2), in the order of spec.indices()
+
     print("1. Draws from the (upper, upper) quadrant stratum")
-    draw = sample_stratum_nonorthogonal(dirs, (2, 2), spec, stream, size=5)
-    for z, w in zip(draw.z, draw.weight):
-        print(f"   z1={z[0]: .3f}  (z1+z2)/sqrt2={(z[0]+z[1])/np.sqrt(2): .3f}"
+    z, weight = sample_strata(dirs, spec, np.full(5, upper), stream)
+    for zi, w in zip(z, weight):
+        print(f"   z1={zi[0]: .3f}  (z1+z2)/sqrt2={(zi[0]+zi[1])/np.sqrt(2): .3f}"
               f"   weight={w:.4f}")
     print("   both projections are positive; the weight is the conditional")
     print("   probability mass of the box the draw was forced into.")
 
     print()
     print("2. The weights recover the joint probability")
-    total = 0.0
     n = 40_000
-    for idx, k in enumerate([(1, 1), (1, 2), (2, 1), (2, 2)]):
-        d = sample_stratum_nonorthogonal(dirs, k, spec, stream.child(idx),
-                                         size=n)
-        total += d.weight.mean()
-    print(f"   sum over the four strata of mean(weight) = {total:.4f}"
+    _, weight = sample_strata(dirs, spec, np.repeat(np.arange(spec.total), n),
+                              stream.child(1))
+    mass = weight.reshape(spec.total, n).mean(axis=1)
+    print(f"   sum over the four strata of mean(weight) = {mass.sum():.4f}"
           "   (should be ~1)")
-    d = sample_stratum_nonorthogonal(dirs, (2, 2), spec, stream.child(9),
-                                     size=n)
-    print(f"   mass of the (+,+) wedge = {d.weight.mean():.4f}"
+    print(f"   mass of the (+,+) wedge = {mass[upper]:.4f}"
           "   (exact value 0.375 for a 45 degree wedge)")
 
     print()

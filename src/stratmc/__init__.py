@@ -13,7 +13,6 @@ from .errors import (
     DegenerateCovariance,
     DegenerateGradient,
     DependentDirections,
-    EmptyBoundInterval,
     IndexOutOfRange,
     InvalidFeller,
     NegativePathValue,
@@ -47,15 +46,12 @@ from .stratify import (
     AllocationPlan,
     DirectionSet,
     EstimateReport,
-    StratifiedDraw,
     StratumSpec,
     equal_allocation,
     lhs_estimate,
     optimal_allocation,
     plain_mc_estimate,
-    sample_stratum_1d,
-    sample_stratum_nonorthogonal,
-    sample_stratum_orthogonal,
+    sample_strata,
     stratified_estimate,
     two_stage_estimate,
 )
@@ -106,7 +102,6 @@ from .experiment import (
     ExperimentConfig,
     ResultRow,
     build_directions,
-    emit_table,
     format_rows,
     load_config,
     parse_csv,

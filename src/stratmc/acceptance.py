@@ -3,11 +3,16 @@
 Ten end-to-end checks covering sampler correctness, the non-orthogonal
 weighting scheme, direction-engine identities and angles, price
 reproduction, variance-reduction ordering, allocation optimality,
-recurrence invariants, output determinism and payoff monotonicity.
+recurrence invariants, byte-identical output across runs and processes,
+and payoff monotonicity.
 The same functions back `stratmc selftest` and tests/test_acceptance.py.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import dataclass
 
@@ -23,7 +28,7 @@ from .directions import (
     lt_directions_cir,
     pca_directions,
 )
-from .experiment import ExperimentConfig, format_rows, run_experiment
+from .experiment import format_rows, load_config, run_experiment
 from .gaussian import RandomStream
 from .linalg import angle_degrees, gram_schmidt
 from .models import (
@@ -47,9 +52,7 @@ from .stratify import (
     StratumSpec,
     optimal_allocation,
     plain_mc_estimate,
-    sample_stratum_1d,
-    sample_stratum_nonorthogonal,
-    sample_stratum_orthogonal,
+    sample_strata,
     two_stage_estimate,
 )
 
@@ -83,6 +86,17 @@ def _fails(checks: list[tuple[bool, str]]) -> tuple[bool, str]:
 # --- 1: sampler membership and conditional covariance -------------------------
 
 
+def _in_boxes(z, cols, spec, strata, tol=0.0) -> bool:
+    """Whether every projection z @ cols[:, j] lies in its stratum's interval."""
+    ok = True
+    for j, k in enumerate(np.unravel_index(strata, spec.counts)):
+        edges = spec.edges(j)
+        lo, hi = edges[k], edges[k + 1]
+        proj = z @ cols[:, j]
+        ok &= bool(np.all((proj > lo - tol) & (proj < hi + tol)))
+    return ok
+
+
 def _criterion_1():
     stream = RandomStream(101)
     d = 8
@@ -91,43 +105,30 @@ def _criterion_1():
     n_strata = 8
     spec1 = StratumSpec((n_strata,))
     per = 12_500
-    residuals = np.empty((n_strata * per, d))
-    member_1d = True
-    for k in range(1, n_strata + 1):
-        draw = sample_stratum_1d(v, k, n_strata, stream.child(k), size=per)
-        lo, hi = spec1.marginal_bounds(0, k)
-        proj = draw.z @ v
-        member_1d &= bool(np.all((proj > lo) & (proj < hi)))
-        residuals[(k - 1) * per:k * per] = draw.z - np.outer(proj, v)
+    strata = np.repeat(np.arange(n_strata), per)
+    z, _ = sample_strata(DirectionSet(v[:, None], orthogonal=True), spec1,
+                         strata, stream.child(1))
+    member_1d = _in_boxes(z, v[:, None], spec1, strata)
+    residuals = z - np.outer(z @ v, v)
     cov = np.cov(residuals, rowvar=False)
     cov_err = float(np.max(np.abs(cov - (np.eye(d) - np.outer(v, v)))))
 
     base = stream.normal((d, 2))
     f, _ = gram_schmidt(base.T)
-    odirs = DirectionSet(f, orthogonal=True)
     ospec = StratumSpec((4, 4))
-    member_orth = True
-    for idx, mk in enumerate(ospec.indices()):
-        draw = sample_stratum_orthogonal(odirs, mk, ospec, stream.child(100 + idx),
-                                         size=500)
-        for j in range(2):
-            lo, hi = ospec.marginal_bounds(j, mk[j])
-            proj = draw.z @ f[:, j]
-            member_orth &= bool(np.all((proj > lo) & (proj < hi)))
+    ostrata = np.repeat(np.arange(ospec.total), 500)
+    z, _ = sample_strata(DirectionSet(f, orthogonal=True), ospec, ostrata,
+                         stream.child(2))
+    member_orth = _in_boxes(z, f, ospec, ostrata)
 
     e1 = np.zeros(d)
     e1[0] = 1.0
     e2 = np.zeros(d)
     e2[0] = e2[1] = np.sqrt(0.5)
-    ndirs = DirectionSet(np.column_stack([e1, e2]), orthogonal=False)
-    member_non = True
-    for idx, mk in enumerate(ospec.indices()):
-        draw = sample_stratum_nonorthogonal(ndirs, mk, ospec,
-                                            stream.child(200 + idx), size=500)
-        for j, e in enumerate((e1, e2)):
-            lo, hi = ospec.marginal_bounds(j, mk[j])
-            proj = draw.z @ e
-            member_non &= bool(np.all((proj >= lo - 1e-9) & (proj <= hi + 1e-9)))
+    ncols = np.column_stack([e1, e2])
+    z, _ = sample_strata(DirectionSet(ncols, orthogonal=False), ospec, ostrata,
+                         stream.child(3))
+    member_non = _in_boxes(z, ncols, ospec, ostrata, tol=1e-9)
 
     return _fails([
         (member_1d, "1-d draws inside declared slabs"),
@@ -148,24 +149,19 @@ def _criterion_2():
     spec = StratumSpec((4, 4))
     per = 4_000
 
-    strata = list(spec.indices())
-    m_z1 = np.empty(len(strata))
-    m_exp = np.empty(len(strata))
-    m_w = np.empty(len(strata))
-    se_z1 = np.empty(len(strata))
-    se_exp = np.empty(len(strata))
-    se_w = np.empty(len(strata))
-    for i, mk in enumerate(strata):
-        draw = sample_stratum_nonorthogonal(dirs, mk, spec, stream.child(i),
-                                            size=per)
-        wz1 = draw.weight * draw.z[:, 0]
-        wexp = draw.weight * np.exp(draw.z[:, 0] + draw.z[:, 1])
-        m_z1[i], se_z1[i] = wz1.mean(), wz1.std(ddof=1) / np.sqrt(per)
-        m_exp[i], se_exp[i] = wexp.mean(), wexp.std(ddof=1) / np.sqrt(per)
-        m_w[i], se_w[i] = draw.weight.mean(), draw.weight.std(ddof=1) / np.sqrt(per)
+    z, w = sample_strata(dirs, spec, np.repeat(np.arange(spec.total), per),
+                         stream.child(1))
+    # row i of each (strata, per) block holds the draws of stratum i
+    wz1 = (w * z[:, 0]).reshape(spec.total, per)
+    wexp = (w * np.exp(z[:, 0] + z[:, 1])).reshape(spec.total, per)
+    w = w.reshape(spec.total, per)
+    m_z1, se_z1 = wz1.mean(axis=1), wz1.std(axis=1, ddof=1) / np.sqrt(per)
+    m_exp, se_exp = wexp.mean(axis=1), wexp.std(axis=1, ddof=1) / np.sqrt(per)
+    m_w, se_w = w.mean(axis=1), w.std(axis=1, ddof=1) / np.sqrt(per)
 
     # oracle: unconditional draws; E[w g | stratum k] drawn stratified equals
     # E[g 1_{box k}] drawn plainly, and E[w] equals the box probability
+    strata = list(spec.indices())
     n_plain = 4_000_000
     chunk = 1_000_000
     sums = np.zeros((len(strata), 3))
@@ -194,12 +190,12 @@ def _criterion_2():
     ok_w = bool(np.all(np.abs(m_w - o_mean[:, 2])
                        <= 3 * np.sqrt(se_w ** 2 + o_se[:, 2] ** 2)))
 
-    # orthant: both projections positive has probability 3/8 at 45 degrees
-    ospec = StratumSpec((2, 2))
-    draw = sample_stratum_nonorthogonal(dirs, (2, 2), ospec,
-                                        stream.child(20_000), size=100_000)
-    w_mean = float(draw.weight.mean())
-    w_se = float(draw.weight.std(ddof=1) / np.sqrt(draw.weight.size))
+    # orthant: both projections positive has probability 3/8 at 45 degrees;
+    # flat index 3 is stratum (2, 2) of the 2 x 2 grid
+    _, w = sample_strata(dirs, StratumSpec((2, 2)), np.full(100_000, 3),
+                         stream.child(20_000))
+    w_mean = float(w.mean())
+    w_se = float(w.std(ddof=1) / np.sqrt(w.size))
     ok_orthant = abs(w_mean - 0.375) <= 3 * w_se
 
     return _fails([
@@ -412,23 +408,52 @@ def _criterion_8():
     return _fails(checks)
 
 
-# --- 9: determinism across thread counts ------------------------------------------
+# --- 9: byte-identical tables for a fixed seed ------------------------------------
+
+_DETERMINISM_INI = """\
+[model]
+kind = bs
+s0 = 50
+sigma = 0.3
+rate = 0.05
+steps = 64
+
+[payoff]
+kind = asian-basket
+strike = 50
+
+[run]
+methods = mc, la, la+pca, lhs
+alloc = opt
+strata = 25
+n_samples = 20000
+lhs_replications = 10
+seed = 909
+"""
 
 
 def _criterion_9():
-    def run(threads: int) -> str:
-        config = ExperimentConfig(
-            model="bs", bs=bs_asian_params(),
-            payoffs=[payoff_for(bs_asian_params(), 50.0)],
-            methods=["mc", "la", "lhs"], allocs=["opt"],
-            strata=20, n_samples=20_000, lhs_replications=10,
-            seed=909, threads=threads)
-        return format_rows(run_experiment(config), "csv")
-
-    a, b = run(1), run(3)
-    if a == b:
-        return True, "csv identical for --threads 1 and --threads 3"
-    return False, "csv differs across thread counts"
+    # 20000 draws span three sampler chunks per stratified stage
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "determinism.ini")
+        with open(ini, "w", encoding="utf-8") as fh:
+            fh.write(_DETERMINISM_INI)
+        tables = [format_rows(run_experiment(load_config(ini)), "csv")
+                  for _ in range(2)]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-m", "stratmc.cli", "experiment",
+                 "--config", ini], capture_output=True, text=True, env=env,
+                timeout=120)
+            if proc.returncode != 0:
+                return False, f"stratmc experiment exited {proc.returncode}"
+            tables.append(proc.stdout)
+    if len(set(tables)) == 1:
+        return True, "csv identical across 2 runs and 2 fresh processes"
+    return False, "csv differs across runs with the same seed"
 
 
 # --- 10: barrier monotonicity -------------------------------------------------------
@@ -459,7 +484,7 @@ CRITERIA = (
     Criterion(6, "variance-reduction-ordering", 120.0, _criterion_6),
     Criterion(7, "allocation-optimality", 10.0, _criterion_7),
     Criterion(8, "recurrences-and-gradients", 10.0, _criterion_8),
-    Criterion(9, "thread-determinism", 60.0, _criterion_9),
+    Criterion(9, "seed-determinism", 60.0, _criterion_9),
     Criterion(10, "barrier-monotonicity", 10.0, _criterion_10),
 )
 

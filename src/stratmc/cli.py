@@ -43,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file path")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output table format")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (affects speed only, never results)")
 
     p_dir = sub.add_parser(
         "directions",
@@ -73,8 +71,6 @@ def _load(args):
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        config.threads = args.threads
     if getattr(args, "out", None) is not None:
         config.out = args.out
     if getattr(args, "format", None) is not None:

@@ -45,14 +45,6 @@ class NotOrthogonal(StratMcError):
     """A direction set or rotation matrix failed its orthogonality check."""
 
 
-class EmptyBoundInterval(StratMcError):
-    """A sequential stratum bound interval has numerically zero probability.
-
-    Signals an unreachable stratum corner; the estimator assigns such strata
-    zero draws and zero contribution.
-    """
-
-
 class AllZeroSigma(StratMcError):
     """Optimal allocation is undefined when every stratum std estimate is 0."""
 

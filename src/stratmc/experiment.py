@@ -61,7 +61,6 @@ __all__ = [
     "load_config",
     "run_experiment",
     "build_directions",
-    "emit_table",
     "format_rows",
     "parse_csv",
 ]
@@ -95,7 +94,6 @@ class ExperimentConfig:
     pilot_fraction: float = 0.1
     lhs_replications: int = 30
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     format: str = "csv"
 
@@ -139,8 +137,6 @@ class ExperimentConfig:
                 raise ConfigInvalid("run.lhs_replications must be >= 2")
             if self.n_samples // self.lhs_replications < 2:
                 raise ConfigInvalid("run.n_samples too small for the LHS replications")
-        if self.threads < 1:
-            raise ConfigInvalid("run.threads must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigInvalid(f"output.format: unknown format {self.format!r}")
         if self.model == "bs":
@@ -196,7 +192,7 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
         m = len(s0)
         if len(sigma) == 1 and m > 1:
             sigma = sigma * m
-        rho = _get(section, "rho", float, default=1.0, name="model")
+        rho = _get(section, "rho", float, default=0.0, name="model")
         steps = _get(section, "steps", int, name="model")
         maturity = _get(section, "maturity", float, default=1.0, name="model")
         rate = _get(section, "rate", float, default=0.0, name="model")
@@ -233,7 +229,7 @@ def _parse_payoffs(section, model, bs, cir) -> list[PayoffSpec]:
     strikes = _floats(_get(section, "strike", str, name="payoff"))
     barrier = None
     if "barrier" in section:
-        barrier = float(section["barrier"])
+        barrier = _get(section, "barrier", float, name="payoff")
     if model == "bs":
         m, n = bs.n_assets, bs.n_dates
         rate, maturity = bs.rate, float(bs.grid[-1])
@@ -257,11 +253,14 @@ def load_config(path: str) -> ExperimentConfig:
 
     Sections: [model] (kind = bs|cir plus parameters), [payoff]
     (kind/strike/barrier), [run] (methods, alloc, strata, n_samples,
-    pilot_fraction, lhs_replications, seed, threads), [output]
+    pilot_fraction, lhs_replications, seed), [output]
     (path, format).  See the README for the full grammar.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
     if not read:
         raise ConfigInvalid(f"could not read config file {path!r}")
     if "model" not in parser or "payoff" not in parser:
@@ -284,7 +283,6 @@ def load_config(path: str) -> ExperimentConfig:
         pilot_fraction=_get(run, "pilot_fraction", float, default=0.1, name="run"),
         lhs_replications=_get(run, "lhs_replications", int, default=30, name="run"),
         seed=_get(run, "seed", int, default=0, name="run"),
-        threads=_get(run, "threads", int, default=1, name="run"),
         out=out_section.get("path") if hasattr(out_section, "get") else None,
         format=(out_section.get("format", "csv") if hasattr(out_section, "get")
                 else "csv").strip().lower(),
@@ -418,8 +416,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
             cell_base = pay_stream.child(2 + 2 * METHODS.index(method))
             if method == "lhs":
                 rep = lhs_estimate(evaluator, rotation, config.n_samples,
-                                   config.lhs_replications, cell_base,
-                                   threads=config.threads)
+                                   config.lhs_replications, cell_base)
                 rows.append(ResultRow(
                     method="lhs", alloc="-", payoff=spec.kind,
                     strike=spec.strike, barrier=spec.barrier,
@@ -436,7 +433,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     evaluator, dirs, strat_spec, config.n_samples,
                     cell_stream, allocation=alloc,
                     pilot_fraction=config.pilot_fraction,
-                    n_min=_N_MIN, threads=config.threads)
+                    n_min=_N_MIN)
                 rows.append(ResultRow(
                     method=method, alloc=alloc, payoff=spec.kind,
                     strike=spec.strike, barrier=spec.barrier,
@@ -474,12 +471,6 @@ def format_rows(rows, fmt: str = "csv") -> str:
         payload = [{c: getattr(r, c) for c in COLUMNS} for r in rows]
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_table(rows, fmt: str, path: str) -> None:
-    text = format_rows(rows, fmt)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def parse_csv(text: str) -> list[ResultRow]:

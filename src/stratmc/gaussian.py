@@ -2,10 +2,10 @@
 and Latin Hypercube normal matrices.
 
 Randomness is built on the counter-based Philox generator keyed by
-(seed, stream_id): every stream is a pure function of its key, and child
-streams derived with :meth:`RandomStream.child` are independent of scheduling
-order, which is what makes multi-threaded runs reproduce single-threaded
-results bit for bit.
+(seed, stream_id): every stream is a pure function of its key, and so is
+every child stream derived with :meth:`RandomStream.child`.  A result that
+draws from a fixed tree of children is therefore reproducible bit for bit,
+whatever order the children are consumed in.
 """
 from __future__ import annotations
 
@@ -53,8 +53,9 @@ class RandomStream:
     The output sequence is a pure function of the key and the order of
     calls on this object.  Distinct stream ids give statistically
     independent Philox streams; use :meth:`child` to derive them.
-    A stream must not be shared mutably across threads — derive one child
-    per worker instead.
+    Drawing advances the stream, so give every independent consumer (a
+    payoff, a cell, a stage, a chunk of draws) its own child: then no
+    consumer shifts another's draws.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):

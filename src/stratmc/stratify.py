@@ -1,44 +1,37 @@
-"""Conditional Gaussian samplers for strata defined by linear projections,
-allocation rules, and the stratified / plain / LHS estimators.
+"""The conditional Gaussian sampler for strata defined by linear
+projections, allocation rules, and the stratified / plain / LHS estimators.
 
 Strata are slabs of standard-normal space: for a direction set with columns
 e_1..e_d' and per-direction interval counts K_1..K_d', stratum (k_1..k_d')
-collects the z with e_i . z in the k_i-th marginal quantile interval.  For
-orthogonal directions the strata are equiprobable with p_k = 1/prod(K_j) and
-draws carry weight 1.  For non-orthogonal directions the joint probability of
-a box is unknown; draws are generated through sequentially conditioned
-coordinates on the Gram-Schmidt frame and carry the product of conditional
-interval probabilities as a likelihood weight, which replaces the p_k factor
-in the estimator.
+collects the z with e_i . z in the k_i-th marginal quantile interval.  Draws
+are generated through sequentially conditioned coordinates on an orthonormal
+frame and carry the product of conditional interval probabilities as a
+weight.  For orthogonal directions the strata are equiprobable, every weight
+is p_k = 1/prod(K_j) and the estimator uses p_k.  For non-orthogonal
+directions the joint probability of a box is unknown, and the weight replaces
+the p_k factor in the estimator.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import (
-    AllZeroSigma,
-    EmptyBoundInterval,
-    IndexOutOfRange,
-    NotOrthogonal,
-)
-from .gaussian import RandomStream, stratum_uniform
+from .errors import AllZeroSigma, IndexOutOfRange, NotOrthogonal
+from .gaussian import RandomStream
 from .gaussian import lhs_normals as _lhs_normals
 from .linalg import gram_schmidt
 
 __all__ = [
     "DirectionSet",
     "StratumSpec",
-    "StratifiedDraw",
     "AllocationPlan",
     "EstimateReport",
-    "sample_stratum_1d",
-    "sample_stratum_orthogonal",
-    "sample_stratum_nonorthogonal",
+    "StrataDraw",
+    "sample_strata",
     "optimal_allocation",
     "equal_allocation",
     "stratified_estimate",
@@ -49,6 +42,10 @@ __all__ = [
 
 _P_FLOOR = np.nextafter(0.0, 1.0)
 _P_CEIL = np.nextafter(1.0, 0.0)
+# draws per sampler call within a stage: large enough to amortize the
+# per-call overhead, small enough to bound a call's working set (the
+# chunk's d normals per draw) whatever the stage size
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -103,27 +100,21 @@ class StratumSpec:
         for idx in np.ndindex(*self.counts):
             yield tuple(i + 1 for i in idx)
 
+    def edges(self, direction: int) -> np.ndarray:
+        """The K_j + 1 quantile edges along one direction, -inf to inf;
+        stratum k (1-based) spans edges[k - 1] to edges[k]."""
+        n = self.counts[direction]
+        edges = ndtri(np.arange(n + 1) / n)
+        edges[0], edges[-1] = -np.inf, np.inf
+        return edges
+
     def marginal_bounds(self, direction: int, k: int) -> tuple[float, float]:
         """Quantile interval (a^-, a^+) of stratum k along one direction."""
         n = self.counts[direction]
         if not 1 <= k <= n:
             raise IndexOutOfRange(f"stratum {k} outside 1..{n}")
-        lo = -np.inf if k == 1 else float(ndtri((k - 1) / n))
-        hi = np.inf if k == n else float(ndtri(k / n))
-        return lo, hi
-
-
-@dataclass
-class StratifiedDraw:
-    """Sampled standard-normal points with stratum index and weight.
-
-    z has shape (n, d) for a batch of n draws; weight is 1.0 for orthogonal
-    strata and an (n,)-array of conditional box probabilities otherwise.
-    """
-
-    z: np.ndarray
-    stratum: tuple[int, ...]
-    weight: np.ndarray | float = 1.0
+        edges = self.edges(direction)
+        return float(edges[k - 1]), float(edges[k])
 
 
 @dataclass
@@ -167,91 +158,71 @@ class EstimateReport:
         return float(np.sqrt(max(self.est_variance, 0.0)))
 
 
-# --- samplers ----------------------------------------------------------------
+# --- sampler ------------------------------------------------------------------
 
 
-def _unit(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float).ravel()
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return v
+class StrataDraw(NamedTuple):
+    """Rows drawn by sample_strata; unpacks as (z, weight)."""
+
+    z: np.ndarray
+    weight: np.ndarray
 
 
-def sample_stratum_1d(v, k: int, n_strata: int, stream: RandomStream,
-                      size: int = 1) -> StratifiedDraw:
-    """Draw z | v.z in the k-th of n_strata equiprobable slabs.
+def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
+                                 strata, stream: RandomStream) -> StrataDraw:
+    """Draw one z per entry of `strata`, with every projection in its box.
 
-    V = (k-U)/K, X = Phi^{-1}(V), and the residual is completed in O(d):
-    z = v X + (Z' - v (v . Z')).
+    `strata` holds flat 0-based stratum indices in the order of
+    spec.indices().  The direction set E is carried on an orthonormal frame
+    F with E = F M^T: F = E and M = I for orthogonal or one-column sets,
+    otherwise F is the Gram-Schmidt frame and M = E^T F is lower triangular
+    with m[i, i] = ||f'_i||.  Coordinate i along f_i is drawn from the
+    normal restricted to the sequential interval (a_i^- - s_i,
+    a_i^+ - s_i) / m[i, i], with s_i the shift contributed by the
+    already-drawn coordinates, and the residual is completed in O(d).
+
+    Returns a StrataDraw (z, weight): z has shape (n, d) and weight[r] is
+    the product of row r's conditional interval probabilities.  For
+    orthogonal sets that is p_k; otherwise it replaces p_k in the
+    estimator, so the joint box probability is never needed.  A weight of 0
+    marks a row whose box is unreachable from its earlier coordinates.
     """
-    v = _unit(v)
-    vv = stratum_uniform(k, n_strata, stream, size=size)
-    x = ndtri(vv)
-    zp = stream.normal((size, v.size))
-    z = zp - np.outer(zp @ v, v) + np.outer(x, v)
-    return StratifiedDraw(z=z, stratum=(k,), weight=1.0)
-
-
-def sample_stratum_orthogonal(dirs: DirectionSet, k: tuple[int, ...],
-                              spec: StratumSpec, stream: RandomStream,
-                              size: int = 1) -> StratifiedDraw:
-    """Draw z with each orthogonal projection pinned to its interval."""
-    cols = dirs.columns
-    gram = cols.T @ cols
-    if np.max(np.abs(gram - np.eye(dirs.count))) > 1e-8:
-        raise NotOrthogonal("direction columns deviate from orthonormality")
-    if len(k) != dirs.count or len(spec.counts) != dirs.count:
-        raise IndexOutOfRange("stratum index arity mismatch")
-    x = np.empty((size, dirs.count))
-    for j in range(dirs.count):
-        vv = stratum_uniform(k[j], spec.counts[j], stream, size=size)
-        x[:, j] = ndtri(vv)
-    zp = stream.normal((size, dirs.dim))
-    z = zp - (zp @ cols) @ cols.T + x @ cols.T
-    return StratifiedDraw(z=z, stratum=tuple(k), weight=1.0)
-
-
-def sample_stratum_nonorthogonal(dirs: DirectionSet, k: tuple[int, ...],
-                                 spec: StratumSpec, stream: RandomStream,
-                                 size: int = 1) -> StratifiedDraw:
-    """Draw z with every (possibly correlated) projection in its box.
-
-    The direction set E is orthonormalized to a frame F; coordinate i along
-    f_i is drawn from the normal restricted to the sequential interval
-    (a_i^- - s_i, a_i^+ - s_i) / ||f'_i|| with s_i the shift contributed by
-    the already-drawn coordinates.  Each draw's weight is the product of the
-    conditional interval probabilities; the joint box probability is never
-    needed because the weights absorb it in the estimator.
-
-    Raises EmptyBoundInterval when a conditional interval has numerically
-    zero probability (an unreachable corner: callers assign the stratum zero
-    draws and zero contribution).
-    """
-    e = dirs.columns
+    e = directions.columns
     d, dp = e.shape
-    if len(k) != dp or len(spec.counts) != dp:
-        raise IndexOutOfRange("stratum index arity mismatch")
-    f, _ = gram_schmidt(e.T)
-    m = e.T @ f  # lower triangular; m[i, i] = ||f'_i||
-    x = np.empty((size, dp))
-    weight = np.ones(size)
+    if len(spec.counts) != dp:
+        raise IndexOutOfRange("stratum spec arity does not match the directions")
+    strata = np.asarray(strata, dtype=np.intp)
+    if strata.size and (strata.min() < 0 or strata.max() >= spec.total):
+        raise IndexOutOfRange(f"stratum index outside 0..{spec.total - 1}")
+    if directions.orthogonal or dp == 1:
+        f, m = e, np.eye(dp)
+    else:
+        f, _ = gram_schmidt(e.T)
+        m = e.T @ f
+    n = strata.size
+    ks = np.unravel_index(strata, spec.counts)
+    u = stream.uniform_open(size=(n, dp))
+    x = np.empty((n, dp))
+    weight = np.ones(n)
     for i in range(dp):
-        a_lo, a_hi = spec.marginal_bounds(i, k[i])
+        edges = spec.edges(i)
         shift = x[:, :i] @ m[i, :i]
-        ta_lo = (a_lo - shift) / m[i, i]
-        ta_hi = (a_hi - shift) / m[i, i]
+        ta_lo = (edges[ks[i]] - shift) / m[i, i]
+        ta_hi = (edges[ks[i] + 1] - shift) / m[i, i]
         p_lo = ndtr(ta_lo)
         width = ndtr(ta_hi) - p_lo
-        if np.any(width <= 0.0):
-            raise EmptyBoundInterval(
-                f"stratum {tuple(k)}: conditional interval {i} has zero probability")
-        u = stream.uniform_open(size=size)
-        p = np.clip(p_lo + u * width, _P_FLOOR, _P_CEIL)
+        p = np.clip(p_lo + u[:, i] * width, _P_FLOOR, _P_CEIL)
         x[:, i] = np.clip(ndtri(p), ta_lo, ta_hi)
         weight *= width
-    zp = stream.normal((size, d))
+    zp = stream.normal((n, d))
     z = zp - (zp @ f) @ f.T + x @ f.T
-    return StratifiedDraw(z=z, stratum=tuple(k), weight=weight)
+    return StrataDraw(z, weight)
+
+
+# The one sampler, under its public name.  The function keeps the name of the
+# general (non-orthogonal) sampler because bench/tracer.py times the
+# stratified draws under that name; renaming it goes with a benchmark change.
+sample_strata = sample_stratum_nonorthogonal
 
 
 # --- allocation --------------------------------------------------------------
@@ -319,65 +290,47 @@ def equal_allocation(p, n_total: int, n_min: int = 2) -> AllocationPlan:
 # --- estimators ---------------------------------------------------------------
 
 
-def _run_strata(worker, n_strata: int, threads: int):
-    """Evaluate worker(k) for k in 0..K-1, storing results by index so the
-    reduction order (hence the float result) is independent of scheduling."""
-    results = [None] * n_strata
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for k, res in zip(range(n_strata), pool.map(worker, range(n_strata))):
-                results[k] = res
-    else:
-        for k in range(n_strata):
-            results[k] = worker(k)
-    return results
-
-
 def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
-                        plan: AllocationPlan, stream: RandomStream,
-                        threads: int = 1) -> EstimateReport:
+                        plan: AllocationPlan, stream: RandomStream) -> EstimateReport:
     """Single-stage stratified estimator over every stratum in spec.
 
     Orthogonal directions: estimate = sum_k p_k * mean_k and the estimator
     variance is sum_k p_k^2 s_k^2 / n_k.  Non-orthogonal: the draws carry
     weights, estimate = sum_k mean(weight * g) with no p_k factor, and the
-    variance uses the within-stratum sample variance of weight * g.
+    variance uses the within-stratum sample variance of weight * g.  A
+    stratum with an unreachable draw is reported empty, with no draws and
+    no contribution.
 
-    Stratum k consumes substream stream.child(k), so results are identical
-    for any thread count.
+    The stage's draws are laid out stratum by stratum and sampled in chunks
+    of _CHUNK rows, chunk c from substream stream.child(c), so the result is
+    a pure function of the stream and the plan.
     """
     t0 = time.perf_counter()
-    multi = list(spec.indices())
     n_strata = spec.total
     if plan.n.shape[0] != n_strata:
         raise ValueError("allocation plan does not match stratum spec")
     orthogonal = directions.orthogonal or directions.count == 1
 
-    def worker(k: int):
-        n_k = int(plan.n[k])
-        if n_k <= 0:
-            return 0.0, 0.0, 0, False
-        sub = stream.child(k)
-        try:
-            if orthogonal:
-                draw = sample_stratum_orthogonal(directions, multi[k], spec, sub,
-                                                 size=n_k)
-                vals = np.asarray(evaluator(draw.z), dtype=float)
-            else:
-                draw = sample_stratum_nonorthogonal(directions, multi[k], spec, sub,
-                                                    size=n_k)
-                vals = np.asarray(evaluator(draw.z), dtype=float) * draw.weight
-        except EmptyBoundInterval:
-            return 0.0, 0.0, 0, True
-        mean = float(vals.mean())
-        sd = float(vals.std(ddof=1)) if n_k > 1 else 0.0
-        return mean, sd, n_k, False
+    strata = np.repeat(np.arange(n_strata), plan.n)
+    vals = np.empty(strata.size)
+    unreachable = np.zeros(strata.size, dtype=bool)
+    for c, start in enumerate(range(0, strata.size, _CHUNK)):
+        rows = slice(start, start + _CHUNK)
+        z, weight = sample_strata(directions, spec, strata[rows], stream.child(c))
+        vals[rows] = evaluator(z)
+        if not orthogonal:
+            vals[rows] *= weight
+        unreachable[rows] = weight == 0.0
 
-    rows = _run_strata(worker, n_strata, threads)
-    means = np.array([r[0] for r in rows])
-    sigmas = np.array([r[1] for r in rows])
-    counts = np.array([r[2] for r in rows], dtype=int)
-    empty = np.array([r[3] for r in rows], dtype=bool)
+    empty = np.bincount(strata[unreachable], minlength=n_strata) > 0
+    keep = ~empty[strata]
+    strata, vals = strata[keep], vals[keep]
+    counts = np.where(empty, 0, plan.n)
+    # two passes: means first, then squared deviations from them, so the
+    # within-stratum variance does not cancel
+    means = np.bincount(strata, vals, n_strata) / np.maximum(counts, 1)
+    dev2 = np.bincount(strata, (vals - means[strata]) ** 2, n_strata)
+    sigmas = np.sqrt(dev2 / np.maximum(counts - 1, 1))
 
     used = counts > 0
     if orthogonal:
@@ -405,7 +358,7 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                        n_total: int, stream: RandomStream,
                        allocation: str = "opt", pilot_fraction: float = 0.1,
-                       n_min: int = 2, threads: int = 1) -> EstimateReport:
+                       n_min: int = 2) -> EstimateReport:
     """Stratified estimate under the constant or the two-stage optimal rule.
 
     "const": every reachable stratum gets an equal share of n_total in one
@@ -425,7 +378,7 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     if allocation == "const":
         plan = equal_allocation(p, n_total, n_min=n_min)
         report = stratified_estimate(evaluator, directions, spec, plan,
-                                     stream.child(1), threads=threads)
+                                     stream.child(1))
         report.wall_time = time.perf_counter() - t0
         return report
     if allocation != "opt":
@@ -437,11 +390,11 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         raise ValueError("budget too small for a two-stage run")
     pilot_plan = equal_allocation(p, n_pilot, n_min=n_min)
     pilot = stratified_estimate(evaluator, directions, spec, pilot_plan,
-                                stream.child(1), threads=threads)
+                                stream.child(1))
     p_eff = np.where(pilot.stratum_empty, 0.0, p)
     plan = optimal_allocation(p_eff, pilot.stratum_sigmas, n_main, n_min=n_min)
     report = stratified_estimate(evaluator, directions, spec, plan,
-                                 stream.child(2), threads=threads)
+                                 stream.child(2))
     report.n_samples = pilot.n_samples + report.n_samples
     report.variance = report.est_variance * (report.n_samples)
     report.wall_time = time.perf_counter() - t0
@@ -473,8 +426,7 @@ def plain_mc_estimate(evaluator, dim: int, n_total: int, stream: RandomStream,
 
 
 def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
-                 replications: int, stream: RandomStream,
-                 threads: int = 1) -> EstimateReport:
+                 replications: int, stream: RandomStream) -> EstimateReport:
     """Latin Hypercube estimator on rotated coordinates.
 
     Each replication evaluates the payoff on rotation @ L^T for an
@@ -494,11 +446,9 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     if n_rep < 2:
         raise ValueError("budget too small for the replication count")
 
-    def worker(r: int) -> float:
-        lhs = _lhs_normals(n_rep, d, stream.child(r))
-        return float(np.mean(evaluator(lhs @ rotation.T)))
-
-    means = np.array(_run_strata(worker, replications, threads))
+    means = np.array([
+        float(np.mean(evaluator(_lhs_normals(n_rep, d, stream.child(r)) @ rotation.T)))
+        for r in range(replications)])
     var_rep = float(means.var(ddof=1))
     n_used = n_rep * replications
     return EstimateReport(

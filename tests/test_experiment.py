@@ -7,6 +7,7 @@ deterministic time_ratio column follows directly from the operation counts
 """
 import json
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from stratmc import (
 from stratmc.cli import main
 from stratmc.payoffs import PayoffSpec
 from stratmc.presets import uniform_weights
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def small_bs_config(**overrides) -> ExperimentConfig:
@@ -67,11 +70,14 @@ class TestRunExperiment:
         b = run_experiment(small_bs_config(seed=2))
         assert a[-1].price != b[-1].price
 
-    def test_threads_do_not_change_results(self):
-        base = small_bs_config(methods=["la", "lhs"], threads=1)
-        multi = small_bs_config(methods=["la", "lhs"], threads=3)
-        assert format_rows(run_experiment(base)) == \
-            format_rows(run_experiment(multi))
+    def test_cells_do_not_share_draws(self):
+        # every cell draws from its own substream, so adding methods and
+        # rules leaves the rows of the others byte-identical
+        alone = run_experiment(small_bs_config(methods=["la"]))
+        crowd = run_experiment(small_bs_config(methods=["lhs", "pca", "la"],
+                                               allocs=["const", "opt"]))
+        keep = [r for r in crowd if r.method in ("mc", "la") and r.alloc != "const"]
+        assert format_rows(keep) == format_rows(alone)
 
     def test_prices_agree_with_mc(self):
         config = small_bs_config(methods=["la", "pca", "lhs"],
@@ -247,6 +253,16 @@ class TestLoadConfig:
         np.testing.assert_array_equal(config.bs.sigma, [0.3, 0.3])
         assert config.bs.corr[0][1] == 0.2
 
+    def test_basket_without_rho_is_uncorrelated(self, tmp_path):
+        text = (DEMOS / "configs" / "basket.ini").read_text()
+        path = tmp_path / "basket.ini"
+        path.write_text("".join(ln for ln in text.splitlines(keepends=True)
+                                if not ln.startswith("rho")))
+        config = load_config(str(path))
+        np.testing.assert_array_equal(config.bs.corr, np.eye(5))
+        assert main(["experiment", "--config", str(path),
+                     "--out", str(tmp_path / "table.csv")]) == 0
+
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[model]\nkind = bs\ns0 = 50\nsigma = 0.3\nsteps = 4\n")
@@ -307,6 +323,18 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(BS_INI.replace("mc, la", "warp"))
+        assert main(["experiment", "--config", str(ini)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = abc"),
+        BS_INI + "\n[model]\nkind = cir\n",
+        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60\nbarrier = 70"),
+        "\xff" + BS_INI,
+    ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
+            "not-utf8"])
+    def test_malformed_config_exit_code(self, tmp_path, text):
+        ini = tmp_path / "exp.ini"
+        ini.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--config", str(ini)]) == 2
 
     def test_missing_config_exit_code(self):

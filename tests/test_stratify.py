@@ -10,11 +10,12 @@ Oracles:
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratmc import (
     AllZeroSigma,
     DirectionSet,
-    EmptyBoundInterval,
     IndexOutOfRange,
     NotOrthogonal,
     RandomStream,
@@ -26,12 +27,11 @@ from stratmc import (
     normal_inv_cdf,
     optimal_allocation,
     plain_mc_estimate,
-    sample_stratum_1d,
-    sample_stratum_nonorthogonal,
-    sample_stratum_orthogonal,
+    sample_strata,
     stratified_estimate,
     two_stage_estimate,
 )
+from stratmc.stratify import _CHUNK
 
 
 def phi(x):
@@ -81,6 +81,16 @@ class TestStratumSpec:
         assert lo == pytest.approx(normal_inv_cdf(0.75))
         assert hi == np.inf
 
+    def test_edges_match_marginal_bounds(self):
+        spec = StratumSpec((3, 5))
+        for j, count in enumerate(spec.counts):
+            edges = spec.edges(j)
+            assert edges.shape == (count + 1,)
+            assert edges[0] == -np.inf and edges[-1] == np.inf
+            assert np.all(np.diff(edges) > 0)
+            for k in range(1, count + 1):
+                assert spec.marginal_bounds(j, k) == (edges[k - 1], edges[k])
+
     def test_bad_index(self):
         spec = StratumSpec((4,))
         with pytest.raises(IndexOutOfRange):
@@ -89,52 +99,65 @@ class TestStratumSpec:
             spec.marginal_bounds(0, 5)
 
 
+def stratum_draws(dirs, spec, per, stream):
+    """per draws from every stratum of spec, stratum by stratum."""
+    strata = np.repeat(np.arange(spec.total), per)
+    z, weight = sample_strata(dirs, spec, strata, stream)
+    return z, weight, strata
+
+
+def assert_in_boxes(z, dirs, spec, strata, tol=0.0):
+    for j, k in enumerate(np.unravel_index(strata, spec.counts)):
+        edges = spec.edges(j)
+        lo, hi = edges[k], edges[k + 1]
+        proj = z @ dirs.columns[:, j]
+        assert np.all((proj > lo - tol) & (proj < hi + tol))
+
+
 class TestSample1d:
     def test_membership_strict(self):
-        stream = RandomStream(50)
-        v = np.array([3.0, 4.0]) / 5.0
+        dirs = DirectionSet(np.array([[3.0], [4.0]]) / 5.0, orthogonal=True)
         spec = StratumSpec((6,))
-        for k in range(1, 7):
-            draw = sample_stratum_1d(v, k, 6, stream.child(k), size=2_000)
-            lo, hi = spec.marginal_bounds(0, k)
-            proj = draw.z @ v
-            assert np.all((proj > lo) & (proj < hi))
-            assert draw.weight == 1.0
-            assert draw.stratum == (k,)
+        z, weight, strata = stratum_draws(dirs, spec, 2_000, RandomStream(50))
+        assert_in_boxes(z, dirs, spec, strata)
+        np.testing.assert_allclose(weight, 1 / 6, rtol=0, atol=1e-12)
 
     def test_projection_mean_matches_truncated_normal(self):
-        stream = RandomStream(51)
         v = np.array([1.0, 0.0, 0.0])
         spec = StratumSpec((4,))
         n = 40_000
+        z, _, _ = stratum_draws(DirectionSet(v[:, None], orthogonal=True), spec,
+                                n, RandomStream(51))
+        proj = (z @ v).reshape(4, n)
         for k in range(1, 5):
-            draw = sample_stratum_1d(v, k, 4, stream.child(k), size=n)
-            proj = draw.z @ v
             target = truncated_mean(*spec.marginal_bounds(0, k))
-            se = proj.std(ddof=1) / np.sqrt(n)
-            assert abs(proj.mean() - target) < 3.5 * se
+            se = proj[k - 1].std(ddof=1) / np.sqrt(n)
+            assert abs(proj[k - 1].mean() - target) < 3.5 * se
 
     def test_unstratified_coordinates_stay_standard_normal(self):
-        stream = RandomStream(52)
-        v = np.array([1.0, 0.0])
-        draw = sample_stratum_1d(v, 1, 8, stream, size=50_000)
-        other = draw.z[:, 1]
+        dirs = DirectionSet(np.array([[1.0], [0.0]]), orthogonal=True)
+        z, _ = sample_strata(dirs, StratumSpec((8,)), np.zeros(50_000, dtype=int),
+                             RandomStream(52))
+        other = z[:, 1]
         assert abs(other.mean()) < 3.5 / np.sqrt(other.size)
         assert abs(other.std(ddof=1) - 1.0) < 0.02
 
     def test_bad_stratum(self):
-        with pytest.raises(IndexOutOfRange):
-            sample_stratum_1d(np.array([1.0, 0.0]), 9, 8, RandomStream(0))
+        dirs = DirectionSet(np.array([[1.0], [0.0]]), orthogonal=True)
+        for bad in (8, -1):
+            with pytest.raises(IndexOutOfRange):
+                sample_strata(dirs, StratumSpec((8,)), [bad], RandomStream(0))
 
 
 class TestSampleOrthogonal:
     def test_quadrant_case(self):
-        # identity directions in d=2: stratum (2, 2) is the positive quadrant
+        # identity directions in d=2: stratum (2, 2), flat index 3, is the
+        # positive quadrant
         dirs = DirectionSet(np.eye(2), orthogonal=True)
-        spec = StratumSpec((2, 2))
-        draw = sample_stratum_orthogonal(dirs, (2, 2), spec, RandomStream(53),
-                                         size=4_000)
-        assert np.all(draw.z > 0.0)
+        z, weight = sample_strata(dirs, StratumSpec((2, 2)), np.full(4_000, 3),
+                                  RandomStream(53))
+        assert np.all(z > 0.0)
+        np.testing.assert_allclose(weight, 0.25, rtol=0, atol=1e-12)
 
     def test_membership_all_strata(self):
         rng = np.random.default_rng(54)
@@ -142,21 +165,9 @@ class TestSampleOrthogonal:
         q, _ = np.linalg.qr(base)
         dirs = DirectionSet(q, orthogonal=True)
         spec = StratumSpec((3, 4))
-        stream = RandomStream(55)
-        for i, k in enumerate(spec.indices()):
-            draw = sample_stratum_orthogonal(dirs, k, spec, stream.child(i),
-                                             size=500)
-            for j in range(2):
-                lo, hi = spec.marginal_bounds(j, k[j])
-                proj = draw.z @ q[:, j]
-                assert np.all((proj > lo) & (proj < hi))
-
-    def test_rejects_nonorthogonal_set(self):
-        cols = np.column_stack([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        ds = DirectionSet(cols, orthogonal=False)
-        with pytest.raises(NotOrthogonal):
-            sample_stratum_orthogonal(ds, (1, 1), StratumSpec((2, 2)),
-                                      RandomStream(0))
+        z, weight, strata = stratum_draws(dirs, spec, 500, RandomStream(55))
+        assert_in_boxes(z, dirs, spec, strata)
+        np.testing.assert_allclose(weight, 1 / 12, rtol=0, atol=1e-12)
 
 
 class TestSampleNonOrthogonal:
@@ -170,49 +181,50 @@ class TestSampleNonOrthogonal:
     def test_membership_closed_bounds(self):
         dirs = self.dirs45()
         spec = StratumSpec((3, 3))
-        stream = RandomStream(56)
-        for i, k in enumerate(spec.indices()):
-            draw = sample_stratum_nonorthogonal(dirs, k, spec, stream.child(i),
-                                                size=800)
-            assert np.all((draw.weight > 0.0) & (draw.weight <= 1.0))
-            for j in range(2):
-                lo, hi = spec.marginal_bounds(j, k[j])
-                proj = draw.z @ dirs.columns[:, j]
-                assert np.all((proj >= lo - 1e-9) & (proj <= hi + 1e-9))
+        z, weight, strata = stratum_draws(dirs, spec, 800, RandomStream(56))
+        assert np.all((weight > 0.0) & (weight <= 1.0))
+        assert_in_boxes(z, dirs, spec, strata, tol=1e-9)
 
     def test_orthant_weight_three_eighths(self):
-        # P(z1 > 0 and (z1 + z2)/sqrt(2) > 0) = 1/4 + 1/8 at 45 degrees
-        draw = sample_stratum_nonorthogonal(self.dirs45(), (2, 2),
-                                            StratumSpec((2, 2)),
-                                            RandomStream(57), size=60_000)
-        se = draw.weight.std(ddof=1) / np.sqrt(draw.weight.size)
-        assert abs(draw.weight.mean() - 0.375) < 3.5 * se
+        # P(z1 > 0 and (z1 + z2)/sqrt(2) > 0) = 1/4 + 1/8 at 45 degrees;
+        # flat index 3 is stratum (2, 2)
+        _, weight = sample_strata(self.dirs45(), StratumSpec((2, 2)),
+                                  np.full(60_000, 3), RandomStream(57))
+        se = weight.std(ddof=1) / np.sqrt(weight.size)
+        assert abs(weight.mean() - 0.375) < 3.5 * se
 
-    def test_empty_interval_raises(self):
+    def test_unreachable_stratum_is_empty(self):
         # nearly parallel directions: bottom box on e1 makes the top box on
-        # e2 unreachable
+        # e2 unreachable, so stratum (1, 50) (flat index 49) is empty
         theta = np.radians(5.0)
         cols = np.column_stack([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
         dirs = DirectionSet(cols, orthogonal=False)
         spec = StratumSpec((50, 50))
-        with pytest.raises(EmptyBoundInterval):
-            sample_stratum_nonorthogonal(dirs, (1, 50), spec, RandomStream(58),
-                                         size=100)
+        _, weight = sample_strata(dirs, spec, np.full(100, 49), RandomStream(58))
+        assert np.all(weight == 0.0)
+        plan = equal_allocation(np.full(spec.total, 1 / spec.total), 10 * spec.total)
+        rep = stratified_estimate(lambda z: np.exp(z[:, 0]), dirs, spec, plan,
+                                  RandomStream(58))
+        assert rep.stratum_empty[49]
+        # strata where only some draws are unreachable are empty too, and no
+        # empty stratum reports a mean, a spread or draws
+        empty = rep.stratum_empty
+        assert np.all(rep.stratum_counts[empty] == 0)
+        assert np.all(rep.stratum_means[empty] == 0.0)
+        assert np.all(rep.stratum_sigmas[empty] == 0.0)
+        assert rep.n_samples == int(rep.stratum_counts.sum()) < 10 * spec.total
+        assert not rep.stratum_empty[0]
 
     def test_weighted_full_space_consistency(self):
         # summing weighted stratum means over every stratum must reproduce
         # the unconditional expectation
         dirs = self.dirs45()
         spec = StratumSpec((4, 4))
-        stream = RandomStream(59)
         per = 2_500
-        total, var_acc = 0.0, 0.0
-        for i, k in enumerate(spec.indices()):
-            draw = sample_stratum_nonorthogonal(dirs, k, spec, stream.child(i),
-                                                size=per)
-            wg = draw.weight * np.exp(draw.z[:, 0])
-            total += wg.mean()
-            var_acc += wg.var(ddof=1) / per
+        z, weight, _ = stratum_draws(dirs, spec, per, RandomStream(59))
+        wg = (weight * np.exp(z[:, 0])).reshape(spec.total, per)
+        total = wg.mean(axis=1).sum()
+        var_acc = (wg.var(axis=1, ddof=1) / per).sum()
         truth = np.exp(0.5)  # E[exp(z1)]
         assert abs(total - truth) < 3.5 * np.sqrt(var_acc)
 
@@ -222,22 +234,44 @@ class TestSampleNonOrthogonal:
         # directions; this pins down why the weights exist
         dirs = self.dirs45()
         spec = StratumSpec((4, 4))
-        stream = RandomStream(60)
         per = 4_000
-        naive, naive_var = 0.0, 0.0
-        weighted, weighted_var = 0.0, 0.0
-        for i, k in enumerate(spec.indices()):
-            draw = sample_stratum_nonorthogonal(dirs, k, spec, stream.child(i),
-                                                size=per)
-            g = np.exp(draw.z[:, 0] + draw.z[:, 1])
-            naive += g.mean() / spec.total
-            naive_var += g.var(ddof=1) / per / spec.total ** 2
-            wg = draw.weight * g
-            weighted += wg.mean()
-            weighted_var += wg.var(ddof=1) / per
+        z, weight, _ = stratum_draws(dirs, spec, per, RandomStream(60))
+        g = np.exp(z[:, 0] + z[:, 1]).reshape(spec.total, per)
+        wg = weight.reshape(spec.total, per) * g
+        naive = g.mean(axis=1).sum() / spec.total
+        naive_var = (g.var(axis=1, ddof=1) / per).sum() / spec.total ** 2
+        weighted = wg.mean(axis=1).sum()
+        weighted_var = (wg.var(axis=1, ddof=1) / per).sum()
         truth = np.exp(1.0)  # Var(z1 + z2) = 2
         assert abs(weighted - truth) < 3.5 * np.sqrt(weighted_var)
         assert abs(naive - truth) > 5.0 * np.sqrt(naive_var)
+
+
+# (dimension, seed, angle in degrees between the two unit directions)
+unit_pairs = st.tuples(st.integers(2, 6), st.integers(0, 2**32 - 1),
+                       st.one_of(st.just(90.0), st.floats(5.0, 89.0)))
+
+
+class TestSampleStrataProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(unit_pairs, st.integers(2, 10), st.integers(2, 10),
+           st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40))
+    def test_boxes_and_weights(self, pair, k1, k2, picks):
+        d, seed, theta = pair
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(d, 2)))
+        t = np.radians(theta)
+        cols = np.column_stack([q[:, 0], np.cos(t) * q[:, 0] + np.sin(t) * q[:, 1]])
+        cols /= np.linalg.norm(cols, axis=0)
+        orthogonal = theta == 90.0
+        dirs = DirectionSet(cols, orthogonal=orthogonal)
+        spec = StratumSpec((k1, k2))
+        strata = (np.array(picks) * spec.total).astype(int)
+        z, weight = sample_strata(dirs, spec, strata, RandomStream(seed))
+        assert_in_boxes(z, dirs, spec, strata, tol=1e-9)
+        assert np.all((weight >= 0.0) & (weight <= 1.0))
+        if orthogonal:
+            np.testing.assert_allclose(weight, 1 / spec.total, rtol=0, atol=1e-12)
 
 
 class TestAllocation:
@@ -377,14 +411,39 @@ class TestEstimators:
         se = np.sqrt(rep.est_variance + mc.est_variance)
         assert abs(rep.price - mc.price) < 3.5 * se
 
-    def test_threads_do_not_change_results(self):
-        dirs = self.v_first(4)
-        spec = StratumSpec((16,))
+    def test_chunks_match_per_stratum_reduction(self):
+        # the stage spans several sampler chunks, with strata straddling
+        # chunk boundaries; drawing each chunk from its own substream, in
+        # reverse order, and reducing stratum by stratum in a loop must
+        # reproduce the vectorized reduction
+        spec = StratumSpec((4, 4))
+        p = np.full(spec.total, 1 / spec.total)
+        plan = optimal_allocation(p, np.linspace(1.0, 4.0, spec.total),
+                                  3 * _CHUNK + 1_000)
+        e2 = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
+        q, _ = np.linalg.qr(np.random.default_rng(74).normal(size=(4, 2)))
         ev = lambda z: np.maximum(z[:, 0] + 0.1 * z[:, 1], 0.0)
-        reps = [two_stage_estimate(ev, dirs, spec, 8_000, RandomStream(74),
-                                   "opt", threads=t) for t in (1, 4)]
-        assert reps[0].price == reps[1].price
-        assert reps[0].variance == reps[1].variance
+        for dirs in (DirectionSet(q, orthogonal=True),
+                     DirectionSet(np.column_stack([np.eye(4)[:, 0], e2]))):
+            rep = stratified_estimate(ev, dirs, spec, plan, RandomStream(74))
+            again = stratified_estimate(ev, dirs, spec, plan, RandomStream(74))
+            assert (rep.price, rep.variance) == (again.price, again.variance)
+
+            strata = np.repeat(np.arange(spec.total), plan.n)
+            vals = np.empty(strata.size)
+            starts = list(range(0, strata.size, _CHUNK))
+            assert len(starts) == 4
+            for c in reversed(range(len(starts))):
+                rows = slice(starts[c], starts[c] + _CHUNK)
+                z, weight = sample_strata(dirs, spec, strata[rows],
+                                          RandomStream(74).child(c))
+                vals[rows] = ev(z) if dirs.orthogonal else ev(z) * weight
+            for k in range(spec.total):
+                mine = vals[strata == k]
+                assert rep.stratum_means[k] == pytest.approx(mine.mean(), rel=1e-12)
+                assert rep.stratum_sigmas[k] == pytest.approx(mine.std(ddof=1),
+                                                              rel=1e-10)
+            assert not rep.stratum_empty.any()
 
     def test_report_bookkeeping(self):
         dirs = self.v_first(2)
