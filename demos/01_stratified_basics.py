@@ -32,7 +32,7 @@ def payoff(z):
 def main():
     stream = RandomStream(7)
 
-    dirs = DirectionSet(v[:, None], orthogonal=True)
+    dirs = DirectionSet(v[:, None])
     spec = StratumSpec((STRATA,))
 
     print("1. What a stratified draw looks like")

@@ -25,7 +25,7 @@ E45 = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)  # 45 degrees from E1
 
 
 def main():
-    dirs = DirectionSet(np.column_stack([E1, E45]), orthogonal=False)
+    dirs = DirectionSet(np.column_stack([E1, E45]))
     spec = StratumSpec((2, 2))
     stream = RandomStream(21)
 

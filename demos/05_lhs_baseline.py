@@ -50,7 +50,7 @@ def main():
     print("2. Payoff of one oblique projection, same budget")
     mc = plain_mc_estimate(oblique, DIM, BUDGET, stream.child(2))
     lhs = lhs_estimate(oblique, rot, BUDGET, REPS, stream.child(3))
-    dirs = DirectionSet(v[:, None], orthogonal=True)
+    dirs = DirectionSet(v[:, None])
     strat = two_stage_estimate(oblique, dirs, StratumSpec((100,)), BUDGET,
                                stream.child(4), allocation="opt")
     print(f"   plain MC variance          {mc.variance:.5f}")

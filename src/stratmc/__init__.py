@@ -20,7 +20,6 @@ from .errors import (
     NonIncreasingGrid,
     NotOrthogonal,
     NotPositiveDefinite,
-    OutOfDomain,
     RankDeficient,
     StratMcError,
     ZeroVector,
@@ -31,15 +30,12 @@ from .linalg import (
     bm_covariance,
     cholesky,
     gram_schmidt,
-    kronecker,
     normalize_sign,
     symmetric_eigen,
 )
 from .gaussian import (
     RandomStream,
     lhs_normals,
-    normal_cdf,
-    normal_inv_cdf,
     stratum_uniform,
 )
 from .stratify import (

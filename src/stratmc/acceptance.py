@@ -106,7 +106,7 @@ def _criterion_1():
     spec1 = StratumSpec((n_strata,))
     per = 12_500
     strata = np.repeat(np.arange(n_strata), per)
-    z, _ = sample_strata(DirectionSet(v[:, None], orthogonal=True), spec1,
+    z, _ = sample_strata(DirectionSet(v[:, None]), spec1,
                          strata, stream.child(1))
     member_1d = _in_boxes(z, v[:, None], spec1, strata)
     residuals = z - np.outer(z @ v, v)
@@ -117,7 +117,7 @@ def _criterion_1():
     f, _ = gram_schmidt(base.T)
     ospec = StratumSpec((4, 4))
     ostrata = np.repeat(np.arange(ospec.total), 500)
-    z, _ = sample_strata(DirectionSet(f, orthogonal=True), ospec, ostrata,
+    z, _ = sample_strata(DirectionSet(f), ospec, ostrata,
                          stream.child(2))
     member_orth = _in_boxes(z, f, ospec, ostrata)
 
@@ -126,7 +126,7 @@ def _criterion_1():
     e2 = np.zeros(d)
     e2[0] = e2[1] = np.sqrt(0.5)
     ncols = np.column_stack([e1, e2])
-    z, _ = sample_strata(DirectionSet(ncols, orthogonal=False), ospec, ostrata,
+    z, _ = sample_strata(DirectionSet(ncols), ospec, ostrata,
                          stream.child(3))
     member_non = _in_boxes(z, ncols, ospec, ostrata, tol=1e-9)
 
@@ -145,7 +145,7 @@ def _criterion_2():
     stream = RandomStream(202)
     e1 = np.array([1.0, 0.0, 0.0])
     e2 = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])
-    dirs = DirectionSet(np.column_stack([e1, e2]), orthogonal=False)
+    dirs = DirectionSet(np.column_stack([e1, e2]))
     spec = StratumSpec((4, 4))
     per = 4_000
 
@@ -315,7 +315,7 @@ def _criterion_6():
     ev = lambda z: pay.discount * np.maximum(
         bs_basket_g(z, bs, factor) - pay.strike, 0.0)
     mc = plain_mc_estimate(ev, bs.dim, n_samples, stream.child(0))
-    la_set = DirectionSet(la_direction_bs(bs, factor)[:, None], orthogonal=True)
+    la_set = DirectionSet(la_direction_bs(bs, factor)[:, None])
     pca_set = pca_directions(path_covariance(bs), 1)[0]
     la = two_stage_estimate(ev, la_set, spec1, n_samples, stream.child(1), "opt")
     pca = two_stage_estimate(ev, pca_set, spec1, n_samples, stream.child(2), "opt")
@@ -325,7 +325,7 @@ def _criterion_6():
     pay_c = payoff_for(cir, 100.0)
     ev_c = lambda z: asian_basket(cir_euler_path(z, cir), pay_c)
     mc_c = plain_mc_estimate(ev_c, cir.n_steps, n_samples, stream.child(3))
-    la_c_set = DirectionSet(la_direction_cir(cir)[:, None], orthogonal=True)
+    la_c_set = DirectionSet(la_direction_cir(cir)[:, None])
     la_c = two_stage_estimate(ev_c, la_c_set, spec1, n_samples,
                               stream.child(4), "opt")
     ratio_cir = mc_c.variance / la_c.variance

@@ -87,8 +87,7 @@ def _cmd_directions(args) -> int:
     stream = RandomStream(config.seed).child(_DIR_STREAM_INDEX)
     sets = {m: build_directions(config, m, stream) for m in methods}
     for name, ds in sets.items():
-        print(f"[{name}]  {ds.count} direction(s), dim {ds.dim}, "
-              f"orthogonal={ds.orthogonal}")
+        print(f"[{name}]  {ds.count} direction(s), dim {ds.dim}")
         for j in range(ds.count):
             comps = " ".join(f"{v:.6g}" for v in ds.columns[:8, j])
             tail = " ..." if ds.dim > 8 else ""

@@ -26,7 +26,7 @@ from .errors import (
     RankDeficient,
 )
 from .gaussian import RandomStream
-from .linalg import gram_schmidt, normalize_sign, symmetric_eigen
+from .linalg import normalize_sign, symmetric_eigen
 from .models import (
     BsParams,
     CirParams,
@@ -70,7 +70,7 @@ def pca_directions(sigma: np.ndarray, m: int) -> tuple[DirectionSet, float]:
     total = float(eig.eigenvalues.sum())
     ratio = float(eig.eigenvalues[:m].sum()) / total
     cols = eig.eigenvectors[:, :m]
-    return DirectionSet(columns=cols, orthogonal=True), ratio
+    return DirectionSet(columns=cols), ratio
 
 
 # --- Black-Scholes -----------------------------------------------------------
@@ -108,11 +108,9 @@ def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
         cols.append(v)
         point = v
     try:
-        gram_schmidt(cols)
+        return DirectionSet(np.column_stack([normalize_sign(v) for v in cols]))
     except RankDeficient as exc:
         raise DependentDirections(str(exc)) from exc
-    return DirectionSet(columns=np.column_stack([normalize_sign(v) for v in cols]),
-                        orthogonal=False)
 
 
 def lt_directions_bs(params: BsParams, count: int,
@@ -145,7 +143,7 @@ def lt_directions_bs(params: BsParams, count: int,
         shift += c @ a
     a_mat = np.column_stack(cols)
     assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
-    return DirectionSet(columns=a_mat, orthogonal=True)
+    return DirectionSet(columns=a_mat)
 
 
 # --- CIR ---------------------------------------------------------------------
@@ -236,7 +234,7 @@ def lt_directions_cir(params: CirParams, count: int,
         cols.append(normalize_sign(b / norm))
     a_mat = np.column_stack(cols)
     assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
-    return DirectionSet(columns=a_mat, orthogonal=True)
+    return DirectionSet(columns=a_mat)
 
 
 def la_direction_cir(params: CirParams) -> np.ndarray:

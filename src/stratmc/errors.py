@@ -33,10 +33,6 @@ class ZeroVector(StratMcError):
 
 # --- sampling ---------------------------------------------------------------
 
-class OutOfDomain(StratMcError):
-    """Probability argument outside (0, 1)."""
-
-
 class IndexOutOfRange(StratMcError):
     """Stratum index outside 1..K."""
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .directions import (
-    la_direction_bs,
-    la_direction_cir,
     la_directions_multi,
     lt_directions_bs,
     lt_directions_cir,
@@ -32,7 +30,7 @@ from .directions import (
     bs_gradient,
     cir_mean_gradient,
 )
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, InvalidFeller
 from .gaussian import RandomStream
 from .models import (
     BsParams,
@@ -71,9 +69,9 @@ ALLOCS = ("const", "opt")
 COLUMNS = ("method", "alloc", "payoff", "strike", "barrier", "price",
            "variance", "time_ratio", "n_samples", "strata", "seed")
 
-_CIR_ONLY = {"pilot-pca"}
-_BS_ONLY = {"pca", "la+pca", "lt+pca", "two-dir-pca"}
-_TWO_DIR = {"la+pca", "lt+pca", "two-dir-la", "two-dir-lt", "two-dir-pca"}
+# the direction engines of each model; every stratified method is built
+# from them (see _method_parts)
+_ENGINES = {"bs": ("la", "lt", "pca"), "cir": ("la", "lt", "pilot-pca")}
 _N_MIN = 2
 
 # substream id reserved for direction engines (the pilot-PCA sample), kept
@@ -113,12 +111,12 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigInvalid(f"run.methods: unknown method {m!r}")
-            if self.model == "bs" and m in _CIR_ONLY:
-                raise ConfigInvalid(f"run.methods: {m} requires the cir model")
-            if self.model == "cir" and m in _BS_ONLY:
+            missing = sorted(set(_method_parts(m)[0]) - set(_ENGINES[self.model]))
+            if missing:
                 raise ConfigInvalid(
-                    f"run.methods: {m} is not defined for the cir model "
-                    "(use pilot-pca for a data-driven direction)")
+                    f"run.methods: {m} needs the {', '.join(missing)} engine, "
+                    f"which the {self.model} model does not have (its "
+                    f"engines: {', '.join(_ENGINES[self.model])})")
         for a in self.allocs:
             if a not in ALLOCS:
                 raise ConfigInvalid(f"run.alloc: unknown rule {a!r}")
@@ -128,7 +126,8 @@ class ExperimentConfig:
             raise ConfigInvalid("run.strata must be >= 1")
         if self.n_samples < self.strata * _N_MIN:
             raise ConfigInvalid("run.n_samples must cover n_min per stratum")
-        if any(m in _TWO_DIR for m in self.methods) and self.strata < 4:
+        if self.strata < 4 and any(len(engines) * count == 2 for engines, count
+                                   in map(_method_parts, self.methods)):
             raise ConfigInvalid("run.strata must be >= 4 for two-direction methods")
         if not 0.0 < self.pilot_fraction < 1.0:
             raise ConfigInvalid("run.pilot_fraction must lie in (0, 1)")
@@ -164,9 +163,17 @@ class ResultRow:
 # --- config parsing -----------------------------------------------------------
 
 
+def _number(raw: str) -> float:
+    """A finite float: nan and inf are not valid config values."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not a finite number")
+    return value
+
+
 def _floats(raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return [_number(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigInvalid(f"could not parse number list {raw!r}") from exc
 
@@ -190,12 +197,22 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
         s0 = _floats(_get(section, "s0", str, name="model"))
         sigma = _floats(_get(section, "sigma", str, name="model"))
         m = len(s0)
+        if m == 0:
+            raise ConfigInvalid("model.s0 needs at least one value")
         if len(sigma) == 1 and m > 1:
             sigma = sigma * m
-        rho = _get(section, "rho", float, default=0.0, name="model")
+        rho = _get(section, "rho", _number, default=0.0, name="model")
         steps = _get(section, "steps", int, name="model")
-        maturity = _get(section, "maturity", float, default=1.0, name="model")
-        rate = _get(section, "rate", float, default=0.0, name="model")
+        maturity = _get(section, "maturity", _number, default=1.0, name="model")
+        rate = _get(section, "rate", _number, default=0.0, name="model")
+        if steps < 1:
+            raise ConfigInvalid("model.steps must be >= 1")
+        # a common correlation rho gives a positive-definite matrix exactly
+        # for -1/(m-1) < rho < 1
+        if m > 1 and not -1.0 / (m - 1) < rho < 1.0:
+            raise ConfigInvalid(
+                f"model.rho = {rho} must lie in ({-1.0 / (m - 1):g}, 1) "
+                f"for {m} assets")
         corr = np.full((m, m), rho)
         np.fill_diagonal(corr, 1.0)
         grid = np.arange(1, steps + 1) * (maturity / steps)
@@ -208,15 +225,15 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
     if kind == "cir":
         try:
             params = CirParams(
-                s0=_get(section, "s0", float, name="model"),
-                alpha=_get(section, "alpha", float, name="model"),
-                mu=_get(section, "mu", float, name="model"),
-                sigma=_get(section, "sigma", float, name="model"),
-                rate=_get(section, "rate", float, default=0.0, name="model"),
+                s0=_get(section, "s0", _number, name="model"),
+                alpha=_get(section, "alpha", _number, name="model"),
+                mu=_get(section, "mu", _number, name="model"),
+                sigma=_get(section, "sigma", _number, name="model"),
+                rate=_get(section, "rate", _number, default=0.0, name="model"),
                 n_steps=_get(section, "steps", int, name="model"),
-                maturity=_get(section, "maturity", float, default=1.0, name="model"),
+                maturity=_get(section, "maturity", _number, default=1.0, name="model"),
             )
-        except ValueError as exc:
+        except (ValueError, InvalidFeller) as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
         return "cir", None, params
     raise ConfigInvalid(f"model.kind: unknown model {kind!r}")
@@ -229,7 +246,7 @@ def _parse_payoffs(section, model, bs, cir) -> list[PayoffSpec]:
     strikes = _floats(_get(section, "strike", str, name="payoff"))
     barrier = None
     if "barrier" in section:
-        barrier = _get(section, "barrier", float, name="payoff")
+        barrier = _get(section, "barrier", _number, name="payoff")
     if model == "bs":
         m, n = bs.n_assets, bs.n_dates
         rate, maturity = bs.rate, float(bs.grid[-1])
@@ -280,7 +297,7 @@ def load_config(path: str) -> ExperimentConfig:
         methods=methods, allocs=allocs,
         strata=_get(run, "strata", int, default=100, name="run"),
         n_samples=_get(run, "n_samples", int, default=100_000, name="run"),
-        pilot_fraction=_get(run, "pilot_fraction", float, default=0.1, name="run"),
+        pilot_fraction=_get(run, "pilot_fraction", _number, default=0.1, name="run"),
         lhs_replications=_get(run, "lhs_replications", int, default=30, name="run"),
         seed=_get(run, "seed", int, default=0, name="run"),
         out=out_section.get("path") if hasattr(out_section, "get") else None,
@@ -294,50 +311,51 @@ def load_config(path: str) -> ExperimentConfig:
 # --- direction assembly ---------------------------------------------------------
 
 
-def build_directions(config: ExperimentConfig, method: str,
-                     stream: RandomStream) -> DirectionSet:
-    """Direction set for one stratified method under the configured model."""
+def _method_parts(method: str) -> tuple[tuple[str, ...], int]:
+    """The engines a method draws on and the direction count taken from
+    each: "<e>" is one direction of engine e, "two-dir-<e>" two directions
+    of e, and "<a>+<b>" the first direction of a and of b; the mc and lhs
+    baselines use none."""
+    if method in ("mc", "lhs"):
+        return (), 0
+    if method.startswith("two-dir-"):
+        return (method[len("two-dir-"):],), 2
+    return tuple(method.split("+")), 1
+
+
+def _engines(config: ExperimentConfig, stream: RandomStream) -> dict:
+    """The model's direction engines, each mapping a count k to a
+    DirectionSet of k directions."""
     if config.model == "bs":
         params = config.bs
         factor = path_factor(params)
-        if method == "la":
-            return DirectionSet(la_direction_bs(params, factor)[:, None],
-                                orthogonal=True)
-        if method == "lt":
-            return lt_directions_bs(params, 1, factor)
-        if method == "pca":
-            return pca_directions(path_covariance(params), 1)[0]
-        if method == "la+pca":
-            la = la_direction_bs(params, factor)
-            pca = pca_directions(path_covariance(params), 1)[0].columns[:, 0]
-            return DirectionSet(np.column_stack([la, pca]), orthogonal=False)
-        if method == "lt+pca":
-            lt1 = lt_directions_bs(params, 1, factor).columns[:, 0]
-            pca = pca_directions(path_covariance(params), 1)[0].columns[:, 0]
-            return DirectionSet(np.column_stack([lt1, pca]), orthogonal=False)
-        if method == "two-dir-la":
-            return la_directions_multi(
-                lambda e: bs_gradient(params, e, factor), params.dim, 2)
-        if method == "two-dir-lt":
-            return lt_directions_bs(params, 2, factor)
-        if method == "two-dir-pca":
-            return pca_directions(path_covariance(params), 2)[0]
-    else:
-        params = config.cir
-        if method == "la":
-            return DirectionSet(la_direction_cir(params)[:, None],
-                                orthogonal=True)
-        if method == "lt":
-            return lt_directions_cir(params, 1)
-        if method == "pilot-pca":
-            v = pilot_pca_cir(params, stream.child(1))
-            return DirectionSet(v[:, None], orthogonal=True)
-        if method == "two-dir-la":
-            return la_directions_multi(
-                lambda z: cir_mean_gradient(params, z), params.n_steps, 2)
-        if method == "two-dir-lt":
-            return lt_directions_cir(params, 2)
-    raise ConfigInvalid(f"method {method!r} unsupported for model {config.model!r}")
+        return {
+            "la": lambda k: la_directions_multi(
+                lambda e: bs_gradient(params, e, factor), params.dim, k),
+            "lt": lambda k: lt_directions_bs(params, k, factor),
+            "pca": lambda k: pca_directions(path_covariance(params), k)[0],
+        }
+    params = config.cir
+    return {
+        "la": lambda k: la_directions_multi(
+            lambda z: cir_mean_gradient(params, z), params.n_steps, k),
+        "lt": lambda k: lt_directions_cir(params, k),
+        # one pilot eigenvector: no method takes more than one
+        "pilot-pca": lambda k: DirectionSet(
+            pilot_pca_cir(params, stream.child(1))[:, None]),
+    }
+
+
+def build_directions(config: ExperimentConfig, method: str,
+                     stream: RandomStream) -> DirectionSet:
+    """Direction set for one stratified method under the configured model."""
+    names, count = _method_parts(method)
+    engines = _engines(config, stream)
+    if not names or not engines.keys() >= set(names):
+        raise ConfigInvalid(
+            f"method {method!r} unsupported for model {config.model!r}")
+    return DirectionSet(np.column_stack(
+        [engines[name](count).columns for name in names]))
 
 
 def _lhs_rotation(config: ExperimentConfig) -> np.ndarray:
@@ -361,8 +379,8 @@ def _make_evaluator(config: ExperimentConfig, spec: PayoffSpec):
     return lambda z: evaluate(cir_euler_path(z, params), spec)
 
 
-def _stratum_spec(config: ExperimentConfig, method: str) -> StratumSpec:
-    if method in _TWO_DIR:
+def _stratum_spec(config: ExperimentConfig, n_dirs: int) -> StratumSpec:
+    if n_dirs == 2:
         side = int(math.isqrt(config.strata))
         return StratumSpec((side, side))
     return StratumSpec((config.strata,))
@@ -426,7 +444,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                     seed=config.seed, wall_seconds=rep.wall_time))
                 continue
             dirs = directions[method]
-            strat_spec = _stratum_spec(config, method)
+            strat_spec = _stratum_spec(config, dirs.count)
             for alloc in config.allocs:
                 cell_stream = cell_base.child(ALLOCS.index(alloc))
                 rep = two_stage_estimate(

@@ -1,5 +1,5 @@
-"""Normal distribution functions, seedable substreams, stratified uniforms
-and Latin Hypercube normal matrices.
+"""Seedable substreams, stratified uniforms and Latin Hypercube normal
+matrices.
 
 Randomness is built on the counter-based Philox generator keyed by
 (seed, stream_id): every stream is a pure function of its key, and so is
@@ -10,33 +10,17 @@ whatever order the children are consumed in.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
-from .errors import IndexOutOfRange, OutOfDomain
+from .errors import IndexOutOfRange
 
 __all__ = [
-    "normal_cdf",
-    "normal_inv_cdf",
     "RandomStream",
     "stratum_uniform",
     "lhs_normals",
 ]
 
 _MASK64 = (1 << 64) - 1
-
-
-def normal_cdf(x):
-    """Standard normal CDF, absolute error below 1e-15."""
-    return ndtr(x)
-
-
-def normal_inv_cdf(p):
-    """Inverse standard normal CDF on (0, 1); round-trip error below 1e-12."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise OutOfDomain("probability must lie strictly inside (0, 1)")
-    out = ndtri(p)
-    return float(out) if out.ndim == 0 else out
 
 
 def _splitmix64(x: int) -> int:

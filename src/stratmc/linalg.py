@@ -25,7 +25,6 @@ __all__ = [
     "EigenDecomposition",
     "cholesky",
     "bm_covariance",
-    "kronecker",
     "gram_schmidt",
     "symmetric_eigen",
     "angle_degrees",
@@ -74,11 +73,6 @@ def bm_covariance(grid) -> np.ndarray:
     if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
         raise NonIncreasingGrid("grid must satisfy 0 < t_1 < ... < t_N")
     return np.minimum.outer(t, t)
-
-
-def kronecker(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Kronecker product with block (j, n) = b[j, n] * a."""
-    return np.kron(np.asarray(b, dtype=float), np.asarray(a, dtype=float))
 
 
 def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidFeller
-from .linalg import bm_covariance, cholesky, kronecker
+from .linalg import bm_covariance, cholesky
 
 __all__ = [
     "BsParams",
@@ -142,7 +142,7 @@ def asset_covariance(params: BsParams) -> np.ndarray:
 
 def path_covariance(params: BsParams) -> np.ndarray:
     """Sigma_MN = Sigma_B (x) Sigma_A (dates-major, assets-minor)."""
-    return kronecker(bm_covariance(params.grid), asset_covariance(params))
+    return np.kron(bm_covariance(params.grid), asset_covariance(params))
 
 
 def path_factor(params: BsParams) -> np.ndarray:

@@ -3,13 +3,13 @@ projections, allocation rules, and the stratified / plain / LHS estimators.
 
 Strata are slabs of standard-normal space: for a direction set with columns
 e_1..e_d' and per-direction interval counts K_1..K_d', stratum (k_1..k_d')
-collects the z with e_i . z in the k_i-th marginal quantile interval.  Draws
-are generated through sequentially conditioned coordinates on an orthonormal
-frame and carry the product of conditional interval probabilities as a
-weight.  For orthogonal directions the strata are equiprobable, every weight
-is p_k = 1/prod(K_j) and the estimator uses p_k.  For non-orthogonal
-directions the joint probability of a box is unknown, and the weight replaces
-the p_k factor in the estimator.
+collects the z with e_i . z in the k_i-th marginal quantile interval.  Every
+direction set is sampled on its Gram-Schmidt frame through sequentially
+conditioned coordinates, and every draw carries the product of its
+conditional interval probabilities as a weight.  The estimator sums the
+stratum means of weight * g, so the joint probability of a box is never
+needed; for orthonormal directions the frame is the set itself and every
+weight is p_k = 1/prod(K_j).
 """
 from __future__ import annotations
 
@@ -46,14 +46,22 @@ _P_CEIL = np.nextafter(1.0, 0.0)
 # per-call overhead, small enough to bound a call's working set (the
 # chunk's d normals per draw) whatever the stage size
 _CHUNK = 8192
+# draws per evaluator call in plain MC; the MC rows' bytes depend on it
+_MC_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """d' unit direction columns in R^d, plus an orthogonality flag."""
+    """d' linearly independent unit direction columns E in R^d.
+
+    frame holds the Gram-Schmidt frame F of the columns and m = E^T F, so
+    that E = F m^T with m lower triangular; for orthonormal columns F = E
+    and m = I up to rounding.
+    """
 
     columns: np.ndarray
-    orthogonal: bool = False
+    frame: np.ndarray = field(init=False, repr=False)
+    m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cols = np.atleast_2d(np.asarray(self.columns, dtype=float))
@@ -63,12 +71,9 @@ class DirectionSet:
         norms = np.linalg.norm(cols, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("direction columns must have unit norm")
-        if self.orthogonal:
-            gram = cols.T @ cols
-            if np.max(np.abs(gram - np.eye(self.count))) > 1e-10:
-                raise NotOrthogonal("columns are not orthonormal")
-        else:
-            gram_schmidt(cols.T)  # raises RankDeficient on dependence
+        frame, _ = gram_schmidt(cols.T)  # raises RankDeficient on dependence
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "m", cols.T @ frame)
 
     @property
     def dim(self) -> int:
@@ -119,9 +124,8 @@ class StratumSpec:
 
 @dataclass
 class AllocationPlan:
-    """Stratum probabilities p_k, fractions q_k and integer counts n_k."""
+    """Stratum fractions q_k and integer counts n_k."""
 
-    p: np.ndarray
     q: np.ndarray
     n: np.ndarray
     total: int
@@ -173,32 +177,25 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
     """Draw one z per entry of `strata`, with every projection in its box.
 
     `strata` holds flat 0-based stratum indices in the order of
-    spec.indices().  The direction set E is carried on an orthonormal frame
-    F with E = F M^T: F = E and M = I for orthogonal or one-column sets,
-    otherwise F is the Gram-Schmidt frame and M = E^T F is lower triangular
-    with m[i, i] = ||f'_i||.  Coordinate i along f_i is drawn from the
-    normal restricted to the sequential interval (a_i^- - s_i,
-    a_i^+ - s_i) / m[i, i], with s_i the shift contributed by the
-    already-drawn coordinates, and the residual is completed in O(d).
+    spec.indices().  The draws are made on the set's orthonormal frame F,
+    with E = F m^T (directions.frame and directions.m): coordinate i along
+    f_i is drawn from the normal restricted to the sequential interval
+    (a_i^- - s_i, a_i^+ - s_i) / m[i, i], with s_i the shift contributed by
+    the already-drawn coordinates, and the residual is completed in O(d).
 
     Returns a StrataDraw (z, weight): z has shape (n, d) and weight[r] is
-    the product of row r's conditional interval probabilities.  For
-    orthogonal sets that is p_k; otherwise it replaces p_k in the
-    estimator, so the joint box probability is never needed.  A weight of 0
-    marks a row whose box is unreachable from its earlier coordinates.
+    the product of row r's conditional interval probabilities, which stands
+    in for p_k in the estimator, so the joint box probability is never
+    needed.  For orthonormal sets every weight is p_k.  A weight of 0 marks
+    a row whose box is unreachable from its earlier coordinates.
     """
-    e = directions.columns
-    d, dp = e.shape
+    f, m = directions.frame, directions.m
+    d, dp = f.shape
     if len(spec.counts) != dp:
         raise IndexOutOfRange("stratum spec arity does not match the directions")
     strata = np.asarray(strata, dtype=np.intp)
     if strata.size and (strata.min() < 0 or strata.max() >= spec.total):
         raise IndexOutOfRange(f"stratum index outside 0..{spec.total - 1}")
-    if directions.orthogonal or dp == 1:
-        f, m = e, np.eye(dp)
-    else:
-        f, _ = gram_schmidt(e.T)
-        m = e.T @ f
     n = strata.size
     ks = np.unravel_index(strata, spec.counts)
     u = stream.uniform_open(size=(n, dp))
@@ -271,7 +268,7 @@ def optimal_allocation(p, sigma_hat, n_total: int, n_min: int = 2) -> Allocation
         raise AllZeroSigma("every stratum std estimate is zero")
     q = w / w.sum()
     n = _largest_remainder(q, n_total, n_min, active)
-    return AllocationPlan(p=p, q=q, n=n, total=n_total)
+    return AllocationPlan(q=q, n=n, total=n_total)
 
 
 def equal_allocation(p, n_total: int, n_min: int = 2) -> AllocationPlan:
@@ -284,7 +281,7 @@ def equal_allocation(p, n_total: int, n_min: int = 2) -> AllocationPlan:
         raise ValueError("no reachable strata")
     q = np.where(active, 1.0 / k_active, 0.0)
     n = _largest_remainder(q, n_total, n_min, active)
-    return AllocationPlan(p=p, q=q, n=n, total=n_total)
+    return AllocationPlan(q=q, n=n, total=n_total)
 
 
 # --- estimators ---------------------------------------------------------------
@@ -294,12 +291,12 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                         plan: AllocationPlan, stream: RandomStream) -> EstimateReport:
     """Single-stage stratified estimator over every stratum in spec.
 
-    Orthogonal directions: estimate = sum_k p_k * mean_k and the estimator
-    variance is sum_k p_k^2 s_k^2 / n_k.  Non-orthogonal: the draws carry
-    weights, estimate = sum_k mean(weight * g) with no p_k factor, and the
-    variance uses the within-stratum sample variance of weight * g.  A
-    stratum with an unreachable draw is reported empty, with no draws and
-    no contribution.
+    Every draw carries its weight (p_k for orthonormal directions): the
+    estimate is sum_k mean_k(weight * g) and the estimator variance is
+    sum_k s_k^2 / n_k, with s_k the within-stratum sample std of
+    weight * g; stratum_means and stratum_sigmas hold these weighted
+    values.  A stratum with an unreachable draw is reported empty, with no
+    draws and no contribution.
 
     The stage's draws are laid out stratum by stratum and sampled in chunks
     of _CHUNK rows, chunk c from substream stream.child(c), so the result is
@@ -309,17 +306,13 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     n_strata = spec.total
     if plan.n.shape[0] != n_strata:
         raise ValueError("allocation plan does not match stratum spec")
-    orthogonal = directions.orthogonal or directions.count == 1
-
     strata = np.repeat(np.arange(n_strata), plan.n)
     vals = np.empty(strata.size)
     unreachable = np.zeros(strata.size, dtype=bool)
     for c, start in enumerate(range(0, strata.size, _CHUNK)):
         rows = slice(start, start + _CHUNK)
         z, weight = sample_strata(directions, spec, strata[rows], stream.child(c))
-        vals[rows] = evaluator(z)
-        if not orthogonal:
-            vals[rows] *= weight
+        vals[rows] = evaluator(z) * weight
         unreachable[rows] = weight == 0.0
 
     empty = np.bincount(strata[unreachable], minlength=n_strata) > 0
@@ -333,13 +326,8 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     sigmas = np.sqrt(dev2 / np.maximum(counts - 1, 1))
 
     used = counts > 0
-    if orthogonal:
-        price = float(np.sum(plan.p[used] * means[used]))
-        est_var = float(np.sum(
-            (plan.p[used] * sigmas[used]) ** 2 / counts[used]))
-    else:
-        price = float(np.sum(means[used]))
-        est_var = float(np.sum(sigmas[used] ** 2 / counts[used]))
+    price = float(np.sum(means[used]))
+    est_var = float(np.sum(sigmas[used] ** 2 / counts[used]))
     n_used = int(counts.sum())
     return EstimateReport(
         price=price,
@@ -370,9 +358,10 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     """
     t0 = time.perf_counter()
     n_strata = spec.total
-    # equiprobable marginals make orthogonal strata exactly uniform; for
-    # non-orthogonal strata the joint probability is unknown and a uniform
-    # surrogate makes the optimal rule reduce to n_k proportional to sigma_k
+    # the estimator variance is sum_k s_k^2 / n_k, with s_k the std of
+    # weight * g (the weight carries p_k), and n_k proportional to s_k
+    # minimizes it; a uniform p makes the optimal rule exactly that, and
+    # counts every stratum reachable until the pilot finds it empty
     p = np.full(n_strata, 1.0 / n_strata)
 
     if allocation == "const":
@@ -401,8 +390,8 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     return report
 
 
-def plain_mc_estimate(evaluator, dim: int, n_total: int, stream: RandomStream,
-                      chunk: int = 200_000) -> EstimateReport:
+def plain_mc_estimate(evaluator, dim: int, n_total: int,
+                      stream: RandomStream) -> EstimateReport:
     """Plain Monte Carlo baseline; variance is the single-draw sample variance."""
     t0 = time.perf_counter()
     if n_total < 2:
@@ -410,7 +399,7 @@ def plain_mc_estimate(evaluator, dim: int, n_total: int, stream: RandomStream,
     vals = np.empty(n_total)
     done = 0
     while done < n_total:
-        m = min(chunk, n_total - done)
+        m = min(_MC_CHUNK, n_total - done)
         z = stream.normal((m, dim))
         vals[done:done + m] = evaluator(z)
         done += m

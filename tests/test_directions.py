@@ -44,7 +44,6 @@ class TestPca:
         ds, ratio = pca_directions(np.diag([4.0, 1.0]), 1)
         np.testing.assert_allclose(ds.columns[:, 0], [1.0, 0.0], atol=1e-14)
         assert ratio == pytest.approx(0.8)
-        assert ds.orthogonal
 
     def test_identity_explains_one_over_d(self):
         _, ratio = pca_directions(np.eye(5), 1)
@@ -109,7 +108,6 @@ class TestMultiLa:
         ds = la_directions_multi(lambda e: bs_gradient(p, e, factor),
                                  p.dim, 2)
         assert ds.count == 2
-        assert not ds.orthogonal
         np.testing.assert_allclose(np.linalg.norm(ds.columns, axis=0),
                                    [1.0, 1.0], atol=1e-12)
         np.testing.assert_allclose(ds.columns[:, 0], la_direction_bs(p),
@@ -125,7 +123,6 @@ class TestLtBs:
         ds = lt_directions_bs(bs_asian_params(), count)
         gram = ds.columns.T @ ds.columns
         np.testing.assert_allclose(gram, np.eye(count), atol=1e-10)
-        assert ds.orthogonal
 
     def test_full_rotation(self):
         p = bs_asian_params()

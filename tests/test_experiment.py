@@ -6,20 +6,29 @@ deterministic time_ratio column follows directly from the operation counts
 (mc 1.0, lhs 2.0, one extra projection per direction otherwise).
 """
 import json
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratmc import (
+    METHODS,
     ConfigInvalid,
     ExperimentConfig,
+    RandomStream,
+    build_directions,
     bs_asian_params,
     cir_asian_params,
     format_rows,
+    la_direction_bs,
+    la_direction_cir,
     load_config,
     parse_csv,
+    path_factor,
     run_experiment,
 )
 from stratmc.cli import main
@@ -37,6 +46,17 @@ def small_bs_config(**overrides) -> ExperimentConfig:
     base = dict(model="bs", bs=params, payoffs=[spec], methods=["la"],
                 allocs=["opt"], strata=20, n_samples=4000,
                 lhs_replications=10, seed=11)
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def small_cir_config(**overrides) -> ExperimentConfig:
+    params = cir_asian_params()
+    spec = PayoffSpec(kind="asian-basket", strike=100.0, barrier=None,
+                      weights=uniform_weights(1, params.n_steps),
+                      discount=float(np.exp(-params.rate * params.maturity)))
+    base = dict(model="cir", cir=params, payoffs=[spec], methods=["la"],
+                strata=20, n_samples=4000, seed=5)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -96,15 +116,51 @@ class TestRunExperiment:
         assert la.variance < mc.variance / 50.0
 
     def test_cir_model_runs(self):
-        params = cir_asian_params()
-        spec = PayoffSpec(kind="asian-basket", strike=100.0, barrier=None,
-                          weights=uniform_weights(1, params.n_steps),
-                          discount=float(np.exp(-params.rate * params.maturity)))
-        config = ExperimentConfig(model="cir", cir=params, payoffs=[spec],
-                                  methods=["la"], strata=20, n_samples=4000,
-                                  seed=5)
-        rows = run_experiment(config)
+        rows = run_experiment(small_cir_config())
         assert rows[1].variance < rows[0].variance
+
+
+class TestBuildDirections:
+    # engines of each model; every method names one or two of them
+    ENGINES = {"bs": {"la", "lt", "pca"}, "cir": {"la", "lt", "pilot-pca"}}
+
+    @pytest.mark.parametrize("config", [small_bs_config(), small_cir_config()],
+                             ids=["bs", "cir"])
+    def test_methods_compose_engines(self, config):
+        stream = RandomStream(3)
+        engines = self.ENGINES[config.model]
+        for method in METHODS[2:]:
+            if method.startswith("two-dir-"):
+                names, count = {method[len("two-dir-"):]}, 2
+            else:
+                names, count = set(method.split("+")), 1
+            if not names <= engines:
+                with pytest.raises(ConfigInvalid):
+                    build_directions(config, method, stream)
+                continue
+            ds = build_directions(config, method, stream)
+            assert ds.count == len(names) * count, method
+            if "+" in method:
+                for j, name in enumerate(method.split("+")):
+                    single = build_directions(config, name, stream)
+                    np.testing.assert_array_equal(ds.columns[:, j],
+                                                  single.columns[:, 0])
+            elif count == 2:
+                single = build_directions(config, method[len("two-dir-"):], stream)
+                np.testing.assert_array_equal(ds.columns[:, 0], single.columns[:, 0])
+        for baseline in ("mc", "lhs"):
+            with pytest.raises(ConfigInvalid):
+                build_directions(config, baseline, stream)
+
+    def test_la_engine_is_the_gradient_direction(self):
+        # one iterated-gradient direction is the LA direction, bit for bit
+        bs, cir = small_bs_config(), small_cir_config()
+        np.testing.assert_array_equal(
+            build_directions(bs, "la", RandomStream(0)).columns[:, 0],
+            la_direction_bs(bs.bs))
+        np.testing.assert_array_equal(
+            build_directions(cir, "la", RandomStream(0)).columns[:, 0],
+            la_direction_cir(cir.cir))
 
 
 class TestValidation:
@@ -117,14 +173,8 @@ class TestValidation:
             small_bs_config(methods=["pilot-pca"]).validate()
 
     def test_pca_requires_bs(self):
-        params = cir_asian_params()
-        spec = PayoffSpec(kind="asian-basket", strike=100.0, barrier=None,
-                          weights=uniform_weights(1, params.n_steps),
-                          discount=1.0)
-        config = ExperimentConfig(model="cir", cir=params, payoffs=[spec],
-                                  methods=["pca"])
         with pytest.raises(ConfigInvalid):
-            config.validate()
+            small_cir_config(methods=["pca"]).validate()
 
     def test_budget_must_cover_strata(self):
         with pytest.raises(ConfigInvalid):
@@ -291,6 +341,64 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+# numeric INI values: zero, negatives, nan, inf, an overflowing literal and
+# non-numbers among ordinary values; none exceeds 64, the largest grid the
+# parser is asked to allocate
+VALUES = st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e400",
+                          "abc", "", "0.3", "0.5", "0.99", "1", "2", "4",
+                          "1.5", "50", "64"])
+BASE_MODEL = {
+    "bs": {"kind": "bs", "s0": "50", "sigma": "0.3", "rho": "0.2",
+           "steps": "4", "maturity": "1.0", "rate": "0.05"},
+    "cir": {"kind": "cir", "s0": "100", "alpha": "1.5", "mu": "100",
+            "sigma": "8", "rate": "0.05", "steps": "4", "maturity": "1.0"},
+}
+BASE_REST = {
+    "payoff": {"kind": "asian-basket", "strike": "50", "barrier": "60"},
+    "run": {"methods": "mc, la, two-dir-la, lhs", "strata": "16",
+            "n_samples": "2000", "pilot_fraction": "0.1",
+            "lhs_replications": "10", "seed": "1"},
+}
+
+
+@st.composite
+def ini_texts(draw):
+    """A valid config with up to four numeric values replaced or removed."""
+    model = draw(st.sampled_from(sorted(BASE_MODEL)))
+    sections = {"model": dict(BASE_MODEL[model]),
+                **{name: dict(keys) for name, keys in BASE_REST.items()}}
+    if model == "bs":
+        sections["model"]["s0"] = draw(st.sampled_from(["50", "50 60",
+                                                        "40 50 60"]))
+    numeric = sorted((name, key) for name, keys in sections.items()
+                     for key in keys if key not in ("kind", "methods"))
+    edits = draw(st.dictionaries(st.sampled_from(numeric),
+                                 st.one_of(st.none(), VALUES), max_size=4))
+    for (name, key), value in edits.items():
+        if value is None:
+            del sections[name][key]
+        else:
+            sections[name][key] = value
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ini_texts())
+def test_load_config_accepts_or_rejects_as_config_error(text):
+    # a config either loads or is rejected as ConfigInvalid (exit 2);
+    # a loaded lognormal model always has a path factor
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.ini"
+        path.write_text(text)
+        try:
+            config = load_config(str(path))
+        except ConfigInvalid:
+            return
+    if config.model == "bs":
+        path_factor(config.bs)
+
+
 class TestCli:
     def test_experiment_end_to_end(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -330,8 +438,11 @@ class TestCli:
         BS_INI + "\n[model]\nkind = cir\n",
         BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60\nbarrier = 70"),
         "\xff" + BS_INI,
+        BS_INI.replace("steps = 8", "steps = 0"),
+        BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 1.5"),
+        BS_INI.replace("s0 = 50", "s0 = 40 50 60\nrho = -0.6"),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
-            "not-utf8"])
+            "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite"])
     def test_malformed_config_exit_code(self, tmp_path, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))

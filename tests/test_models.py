@@ -18,7 +18,6 @@ from stratmc import (
     bs_paths,
     cir_euler_path,
     cir_zero_noise_path,
-    kronecker,
     path_covariance,
     path_factor,
     uniform_weights,
@@ -75,7 +74,7 @@ class TestFlattenedLayout:
 
     def test_path_covariance_is_kron(self):
         p = two_asset_params()
-        expected = kronecker(bm_covariance(p.grid), asset_covariance(p))
+        expected = np.kron(bm_covariance(p.grid), asset_covariance(p))
         np.testing.assert_allclose(path_covariance(p), expected)
 
     def test_asset_covariance_entries(self):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from stratmc import (
     AllZeroSigma,
@@ -23,8 +24,6 @@ from stratmc import (
     StratumSpec,
     equal_allocation,
     lhs_estimate,
-    normal_cdf,
-    normal_inv_cdf,
     optimal_allocation,
     plain_mc_estimate,
     sample_strata,
@@ -42,27 +41,34 @@ def truncated_mean(a, b):
     """E[X | a < X < b] for standard normal X; handles infinite endpoints."""
     pa = 0.0 if np.isinf(a) else phi(a)
     pb = 0.0 if np.isinf(b) else phi(b)
-    ca = 0.0 if a == -np.inf else normal_cdf(a)
-    cb = 1.0 if b == np.inf else normal_cdf(b)
+    ca = 0.0 if a == -np.inf else ndtr(a)
+    cb = 1.0 if b == np.inf else ndtr(b)
     return (pa - pb) / (cb - ca)
 
 
 class TestDirectionSet:
     def test_requires_unit_columns(self):
         with pytest.raises(ValueError):
-            DirectionSet(np.array([[2.0], [0.0]]), orthogonal=True)
+            DirectionSet(np.array([[2.0], [0.0]]))
 
-    def test_orthogonal_flag_checked(self):
-        cols = np.column_stack([[1.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5)]])
-        with pytest.raises(NotOrthogonal):
-            DirectionSet(cols, orthogonal=True)
-        ds = DirectionSet(cols, orthogonal=False)
-        assert ds.dim == 2 and ds.count == 2
+    def test_frame_reproduces_columns(self):
+        # E = F m^T with F orthonormal and m lower triangular; an
+        # orthonormal set is its own frame
+        cols = np.column_stack([[1.0, 0.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5), 0.0]])
+        ds = DirectionSet(cols)
+        assert ds.dim == 3 and ds.count == 2
+        np.testing.assert_allclose(ds.frame.T @ ds.frame, np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(ds.frame @ ds.m.T, cols, atol=1e-15)
+        np.testing.assert_allclose(np.triu(ds.m, 1), 0.0, atol=1e-15)
+        q, _ = np.linalg.qr(np.random.default_rng(49).normal(size=(5, 3)))
+        ortho = DirectionSet(q)
+        np.testing.assert_allclose(ortho.m, np.eye(3), atol=1e-14)
+        np.testing.assert_allclose(ortho.frame, q, atol=1e-14)
 
     def test_dependent_columns_rejected(self):
         cols = np.column_stack([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(RankDeficient):
-            DirectionSet(cols, orthogonal=False)
+            DirectionSet(cols)
 
 
 class TestStratumSpec:
@@ -76,9 +82,9 @@ class TestStratumSpec:
         spec = StratumSpec((4,))
         lo, hi = spec.marginal_bounds(0, 1)
         assert lo == -np.inf
-        assert hi == pytest.approx(normal_inv_cdf(0.25))
+        assert hi == pytest.approx(ndtri(0.25))
         lo, hi = spec.marginal_bounds(0, 4)
-        assert lo == pytest.approx(normal_inv_cdf(0.75))
+        assert lo == pytest.approx(ndtri(0.75))
         assert hi == np.inf
 
     def test_edges_match_marginal_bounds(self):
@@ -116,7 +122,7 @@ def assert_in_boxes(z, dirs, spec, strata, tol=0.0):
 
 class TestSample1d:
     def test_membership_strict(self):
-        dirs = DirectionSet(np.array([[3.0], [4.0]]) / 5.0, orthogonal=True)
+        dirs = DirectionSet(np.array([[3.0], [4.0]]) / 5.0)
         spec = StratumSpec((6,))
         z, weight, strata = stratum_draws(dirs, spec, 2_000, RandomStream(50))
         assert_in_boxes(z, dirs, spec, strata)
@@ -126,7 +132,7 @@ class TestSample1d:
         v = np.array([1.0, 0.0, 0.0])
         spec = StratumSpec((4,))
         n = 40_000
-        z, _, _ = stratum_draws(DirectionSet(v[:, None], orthogonal=True), spec,
+        z, _, _ = stratum_draws(DirectionSet(v[:, None]), spec,
                                 n, RandomStream(51))
         proj = (z @ v).reshape(4, n)
         for k in range(1, 5):
@@ -135,7 +141,7 @@ class TestSample1d:
             assert abs(proj[k - 1].mean() - target) < 3.5 * se
 
     def test_unstratified_coordinates_stay_standard_normal(self):
-        dirs = DirectionSet(np.array([[1.0], [0.0]]), orthogonal=True)
+        dirs = DirectionSet(np.array([[1.0], [0.0]]))
         z, _ = sample_strata(dirs, StratumSpec((8,)), np.zeros(50_000, dtype=int),
                              RandomStream(52))
         other = z[:, 1]
@@ -143,7 +149,7 @@ class TestSample1d:
         assert abs(other.std(ddof=1) - 1.0) < 0.02
 
     def test_bad_stratum(self):
-        dirs = DirectionSet(np.array([[1.0], [0.0]]), orthogonal=True)
+        dirs = DirectionSet(np.array([[1.0], [0.0]]))
         for bad in (8, -1):
             with pytest.raises(IndexOutOfRange):
                 sample_strata(dirs, StratumSpec((8,)), [bad], RandomStream(0))
@@ -153,7 +159,7 @@ class TestSampleOrthogonal:
     def test_quadrant_case(self):
         # identity directions in d=2: stratum (2, 2), flat index 3, is the
         # positive quadrant
-        dirs = DirectionSet(np.eye(2), orthogonal=True)
+        dirs = DirectionSet(np.eye(2))
         z, weight = sample_strata(dirs, StratumSpec((2, 2)), np.full(4_000, 3),
                                   RandomStream(53))
         assert np.all(z > 0.0)
@@ -163,7 +169,7 @@ class TestSampleOrthogonal:
         rng = np.random.default_rng(54)
         base = rng.normal(size=(5, 2))
         q, _ = np.linalg.qr(base)
-        dirs = DirectionSet(q, orthogonal=True)
+        dirs = DirectionSet(q)
         spec = StratumSpec((3, 4))
         z, weight, strata = stratum_draws(dirs, spec, 500, RandomStream(55))
         assert_in_boxes(z, dirs, spec, strata)
@@ -176,7 +182,7 @@ class TestSampleNonOrthogonal:
         e1[0] = 1.0
         e2 = np.zeros(d)
         e2[0] = e2[1] = np.sqrt(0.5)
-        return DirectionSet(np.column_stack([e1, e2]), orthogonal=False)
+        return DirectionSet(np.column_stack([e1, e2]))
 
     def test_membership_closed_bounds(self):
         dirs = self.dirs45()
@@ -198,7 +204,7 @@ class TestSampleNonOrthogonal:
         # e2 unreachable, so stratum (1, 50) (flat index 49) is empty
         theta = np.radians(5.0)
         cols = np.column_stack([[1.0, 0.0], [np.cos(theta), np.sin(theta)]])
-        dirs = DirectionSet(cols, orthogonal=False)
+        dirs = DirectionSet(cols)
         spec = StratumSpec((50, 50))
         _, weight = sample_strata(dirs, spec, np.full(100, 49), RandomStream(58))
         assert np.all(weight == 0.0)
@@ -263,14 +269,13 @@ class TestSampleStrataProperties:
         t = np.radians(theta)
         cols = np.column_stack([q[:, 0], np.cos(t) * q[:, 0] + np.sin(t) * q[:, 1]])
         cols /= np.linalg.norm(cols, axis=0)
-        orthogonal = theta == 90.0
-        dirs = DirectionSet(cols, orthogonal=orthogonal)
+        dirs = DirectionSet(cols)
         spec = StratumSpec((k1, k2))
         strata = (np.array(picks) * spec.total).astype(int)
         z, weight = sample_strata(dirs, spec, strata, RandomStream(seed))
         assert_in_boxes(z, dirs, spec, strata, tol=1e-9)
         assert np.all((weight >= 0.0) & (weight <= 1.0))
-        if orthogonal:
+        if theta == 90.0:
             np.testing.assert_allclose(weight, 1 / spec.total, rtol=0, atol=1e-12)
 
 
@@ -331,7 +336,7 @@ class TestEstimators:
     def v_first(self, d):
         v = np.zeros(d)
         v[0] = 1.0
-        return DirectionSet(v[:, None], orthogonal=True)
+        return DirectionSet(v[:, None])
 
     def test_constant_payoff_is_exact(self):
         dirs = self.v_first(3)
@@ -355,13 +360,14 @@ class TestEstimators:
         assert mc.variance / strat.variance > 1e3
 
     def test_stratum_means_match_truncated_normal(self):
+        # stratum means are of weight * g, and every weight is p_k = 1/8
         dirs = self.v_first(2)
         spec = StratumSpec((8,))
         plan = equal_allocation(np.full(8, 1 / 8), 64_000)
         rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan,
                                   RandomStream(66))
         for k in range(1, 9):
-            target = truncated_mean(*spec.marginal_bounds(0, k))
+            target = truncated_mean(*spec.marginal_bounds(0, k)) / 8
             n_k = rep.stratum_counts[k - 1]
             se = rep.stratum_sigmas[k - 1] / np.sqrt(n_k)
             assert abs(rep.stratum_means[k - 1] - target) < 4 * se
@@ -391,7 +397,7 @@ class TestEstimators:
         rng = np.random.default_rng(69)
         v = rng.normal(size=d)
         v /= np.linalg.norm(v)
-        dirs = DirectionSet(v[:, None], orthogonal=True)
+        dirs = DirectionSet(v[:, None])
         ev = lambda z: np.exp(0.3 * z @ v + 0.2 * z[:, 1])
         strat = two_stage_estimate(ev, dirs, StratumSpec((50,)), 50_000,
                                    RandomStream(70), "opt")
@@ -402,7 +408,7 @@ class TestEstimators:
     def test_nonorthogonal_estimator_consistency(self):
         e1 = np.array([1.0, 0.0, 0.0])
         e2 = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])
-        dirs = DirectionSet(np.column_stack([e1, e2]), orthogonal=False)
+        dirs = DirectionSet(np.column_stack([e1, e2]))
         spec = StratumSpec((5, 5))
         ev = lambda z: np.exp(z[:, 0])
         plan = equal_allocation(np.full(25, 1 / 25), 50_000)
@@ -423,7 +429,7 @@ class TestEstimators:
         e2 = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
         q, _ = np.linalg.qr(np.random.default_rng(74).normal(size=(4, 2)))
         ev = lambda z: np.maximum(z[:, 0] + 0.1 * z[:, 1], 0.0)
-        for dirs in (DirectionSet(q, orthogonal=True),
+        for dirs in (DirectionSet(q),
                      DirectionSet(np.column_stack([np.eye(4)[:, 0], e2]))):
             rep = stratified_estimate(ev, dirs, spec, plan, RandomStream(74))
             again = stratified_estimate(ev, dirs, spec, plan, RandomStream(74))
@@ -437,7 +443,7 @@ class TestEstimators:
                 rows = slice(starts[c], starts[c] + _CHUNK)
                 z, weight = sample_strata(dirs, spec, strata[rows],
                                           RandomStream(74).child(c))
-                vals[rows] = ev(z) if dirs.orthogonal else ev(z) * weight
+                vals[rows] = ev(z) * weight
             for k in range(spec.total):
                 mine = vals[strata == k]
                 assert rep.stratum_means[k] == pytest.approx(mine.mean(), rel=1e-12)
