@@ -61,7 +61,6 @@ from .models import (
     cir_euler_path,
     cir_zero_noise_path,
     path_covariance,
-    path_factor,
 )
 from .payoffs import (
     PayoffSpec,
@@ -69,6 +68,7 @@ from .payoffs import (
     asian_barrier_expiry,
     asian_basket,
     evaluate,
+    payoff_evaluator,
 )
 from .directions import (
     LtCirWorkspace,

@@ -37,9 +37,13 @@ from .models import (
     cir_euler_path,
     cir_zero_noise_path,
     path_covariance,
-    path_factor,
 )
-from .payoffs import asian_barrier_complete, asian_barrier_expiry, asian_basket
+from .payoffs import (
+    asian_barrier_complete,
+    asian_barrier_expiry,
+    asian_basket,
+    payoff_evaluator,
+)
 from .presets import (
     basket_params,
     bs_asian_params,
@@ -212,9 +216,8 @@ def _criterion_2():
 def _criterion_3():
     checks = []
     for label, params in (("asian", bs_asian_params()), ("basket", basket_params())):
-        factor = path_factor(params)
-        la = la_direction_bs(params, factor)
-        lt1 = lt_directions_bs(params, 1, factor).columns[:, 0]
+        la = la_direction_bs(params)
+        lt1 = lt_directions_bs(params, 1).columns[:, 0]
         ang = angle_degrees(la, lt1)
         checks.append((ang <= 1e-8, f"{label}: angle(la, lt1) = {ang:.2e} deg"))
     return _fails(checks)
@@ -256,45 +259,28 @@ def _price_check(label, evaluator, dim, stream, target, half_ulp,
 
 def _criterion_5():
     stream = RandomStream(23)
-    checks = []
-
     asian = bs_asian_params()
-    factor = path_factor(asian)
-    for i, (strike, target) in enumerate([(45.0, 7.02), (50.0, 4.02), (55.0, 2.06)]):
-        spec = payoff_for(asian, strike)
-        ev = (lambda sp: lambda z: sp.discount * np.maximum(
-            bs_basket_g(z, asian, factor) - sp.strike, 0.0))(spec)
-        _, chk = _price_check(f"bs K={strike:g}", ev, asian.dim,
-                              stream.child(i), target, 0.005)
-        checks.append(chk)
-
     barrier = bs_barrier_params()
-    bfactor = path_factor(barrier)
-    spec_e = payoff_for(barrier, 50.0, "asian-barrier-expiry", 60.0)
-    spec_c = payoff_for(barrier, 50.0, "asian-barrier-complete", 60.0)
-    ev_e = lambda z: asian_barrier_expiry(bs_paths(z, barrier, bfactor), spec_e)
-    ev_c = lambda z: asian_barrier_complete(bs_paths(z, barrier, bfactor), spec_c)
-    _, chk = _price_check("barrier-expiry", ev_e, barrier.dim,
-                          stream.child(10), 1.38, 0.005)
-    checks.append(chk)
-    _, chk = _price_check("barrier-complete", ev_c, barrier.dim,
-                          stream.child(11), 1.22, 0.005)
-    checks.append(chk)
-
     basket = basket_params()
-    kfactor = path_factor(basket)
-    spec_b = payoff_for(basket, 40.0)
-    ev_b = lambda z: spec_b.discount * np.maximum(
-        bs_basket_g(z, basket, kfactor) - spec_b.strike, 0.0)
-    _, chk = _price_check("basket K=40", ev_b, basket.dim,
-                          stream.child(12), 4.15, 0.005)
-    checks.append(chk)
+    # (label, model, contract, substream, printed target)
+    cases = [(f"bs K={k:g}", asian, payoff_for(asian, k), i, target)
+             for i, (k, target) in enumerate([(45.0, 7.02), (50.0, 4.02),
+                                              (55.0, 2.06)])]
+    cases += [
+        ("barrier-expiry", barrier,
+         payoff_for(barrier, 50.0, "asian-barrier-expiry", 60.0), 10, 1.38),
+        ("barrier-complete", barrier,
+         payoff_for(barrier, 50.0, "asian-barrier-complete", 60.0), 11, 1.22),
+        ("basket K=40", basket, payoff_for(basket, 40.0), 12, 4.15),
+    ]
+    checks = [_price_check(label, payoff_evaluator(params, spec), params.dim,
+                           stream.child(child), target, 0.005)[1]
+              for label, params, spec, child, target in cases]
 
     cir = cir_asian_params()
-    spec_k = payoff_for(cir, 100.0)
-    ev_k = lambda z: asian_basket(cir_euler_path(z, cir), spec_k)
-    rep, chk = _price_check("cir K=100", ev_k, cir.n_steps,
-                            stream.child(13), 10.6, 0.05)
+    ev_c = payoff_evaluator(cir, payoff_for(cir, 100.0))
+    rep, chk = _price_check("cir K=100", ev_c, cir.n_steps, stream.child(13),
+                            10.6, 0.05)
     checks.append(chk)
     checks.append((abs(rep.variance - 310.0) <= 31.0,
                    f"cir var {rep.variance:.1f} vs 310 +- 10%"))
@@ -310,20 +296,16 @@ def _criterion_6():
     spec1 = StratumSpec((n_strata,))
 
     bs = bs_asian_params()
-    factor = path_factor(bs)
-    pay = payoff_for(bs, 50.0)
-    ev = lambda z: pay.discount * np.maximum(
-        bs_basket_g(z, bs, factor) - pay.strike, 0.0)
+    ev = payoff_evaluator(bs, payoff_for(bs, 50.0))
     mc = plain_mc_estimate(ev, bs.dim, n_samples, stream.child(0))
-    la_set = DirectionSet(la_direction_bs(bs, factor)[:, None])
+    la_set = DirectionSet(la_direction_bs(bs)[:, None])
     pca_set = pca_directions(path_covariance(bs), 1)[0]
     la = two_stage_estimate(ev, la_set, spec1, n_samples, stream.child(1), "opt")
     pca = two_stage_estimate(ev, pca_set, spec1, n_samples, stream.child(2), "opt")
     ratio_bs = mc.variance / la.variance
 
     cir = cir_asian_params()
-    pay_c = payoff_for(cir, 100.0)
-    ev_c = lambda z: asian_basket(cir_euler_path(z, cir), pay_c)
+    ev_c = payoff_evaluator(cir, payoff_for(cir, 100.0))
     mc_c = plain_mc_estimate(ev_c, cir.n_steps, n_samples, stream.child(3))
     la_c_set = DirectionSet(la_direction_cir(cir)[:, None])
     la_c = two_stage_estimate(ev_c, la_c_set, spec1, n_samples,
@@ -387,13 +369,12 @@ def _criterion_8():
     checks.append((err <= 1e-12, f"zero-noise closed form rel err {err:.2e}"))
 
     bs = bs_asian_params()
-    factor = path_factor(bs)
     h = 1e-5
     dim = bs.dim
     eps = np.vstack([np.eye(dim) * h, -np.eye(dim) * h])
-    g_vals = bs_basket_g(eps, bs, factor)
+    g_vals = bs_basket_g(eps, bs)
     fd = (g_vals[:dim] - g_vals[dim:]) / (2 * h)
-    grad = bs_gradient(bs, np.zeros(dim), factor)
+    grad = bs_gradient(bs, np.zeros(dim))
     rel_bs = float(np.linalg.norm(fd - grad) / np.linalg.norm(grad))
     checks.append((rel_bs < 1e-5, f"bs gradient vs FD rel err {rel_bs:.2e}"))
 
@@ -463,7 +444,7 @@ def _criterion_10():
     params = bs_barrier_params()
     stream = RandomStream(1010)
     eps = stream.normal((10_000, params.dim))
-    paths = bs_paths(eps, params, path_factor(params))
+    paths = bs_paths(eps, params)
     plain_spec = payoff_for(params, 50.0)
     e_spec = payoff_for(params, 50.0, "asian-barrier-expiry", 60.0)
     c_spec = payoff_for(params, 50.0, "asian-barrier-complete", 60.0)

@@ -16,7 +16,6 @@ import numpy as np
 from . import acceptance
 from .errors import ConfigInvalid, StratMcError
 from .experiment import (
-    ALLOCS,
     _DIR_STREAM_INDEX,
     build_directions,
     format_rows,
@@ -108,7 +107,7 @@ def _cmd_price(args) -> int:
     config = _load(args)
     config.payoffs = config.payoffs[:1]
     config.methods = [m for m in config.methods if m != "mc"][:1]
-    config.allocs = config.allocs[:1] or [ALLOCS[1]]
+    config.allocs = config.allocs[:1]
     rows = run_experiment(config)
     row = rows[-1]  # the requested cell; rows[0] is the MC baseline
     se = np.sqrt(row.variance / row.n_samples)

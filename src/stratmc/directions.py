@@ -27,14 +27,7 @@ from .errors import (
 )
 from .gaussian import RandomStream
 from .linalg import normalize_sign, symmetric_eigen
-from .models import (
-    BsParams,
-    CirParams,
-    bs_coefficients,
-    bs_drift,
-    cir_euler_path,
-    path_factor,
-)
+from .models import BsParams, CirParams, cir_euler_path
 from .stratify import DirectionSet
 
 __all__ = [
@@ -76,18 +69,15 @@ def pca_directions(sigma: np.ndarray, m: int) -> tuple[DirectionSet, float]:
 # --- Black-Scholes -----------------------------------------------------------
 
 
-def bs_gradient(params: BsParams, eps: np.ndarray,
-                factor: np.ndarray | None = None) -> np.ndarray:
+def bs_gradient(params: BsParams, eps: np.ndarray) -> np.ndarray:
     """Gradient of g(eps) = sum_k exp(mu_k + (C eps)_k): C^T (e^mu * e^{C eps})."""
-    c = path_factor(params) if factor is None else factor
-    y = bs_coefficients(params) * np.exp(bs_drift(params) + c @ np.asarray(eps, float))
-    return c.T @ y
+    c = params.factor
+    return c.T @ (params.coef * np.exp(params.drift + c @ np.asarray(eps, float)))
 
 
-def la_direction_bs(params: BsParams,
-                    factor: np.ndarray | None = None) -> np.ndarray:
+def la_direction_bs(params: BsParams) -> np.ndarray:
     """Normalized payoff gradient at the zero-noise point, v = C^T e^mu / ||.||."""
-    grad = bs_gradient(params, np.zeros(params.dim), factor=factor)
+    grad = bs_gradient(params, np.zeros(params.dim))
     norm = float(np.linalg.norm(grad))
     if norm < 1e-14:
         raise DegenerateGradient("zero-noise gradient vanished")
@@ -113,8 +103,7 @@ def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
         raise DependentDirections(str(exc)) from exc
 
 
-def lt_directions_bs(params: BsParams, count: int,
-                     factor: np.ndarray | None = None) -> DirectionSet:
+def lt_directions_bs(params: BsParams, count: int) -> DirectionSet:
     """Orthonormal LT columns for the BS basket payoff.
 
     Column p maximizes the first-coordinate variance of the first-order
@@ -123,16 +112,14 @@ def lt_directions_bs(params: BsParams, count: int,
     is C^T u^{(p)} projected against the previous columns and normalized.
     The first column therefore coincides with the LA direction.
     """
-    c = path_factor(params) if factor is None else factor
+    c = params.factor
     dim = params.dim
     if not 1 <= count <= dim:
         raise ValueError("column count must lie in 1..dim")
-    drift = bs_drift(params)
-    coef = bs_coefficients(params)
     cols: list[np.ndarray] = []
     shift = np.zeros(dim)
     for _ in range(count):
-        u = coef * np.exp(drift + shift)
+        u = params.coef * np.exp(params.drift + shift)
         b = c.T @ u
         b = _project_out(b, cols)
         norm = float(np.linalg.norm(b))
@@ -212,8 +199,6 @@ def lt_directions_cir(params: CirParams, count: int,
     (so column 1 sits on the zero-noise skeleton and coincides with the LA
     direction exactly).
     """
-    if params.enforce_feller:
-        params.check_feller()
     n = params.n_steps
     if not 1 <= count <= n:
         raise ValueError("column count must lie in 1..n_steps")
@@ -243,8 +228,6 @@ def la_direction_cir(params: CirParams) -> np.ndarray:
     On the deterministic skeleton the coefficients collapse to
     alpha_j = 1 - alpha dt, so t_m = beta_{m-1} (1 - q^{N-m+1}) / (1 - q).
     """
-    if params.enforce_feller:
-        params.check_feller()
     t = cir_workspace(params, np.zeros(params.n_steps)).t
     norm = float(np.linalg.norm(t))
     if norm < 1e-14:

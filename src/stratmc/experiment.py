@@ -30,19 +30,11 @@ from .directions import (
     bs_gradient,
     cir_mean_gradient,
 )
-from .errors import ConfigInvalid, InvalidFeller
+from .errors import ConfigInvalid, InvalidFeller, NotPositiveDefinite
 from .gaussian import RandomStream
-from .models import (
-    BsParams,
-    CirParams,
-    bs_basket_g,
-    bs_paths,
-    cir_euler_path,
-    path_covariance,
-    path_factor,
-)
-from .payoffs import KINDS, PayoffSpec, evaluate
-from .presets import uniform_weights
+from .models import BsParams, CirParams, path_covariance
+from .payoffs import KINDS, PayoffSpec, payoff_evaluator
+from .presets import payoff_for, uniform_weights
 from .stratify import (
     DirectionSet,
     StratumSpec,
@@ -219,7 +211,7 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
         try:
             params = BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate,
                               grid=grid, weights=uniform_weights(m, steps))
-        except ValueError as exc:
+        except (ValueError, NotPositiveDefinite) as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
         return "bs", params, None
     if kind == "cir":
@@ -239,7 +231,7 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
     raise ConfigInvalid(f"model.kind: unknown model {kind!r}")
 
 
-def _parse_payoffs(section, model, bs, cir) -> list[PayoffSpec]:
+def _parse_payoffs(section, params: BsParams | CirParams) -> list[PayoffSpec]:
     kind = _get(section, "kind", str, name="payoff").strip().lower()
     if kind not in KINDS:
         raise ConfigInvalid(f"payoff.kind: unknown kind {kind!r}")
@@ -247,22 +239,10 @@ def _parse_payoffs(section, model, bs, cir) -> list[PayoffSpec]:
     barrier = None
     if "barrier" in section:
         barrier = _get(section, "barrier", _number, name="payoff")
-    if model == "bs":
-        m, n = bs.n_assets, bs.n_dates
-        rate, maturity = bs.rate, float(bs.grid[-1])
-    else:
-        m, n = 1, cir.n_steps
-        rate, maturity = cir.rate, cir.maturity
-    specs = []
-    for k in strikes:
-        try:
-            specs.append(PayoffSpec(
-                kind=kind, strike=k, barrier=barrier,
-                weights=uniform_weights(m, n),
-                discount=float(np.exp(-rate * maturity))))
-        except ValueError as exc:
-            raise ConfigInvalid(f"payoff: {exc}") from exc
-    return specs
+    try:
+        return [payoff_for(params, k, kind, barrier) for k in strikes]
+    except ValueError as exc:
+        raise ConfigInvalid(f"payoff: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -283,7 +263,7 @@ def load_config(path: str) -> ExperimentConfig:
     if "model" not in parser or "payoff" not in parser:
         raise ConfigInvalid("config needs [model] and [payoff] sections")
     model, bs, cir = _parse_model(parser["model"])
-    payoffs = _parse_payoffs(parser["payoff"], model, bs, cir)
+    payoffs = _parse_payoffs(parser["payoff"], bs if model == "bs" else cir)
     run = parser["run"] if "run" in parser else {}
     methods = [tok.strip().lower() for tok in
                _get(run, "methods", str, default="mc", name="run").split(",")
@@ -328,11 +308,10 @@ def _engines(config: ExperimentConfig, stream: RandomStream) -> dict:
     DirectionSet of k directions."""
     if config.model == "bs":
         params = config.bs
-        factor = path_factor(params)
         return {
             "la": lambda k: la_directions_multi(
-                lambda e: bs_gradient(params, e, factor), params.dim, k),
-            "lt": lambda k: lt_directions_bs(params, k, factor),
+                lambda e: bs_gradient(params, e), params.dim, k),
+            "lt": lambda k: lt_directions_bs(params, k),
             "pca": lambda k: pca_directions(path_covariance(params), k)[0],
         }
     params = config.cir
@@ -365,20 +344,6 @@ def _lhs_rotation(config: ExperimentConfig) -> np.ndarray:
     return lt_directions_cir(config.cir, config.cir.n_steps).columns
 
 
-def _make_evaluator(config: ExperimentConfig, spec: PayoffSpec):
-    if config.model == "bs":
-        params = config.bs
-        factor = path_factor(params)
-        if spec.kind == "asian-basket":
-            # weighted lognormal sum evaluated directly; equals the payoff
-            # on the full path matrix
-            return lambda z: spec.discount * np.maximum(
-                bs_basket_g(z, params, factor) - spec.strike, 0.0)
-        return lambda z: evaluate(bs_paths(z, params, factor), spec)
-    params = config.cir
-    return lambda z: evaluate(cir_euler_path(z, params), spec)
-
-
 def _stratum_spec(config: ExperimentConfig, n_dirs: int) -> StratumSpec:
     if n_dirs == 2:
         side = int(math.isqrt(config.strata))
@@ -407,6 +372,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     root = RandomStream(config.seed)
     dir_stream = root.child(_DIR_STREAM_INDEX)
     dim = config.dim
+    params = config.bs if config.model == "bs" else config.cir
 
     directions: dict[str, DirectionSet] = {}
     for method in config.methods:
@@ -417,7 +383,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for ip, spec in enumerate(config.payoffs):
         pay_stream = root.child(ip + 1)
-        evaluator = _make_evaluator(config, spec)
+        evaluator = payoff_evaluator(params, spec)
 
         mc = plain_mc_estimate(evaluator, dim, config.n_samples,
                                pay_stream.child(0))

@@ -1,9 +1,11 @@
 """Map standard-normal driver vectors to asset-price paths.
 
 BS paths are sampled exactly at the monitoring dates through the Cholesky
-factor of the Kronecker covariance Sigma_B (x) Sigma_A; CIR paths use the
-Euler scheme with the square-root argument floored at zero.  Flattened BS
-indices run asset-fastest: k = k2*M + k1 (0-based asset k1, date k2).
+factor of the Kronecker covariance Sigma_B (x) Sigma_A; BsParams computes
+that factor, the drift exponents and the payoff coefficients once, as its
+derived fields factor, drift and coef.  CIR paths use the Euler scheme with
+the square-root argument floored at zero.  Flattened BS indices run
+asset-fastest: k = k2*M + k1 (0-based asset k1, date k2).
 """
 from __future__ import annotations
 
@@ -20,9 +22,6 @@ __all__ = [
     "PathMatrix",
     "asset_covariance",
     "path_covariance",
-    "path_factor",
-    "bs_drift",
-    "bs_coefficients",
     "bs_basket_g",
     "bs_paths",
     "cir_euler_path",
@@ -36,6 +35,12 @@ class BsParams:
 
     weights is the (M, N) averaging matrix w_ij used by the basket payoff
     and by the drift construction mu_k = ln(w S0) + (r - sigma^2/2) t.
+
+    Derived on construction, over the flattened (asset, date) index k:
+    factor is the lower-triangular C with C C^T = Sigma_MN, drift the
+    exponents (r - sigma_{k1}^2 / 2) t_{k2} and coef the prefactors
+    w_{k1 k2} S0_{k1}, so that exp(mu_k) = coef_k e^{drift_k}.  A covariance
+    that is numerically singular raises NotPositiveDefinite.
     """
 
     s0: np.ndarray
@@ -44,6 +49,9 @@ class BsParams:
     rate: float
     grid: np.ndarray
     weights: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
+    drift: np.ndarray = field(init=False, repr=False, compare=False)
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s0 = np.atleast_1d(np.asarray(self.s0, dtype=float))
@@ -68,6 +76,12 @@ class BsParams:
         for name, val in (("s0", s0), ("sigma", sigma), ("corr", corr),
                           ("grid", grid), ("weights", weights)):
             object.__setattr__(self, name, val)
+        k1 = np.arange(self.dim) % m
+        k2 = np.arange(self.dim) // m
+        object.__setattr__(self, "factor", cholesky(path_covariance(self)))
+        object.__setattr__(self, "drift",
+                           (self.rate - 0.5 * sigma[k1] ** 2) * grid[k2])
+        object.__setattr__(self, "coef", weights[k1, k2] * s0[k1])
 
     @property
     def n_assets(self) -> int:
@@ -145,49 +159,21 @@ def path_covariance(params: BsParams) -> np.ndarray:
     return np.kron(bm_covariance(params.grid), asset_covariance(params))
 
 
-def path_factor(params: BsParams) -> np.ndarray:
-    """Lower-triangular C with C C^T = Sigma_MN."""
-    return cholesky(path_covariance(params))
-
-
-def bs_drift(params: BsParams) -> np.ndarray:
-    """Flattened drift exponents (r - sigma_{k1}^2 / 2) t_{k2}."""
-    m, n = params.n_assets, params.n_dates
-    k1 = np.arange(m * n) % m
-    k2 = np.arange(m * n) // m
-    return (params.rate - 0.5 * params.sigma[k1] ** 2) * params.grid[k2]
-
-
-def bs_coefficients(params: BsParams) -> np.ndarray:
-    """Flattened prefactors w_{k1 k2} * S0_{k1} (exp(mu_k) = coef * e^drift)."""
-    m, n = params.n_assets, params.n_dates
-    k1 = np.arange(m * n) % m
-    k2 = np.arange(m * n) // m
-    return params.weights[k1, k2] * params.s0[k1]
-
-
-def bs_basket_g(eps: np.ndarray, params: BsParams,
-                factor: np.ndarray | None = None) -> np.ndarray:
+def bs_basket_g(eps: np.ndarray, params: BsParams) -> np.ndarray:
     """Weighted sum of lognormal grid values, g(eps) = sum_k exp(mu_k + (C eps)_k).
 
-    eps has shape (..., M*N); pass the precomputed Cholesky factor when
-    evaluating many batches.
+    eps has shape (..., M*N).
     """
-    c = path_factor(params) if factor is None else factor
     eps = np.asarray(eps, dtype=float)
-    drift = bs_drift(params)
-    coef = bs_coefficients(params)
-    return np.exp(drift + eps @ c.T) @ coef
+    return np.exp(params.drift + eps @ params.factor.T) @ params.coef
 
 
-def bs_paths(eps: np.ndarray, params: BsParams,
-             factor: np.ndarray | None = None) -> PathMatrix:
+def bs_paths(eps: np.ndarray, params: BsParams) -> PathMatrix:
     """Exact lognormal grid values S_{k1}(t_{k2}), shape (..., M, N)."""
-    c = path_factor(params) if factor is None else factor
     eps = np.asarray(eps, dtype=float)
     m, n = params.n_assets, params.n_dates
     k1 = np.arange(m * n) % m
-    flat = params.s0[k1] * np.exp(bs_drift(params) + eps @ c.T)
+    flat = params.s0[k1] * np.exp(params.drift + eps @ params.factor.T)
     shaped = flat.reshape(eps.shape[:-1] + (n, m))
     return PathMatrix(values=np.swapaxes(shaped, -1, -2))
 

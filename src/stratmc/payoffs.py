@@ -3,6 +3,8 @@
 All evaluators accept a PathMatrix or a raw array shaped (..., M, N) and
 return discounted payoffs with the leading batch shape.  Barrier knock-out
 uses strict comparison: S < B survives, S == B knocks out.
+payoff_evaluator composes a model's path map with a contract into the
+driver-space function f(z) that the estimators sample.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import PathMatrix
+from .models import CirParams, PathMatrix, bs_basket_g, bs_paths, cir_euler_path
 
 __all__ = [
     "PayoffSpec",
@@ -18,6 +20,7 @@ __all__ = [
     "asian_barrier_expiry",
     "asian_barrier_complete",
     "evaluate",
+    "payoff_evaluator",
 ]
 
 KINDS = ("asian-basket", "asian-barrier-expiry", "asian-barrier-complete")
@@ -95,3 +98,19 @@ _DISPATCH = {
 def evaluate(path, spec: PayoffSpec) -> np.ndarray:
     """Dispatch on spec.kind."""
     return _DISPATCH[spec.kind](path, spec)
+
+
+def payoff_evaluator(params, spec: PayoffSpec):
+    """The discounted payoff of spec as a function of the driver z, shape
+    (..., dim) -> (...), under BsParams or CirParams.
+
+    A lognormal basket whose averaging weights are the model's own is
+    priced from the weighted lognormal sum bs_basket_g, which equals the
+    payoff on the full path matrix without building it.
+    """
+    if isinstance(params, CirParams):
+        return lambda z: evaluate(cir_euler_path(z, params), spec)
+    if spec.kind == "asian-basket" and np.array_equal(spec.weights, params.weights):
+        return lambda z: spec.discount * np.maximum(
+            bs_basket_g(z, params) - spec.strike, 0.0)
+    return lambda z: evaluate(bs_paths(z, params), spec)

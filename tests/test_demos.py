@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = [next((ROOT / "demos").glob(f"{n:02d}_*.py")) for n in (1, 2, 5)]
+DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

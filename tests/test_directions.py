@@ -31,7 +31,6 @@ from stratmc import (
     lt_directions_bs,
     lt_directions_cir,
     path_covariance,
-    path_factor,
     pca_directions,
     pilot_pca_cir,
     uniform_weights,
@@ -74,15 +73,14 @@ class TestLaBs:
         p = BsParams(s0=[100.0, 60.0], sigma=[0.2, 0.35],
                      corr=[[1.0, 0.4], [0.4, 1.0]], rate=0.03,
                      grid=[0.5, 1.0], weights=uniform_weights(2, 2))
-        factor = path_factor(p)
         point = np.array([0.1, -0.2, 0.3, 0.05])
-        grad = bs_gradient(p, point, factor)
+        grad = bs_gradient(p, point)
         h = 1e-6
         for i in range(4):
             e = np.zeros(4)
             e[i] = h
-            fd = (bs_basket_g(point + e, p, factor)
-                  - bs_basket_g(point - e, p, factor)) / (2 * h)
+            fd = (bs_basket_g(point + e, p)
+                  - bs_basket_g(point - e, p)) / (2 * h)
             assert grad[i] == pytest.approx(float(fd), rel=1e-6)
 
     def test_unit_norm_and_sign(self):
@@ -104,9 +102,7 @@ class TestMultiLa:
 
     def test_two_directions_bs(self):
         p = bs_asian_params()
-        factor = path_factor(p)
-        ds = la_directions_multi(lambda e: bs_gradient(p, e, factor),
-                                 p.dim, 2)
+        ds = la_directions_multi(lambda e: bs_gradient(p, e), p.dim, 2)
         assert ds.count == 2
         np.testing.assert_allclose(np.linalg.norm(ds.columns, axis=0),
                                    [1.0, 1.0], atol=1e-12)

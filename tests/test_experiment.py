@@ -28,7 +28,6 @@ from stratmc import (
     la_direction_cir,
     load_config,
     parse_csv,
-    path_factor,
     run_experiment,
 )
 from stratmc.cli import main
@@ -341,12 +340,13 @@ class TestLoadConfig:
             load_config(str(path))
 
 
-# numeric INI values: zero, negatives, nan, inf, an overflowing literal and
-# non-numbers among ordinary values; none exceeds 64, the largest grid the
-# parser is asked to allocate
+# numeric INI values: zero, negatives, nan, inf, an overflowing literal,
+# non-numbers and values that make the path covariance numerically singular
+# (a rho or a sigma) among ordinary values; none exceeds 64, the largest grid
+# the parser is asked to allocate
 VALUES = st.sampled_from(["0", "-1", "-0.5", "nan", "inf", "-inf", "1e400",
                           "abc", "", "0.3", "0.5", "0.99", "1", "2", "4",
-                          "1.5", "50", "64"])
+                          "1.5", "50", "64", "0.99999999999999", "1e-200"])
 BASE_MODEL = {
     "bs": {"kind": "bs", "s0": "50", "sigma": "0.3", "rho": "0.2",
            "steps": "4", "maturity": "1.0", "rate": "0.05"},
@@ -387,7 +387,7 @@ def ini_texts(draw):
 @given(ini_texts())
 def test_load_config_accepts_or_rejects_as_config_error(text):
     # a config either loads or is rejected as ConfigInvalid (exit 2);
-    # a loaded lognormal model always has a path factor
+    # a loaded lognormal model always has its path factor
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "exp.ini"
         path.write_text(text)
@@ -396,7 +396,7 @@ def test_load_config_accepts_or_rejects_as_config_error(text):
         except ConfigInvalid:
             return
     if config.model == "bs":
-        path_factor(config.bs)
+        assert config.bs.factor.shape == (config.dim, config.dim)
 
 
 class TestCli:
@@ -441,8 +441,11 @@ class TestCli:
         BS_INI.replace("steps = 8", "steps = 0"),
         BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 1.5"),
         BS_INI.replace("s0 = 50", "s0 = 40 50 60\nrho = -0.6"),
+        BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 0.99999999999999"),
+        BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
-            "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite"])
+            "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite",
+            "rho-numerically-singular", "sigma-numerically-singular"])
     def test_malformed_config_exit_code(self, tmp_path, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))

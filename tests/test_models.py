@@ -19,10 +19,8 @@ from stratmc import (
     cir_euler_path,
     cir_zero_noise_path,
     path_covariance,
-    path_factor,
     uniform_weights,
 )
-from stratmc.models import bs_coefficients, bs_drift
 
 
 def two_asset_params():
@@ -63,8 +61,7 @@ class TestBsParams:
 class TestFlattenedLayout:
     def test_drift_and_coefficients_brute_force(self):
         p = two_asset_params()
-        drift = bs_drift(p)
-        coef = bs_coefficients(p)
+        drift, coef = p.drift, p.coef
         m = p.n_assets
         for k in range(p.dim):
             i, j = k % m, k // m  # asset-minor, date-major
@@ -85,7 +82,7 @@ class TestFlattenedLayout:
 
     def test_factor_multiplies_back(self):
         p = two_asset_params()
-        c = path_factor(p)
+        c = p.factor
         sigma = path_covariance(p)
         assert np.linalg.norm(c @ c.T - sigma) / np.linalg.norm(sigma) < 1e-10
 
@@ -94,7 +91,7 @@ class TestBsPaths:
     def test_g_at_zero_noise(self):
         p = two_asset_params()
         g0 = bs_basket_g(np.zeros((1, p.dim)), p)
-        expected = float(np.sum(bs_coefficients(p) * np.exp(bs_drift(p))))
+        expected = float(np.sum(p.coef * np.exp(p.drift)))
         assert g0[0] == pytest.approx(expected, rel=1e-14)
 
     def test_paths_and_g_agree(self):

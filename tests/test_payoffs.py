@@ -8,12 +8,21 @@ import numpy as np
 import pytest
 
 from stratmc import (
+    CirParams,
     PayoffSpec,
     RandomStream,
     asian_barrier_complete,
     asian_barrier_expiry,
     asian_basket,
+    basket_params,
+    bs_asian_params,
+    bs_barrier_params,
+    bs_paths,
+    cir_asian_params,
+    cir_euler_path,
     evaluate,
+    payoff_evaluator,
+    payoff_for,
 )
 from stratmc.models import PathMatrix
 
@@ -130,3 +139,31 @@ def test_evaluate_dispatch():
         spec = spec_for(kind, 50.0, barrier=90.0 if "barrier" in kind else None,
                         n=4)
         np.testing.assert_array_equal(evaluate(s, spec), fn(s, spec))
+
+
+def _terminal_call(params):
+    # averaging weights unlike the model's own: all weight on the last date
+    weights = np.zeros((1, params.n_dates))
+    weights[0, -1] = 1.0
+    return PayoffSpec(kind="asian-basket", strike=50.0, weights=weights,
+                      discount=payoff_for(params, 50.0).discount)
+
+
+@pytest.mark.parametrize("params, spec, paths", [
+    (bs_asian_params(), payoff_for(bs_asian_params(), 50.0), bs_paths),
+    (basket_params(), payoff_for(basket_params(), 40.0), bs_paths),
+    (bs_barrier_params(), payoff_for(bs_barrier_params(), 50.0,
+                                     "asian-barrier-expiry", 60.0), bs_paths),
+    (bs_barrier_params(), payoff_for(bs_barrier_params(), 50.0,
+                                     "asian-barrier-complete", 60.0), bs_paths),
+    (bs_asian_params(), _terminal_call(bs_asian_params()), bs_paths),
+    (cir_asian_params(), payoff_for(cir_asian_params(), 100.0), cir_euler_path),
+], ids=["bs-asian", "basket-fast-path", "barrier-expiry", "barrier-complete",
+        "bs-terminal-weights", "cir-asian"])
+def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
+    dim = params.n_steps if isinstance(params, CirParams) else params.dim
+    z = RandomStream(12).normal((400, dim))
+    f = payoff_evaluator(params, spec)(z)
+    assert np.count_nonzero(f) > 0
+    np.testing.assert_allclose(f, evaluate(paths(z, params), spec),
+                               rtol=1e-12, atol=0.0)
