@@ -13,11 +13,8 @@ from stratmc import (
     ExperimentConfig,
     angle_degrees,
     bs_asian_params,
-    la_direction_bs,
-    lt_directions_bs,
-    path_covariance,
+    engines,
     payoff_for,
-    pca_directions,
     run_experiment,
 )
 
@@ -25,11 +22,11 @@ def main():
     params = bs_asian_params()
 
     print("1. The candidate directions and their mutual angles")
-    la = la_direction_bs(params)
-    lt1 = lt_directions_bs(params, 1).columns[:, 0]
-    pca = pca_directions(path_covariance(params), 1)[0].columns[:, 0]
-    print(f"   angle(la, lt)  = {angle_degrees(la, lt1):8.4f} degrees")
-    print(f"   angle(la, pca) = {angle_degrees(la, pca):8.4f} degrees")
+    first = {name: engine(1).columns[:, 0]
+             for name, engine in engines(params).items()}
+    la = first["la"]
+    print(f"   angle(la, lt)  = {angle_degrees(la, first['lt']):8.4f} degrees")
+    print(f"   angle(la, pca) = {angle_degrees(la, first['pca']):8.4f} degrees")
     print("   la loads late dates (they move the average and are cheap to")
     print("   reach); pca loads them even harder, caring only about path")
     print("   variance, not the payout.")

@@ -4,7 +4,7 @@ The driver here is a full Euler path of a mean-reverting square-root
 process, so there is no closed-form map from the Gaussian vector to the
 payout.  The gradient direction ("la") comes from differentiating the
 discretized scheme; the expansion direction ("lt") orthogonalizes
-sensitivities along a nominal path; "pilot-pca" estimates the leading
+sensitivities along paths driven by leading ones; "pilot-pca" estimates the leading
 principal component of the simulated price paths from a small pilot
 sample.  All three are automatic -- no hand tuning per product.
 """
@@ -15,10 +15,8 @@ from stratmc import (
     RandomStream,
     angle_degrees,
     cir_asian_params,
-    la_direction_cir,
-    lt_directions_cir,
+    engines,
     payoff_for,
-    pilot_pca_cir,
     run_experiment,
 )
 
@@ -26,11 +24,11 @@ def main():
     params = cir_asian_params()
 
     print("1. Directions for the square-root model (64 Euler steps)")
-    la = la_direction_cir(params)
-    lt1 = lt_directions_cir(params, 1).columns[:, 0]
-    pilot = pilot_pca_cir(params, RandomStream(4).child(1))
-    print(f"   angle(la, lt)        = {angle_degrees(la, lt1):7.3f} degrees")
-    print(f"   angle(la, pilot-pca) = {angle_degrees(la, pilot):7.3f} degrees")
+    first = {name: engine(1).columns[:, 0]
+             for name, engine in engines(params, RandomStream(4)).items()}
+    la = first["la"]
+    print(f"   angle(la, lt)        = {angle_degrees(la, first['lt']):7.3f} degrees")
+    print(f"   angle(la, pilot-pca) = {angle_degrees(la, first['pilot-pca']):7.3f} degrees")
     print("   early steps matter most: a shock at step 1 feeds every later")
     print("   level through the drift, so la decays along the path.")
 

@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import (
-    bs_gradient,
-    cir_mean_gradient,
-    cir_workspace,
-    la_direction_bs,
-    la_direction_cir,
-    lt_directions_bs,
-    lt_directions_cir,
-    pca_directions,
-)
+from .directions import bs_gradient, cir_workspace, engines
 from .experiment import format_rows, load_config, run_experiment
 from .gaussian import RandomStream
 from .linalg import angle_degrees, gram_schmidt
@@ -36,7 +27,6 @@ from .models import (
     bs_paths,
     cir_euler_path,
     cir_zero_noise_path,
-    path_covariance,
 )
 from .payoffs import (
     asian_barrier_complete,
@@ -216,9 +206,9 @@ def _criterion_2():
 def _criterion_3():
     checks = []
     for label, params in (("asian", bs_asian_params()), ("basket", basket_params())):
-        la = la_direction_bs(params)
-        lt1 = lt_directions_bs(params, 1).columns[:, 0]
-        ang = angle_degrees(la, lt1)
+        model_engines = engines(params)
+        ang = angle_degrees(model_engines["la"](1).columns[:, 0],
+                            model_engines["lt"](1).columns[:, 0])
         checks.append((ang <= 1e-8, f"{label}: angle(la, lt1) = {ang:.2e} deg"))
     return _fails(checks)
 
@@ -227,14 +217,13 @@ def _criterion_3():
 
 
 def _criterion_4():
-    bs = bs_asian_params()
-    la = la_direction_bs(bs)
-    pca = pca_directions(path_covariance(bs), 1)[0].columns[:, 0]
-    ang_bs = angle_degrees(la, pca)
+    bs = engines(bs_asian_params())
+    ang_bs = angle_degrees(bs["la"](1).columns[:, 0],
+                           bs["pca"](1).columns[:, 0])
 
-    cir = cir_asian_params()
-    ang_cir = angle_degrees(la_direction_cir(cir),
-                            lt_directions_cir(cir, 1).columns[:, 0])
+    cir = engines(cir_asian_params())
+    ang_cir = angle_degrees(cir["la"](1).columns[:, 0],
+                            cir["lt"](1).columns[:, 0])
     return _fails([
         (abs(ang_bs - 52.73) <= 1.0,
          f"bs angle(la, pca) = {ang_bs:.4f} vs 52.73 +- 1"),
@@ -298,8 +287,8 @@ def _criterion_6():
     bs = bs_asian_params()
     ev = payoff_evaluator(bs, payoff_for(bs, 50.0))
     mc = plain_mc_estimate(ev, bs.dim, n_samples, stream.child(0))
-    la_set = DirectionSet(la_direction_bs(bs)[:, None])
-    pca_set = pca_directions(path_covariance(bs), 1)[0]
+    la_set = engines(bs)["la"](1)
+    pca_set = engines(bs)["pca"](1)
     la = two_stage_estimate(ev, la_set, spec1, n_samples, stream.child(1), "opt")
     pca = two_stage_estimate(ev, pca_set, spec1, n_samples, stream.child(2), "opt")
     ratio_bs = mc.variance / la.variance
@@ -307,7 +296,7 @@ def _criterion_6():
     cir = cir_asian_params()
     ev_c = payoff_evaluator(cir, payoff_for(cir, 100.0))
     mc_c = plain_mc_estimate(ev_c, cir.n_steps, n_samples, stream.child(3))
-    la_c_set = DirectionSet(la_direction_cir(cir)[:, None])
+    la_c_set = engines(cir)["la"](1)
     la_c = two_stage_estimate(ev_c, la_c_set, spec1, n_samples,
                               stream.child(4), "opt")
     ratio_cir = mc_c.variance / la_c.variance
@@ -334,7 +323,7 @@ def _criterion_7():
         sigma = rng.random(k) * rng.integers(0, 2, k)  # allow zero sigmas
         if not np.any(p * sigma > 0):
             sigma[0] = 1.0
-        plan = optimal_allocation(p, sigma, 10_000, n_min=2)
+        plan = optimal_allocation(p, sigma, 10_000)
         live = sigma > 0
         var_opt = float(np.sum((p[live] * sigma[live]) ** 2 / plan.q[live]))
         var_prop = float(np.sum(p[live] * sigma[live] ** 2))
@@ -383,7 +372,7 @@ def _criterion_8():
     eps = np.vstack([np.eye(n) * h, -np.eye(n) * h])
     sums = cir_euler_path(eps, cir).values[:, 0, :].sum(axis=1)
     fd_c = (sums[:n] - sums[n:]) / (2 * h)
-    grad_c = cir_mean_gradient(cir, np.zeros(n))
+    grad_c = cir_workspace(cir, np.zeros(n)).t
     rel_cir = float(np.linalg.norm(fd_c - grad_c) / np.linalg.norm(grad_c))
     checks.append((rel_cir < 1e-4, f"cir gradient vs FD rel err {rel_cir:.2e}"))
     return _fails(checks)

@@ -91,6 +91,9 @@ def _cmd_directions(args) -> int:
             comps = " ".join(f"{v:.6g}" for v in ds.columns[:8, j])
             tail = " ..." if ds.dim > 8 else ""
             print(f"  col {j + 1}: {comps}{tail}")
+        for j in range(1, ds.count):
+            ang = angle_degrees(ds.columns[:, 0], ds.columns[:, j])
+            print(f"  angle(col 1, col {j + 1}) = {ang:.4f} deg")
     names = list(sets)
     for i, a in enumerate(names):
         for b in names[i + 1:]:

@@ -4,7 +4,8 @@ PCA (leading covariance eigenvectors), Linear Approximation (normalized
 payoff gradient at the zero-noise point) and Linear Transformation
 (rotation built column by column from first-order payoff expansions at
 leading-ones points) for the BS and CIR models, plus the pilot-sample
-PCA-like direction for CIR.
+PCA-like direction for CIR.  engines(params) is the table of the engines
+each model has.
 
 Conventions shared by every engine: returned directions are unit vectors
 with the largest-magnitude component positive, and multi-direction sets are
@@ -17,33 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateColumn,
-    DegenerateCovariance,
-    DegenerateGradient,
-    DependentDirections,
-    NegativePathValue,
-    RankDeficient,
-)
+from .errors import StratMcError
 from .gaussian import RandomStream
 from .linalg import normalize_sign, symmetric_eigen
-from .models import BsParams, CirParams, cir_euler_path
+from .models import BsParams, CirParams, cir_euler_path, path_covariance
 from .stratify import DirectionSet
 
 __all__ = [
+    "engines",
     "pca_directions",
-    "la_direction_bs",
     "bs_gradient",
     "la_directions_multi",
     "lt_directions_bs",
     "LtCirWorkspace",
     "cir_workspace",
-    "cir_mean_gradient",
     "lt_directions_cir",
-    "la_direction_cir",
     "pilot_pca_cir",
     "export_directions",
 ]
+
+# paths in the pilot sample of pilot_pca_cir
+_PILOT_N = 2000
 
 
 def _project_out(b: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
@@ -75,32 +70,22 @@ def bs_gradient(params: BsParams, eps: np.ndarray) -> np.ndarray:
     return c.T @ (params.coef * np.exp(params.drift + c @ np.asarray(eps, float)))
 
 
-def la_direction_bs(params: BsParams) -> np.ndarray:
-    """Normalized payoff gradient at the zero-noise point, v = C^T e^mu / ||.||."""
-    grad = bs_gradient(params, np.zeros(params.dim))
-    norm = float(np.linalg.norm(grad))
-    if norm < 1e-14:
-        raise DegenerateGradient("zero-noise gradient vanished")
-    return normalize_sign(grad / norm)
-
-
 def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
     """Iterated-gradient LA directions: v_1 = grad(0)/||.||, v_{p+1} =
-    grad(v_p)/||.||.  The returned set is generally non-orthogonal."""
+    grad(v_p)/||.||.  v_1 is the LA direction, the normalized payoff
+    gradient at the zero-noise point.  The returned set is generally
+    non-orthogonal."""
     point = np.zeros(dim)
     cols = []
     for _ in range(count):
         g = np.asarray(gradient(point), dtype=float)
         norm = float(np.linalg.norm(g))
         if norm < 1e-14:
-            raise DegenerateGradient("gradient vanished at an iterated point")
+            raise StratMcError("gradient vanished at an iterated point")
         v = g / norm
         cols.append(v)
         point = v
-    try:
-        return DirectionSet(np.column_stack([normalize_sign(v) for v in cols]))
-    except RankDeficient as exc:
-        raise DependentDirections(str(exc)) from exc
+    return DirectionSet(np.column_stack([normalize_sign(v) for v in cols]))
 
 
 def lt_directions_bs(params: BsParams, count: int) -> DirectionSet:
@@ -124,7 +109,7 @@ def lt_directions_bs(params: BsParams, count: int) -> DirectionSet:
         b = _project_out(b, cols)
         norm = float(np.linalg.norm(b))
         if norm < 1e-12:
-            raise DegenerateColumn("expansion column vanished after projection")
+            raise StratMcError("expansion column vanished after projection")
         a = normalize_sign(b / norm)
         cols.append(a)
         shift += c @ a
@@ -164,7 +149,7 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
     s[0] = params.s0
     for j in range(n):
         if s[j] < 0.0:
-            raise NegativePathValue(
+            raise StratMcError(
                 f"induced path went negative at step {j}")
         s[j + 1] = s[j] + params.alpha * (params.mu - s[j]) * dt \
             + params.sigma * np.sqrt(s[j] * dt) * zhat[j]
@@ -172,7 +157,7 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
     # alpha[i] = 1 - a dt + (sigma/2) sqrt(dt / S_{i+1}) z_{i+2}, i = 0..N-2
     inner = s[1:n]
     if np.any(inner <= 0.0):
-        raise NegativePathValue("induced path hit zero inside the horizon")
+        raise StratMcError("induced path hit zero inside the horizon")
     alpha = 1.0 - params.alpha * dt \
         + 0.5 * params.sigma * np.sqrt(dt / inner) * zhat[1:]
     w = np.zeros((n, n))
@@ -184,76 +169,70 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
     return LtCirWorkspace(path=s, alpha=alpha, beta=beta, w=w, t=t)
 
 
-def cir_mean_gradient(params: CirParams, z: np.ndarray) -> np.ndarray:
-    """Gradient of sum_j S_j with respect to the driver, evaluated at z."""
-    return cir_workspace(params, z).t
-
-
-def lt_directions_cir(params: CirParams, count: int,
-                      expansion: str = "shifted") -> DirectionSet:
+def lt_directions_cir(params: CirParams, count: int) -> DirectionSet:
     """Orthonormal LT columns for the CIR Asian payoff.
 
-    expansion selects the driver path on which column l's coefficients are
-    evaluated: "shifted" (default) drives the Euler path with l raw leading
-    ones; "nominal" uses the rotated expansion point with l-1 leading ones
-    (so column 1 sits on the zero-noise skeleton and coincides with the LA
-    direction exactly).
+    Column l's coefficients are evaluated on the Euler path driven by l raw
+    leading ones, so column 1 sits near, not on, the LA direction.
     """
     n = params.n_steps
     if not 1 <= count <= n:
         raise ValueError("column count must lie in 1..n_steps")
-    if expansion not in ("shifted", "nominal"):
-        raise ValueError(f"unknown expansion rule {expansion!r}")
     cols: list[np.ndarray] = []
     for el in range(1, count + 1):
-        if expansion == "shifted":
-            zhat = np.zeros(n)
-            zhat[:el] = 1.0
-        else:
-            zhat = np.sum(cols, axis=0) if cols else np.zeros(n)
+        zhat = np.zeros(n)
+        zhat[:el] = 1.0
         ws = cir_workspace(params, zhat)
         b = _project_out(ws.t.copy(), cols)
         norm = float(np.linalg.norm(b))
         if norm < 1e-12:
-            raise DegenerateColumn("expansion column vanished after projection")
+            raise StratMcError("expansion column vanished after projection")
         cols.append(normalize_sign(b / norm))
     a_mat = np.column_stack(cols)
     assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
     return DirectionSet(columns=a_mat)
 
 
-def la_direction_cir(params: CirParams) -> np.ndarray:
-    """Normalized gradient of the path average at the zero-noise point.
-
-    On the deterministic skeleton the coefficients collapse to
-    alpha_j = 1 - alpha dt, so t_m = beta_{m-1} (1 - q^{N-m+1}) / (1 - q).
-    """
-    t = cir_workspace(params, np.zeros(params.n_steps)).t
-    norm = float(np.linalg.norm(t))
-    if norm < 1e-14:
-        raise DegenerateGradient("zero-noise gradient vanished")
-    return normalize_sign(t / norm)
-
-
-def pilot_pca_cir(params: CirParams, stream: RandomStream,
-                  pilot_n: int = 2000) -> np.ndarray:
-    """Leading eigenvector of the pilot-sample price-path covariance.
+def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:
+    """Leading eigenvector of the price-path covariance of _PILOT_N pilot
+    paths.
 
     The eigenvector is returned (normalized, sign-fixed) as the direction
     for stratifying the driving noise directly.
     """
-    if pilot_n < 2:
-        raise ValueError("pilot sample must have at least two paths")
-    z = stream.normal((pilot_n, params.n_steps))
+    z = stream.normal((_PILOT_N, params.n_steps))
     paths = cir_euler_path(z, params).values[:, 0, :]
     cov = np.cov(paths, rowvar=False)
     cov = 0.5 * (cov + cov.T)
     eig = symmetric_eigen(cov)
     lead = float(eig.eigenvalues[0])
     if lead <= 1e-12 * max(1.0, abs(float(np.trace(cov)))):
-        raise DegenerateCovariance("pilot paths carry no variance")
+        raise StratMcError("pilot paths carry no variance")
     v = eig.eigenvectors[:, 0]
     return normalize_sign(v / np.linalg.norm(v))
+
+
+def engines(params: BsParams | CirParams,
+            stream: RandomStream | None = None) -> dict:
+    """The model's direction engines, each mapping a count k to a
+    DirectionSet of k directions: la, lt and pca for BsParams; la, lt and
+    pilot-pca for CirParams.  pilot-pca draws its pilot sample from
+    stream.child(1), so it needs a stream, and gives one direction whatever
+    k is."""
+    if isinstance(params, BsParams):
+        return {
+            "la": lambda k: la_directions_multi(
+                lambda e: bs_gradient(params, e), params.dim, k),
+            "lt": lambda k: lt_directions_bs(params, k),
+            "pca": lambda k: pca_directions(path_covariance(params), k)[0],
+        }
+    return {
+        "la": lambda k: la_directions_multi(
+            lambda z: cir_workspace(params, z).t, params.n_steps, k),
+        "lt": lambda k: lt_directions_cir(params, k),
+        "pilot-pca": lambda k: DirectionSet(
+            pilot_pca_cir(params, stream.child(1))[:, None]),
+    }
 
 
 def export_directions(columns: np.ndarray, path: str) -> None:

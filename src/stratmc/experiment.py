@@ -21,21 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .directions import (
-    la_directions_multi,
-    lt_directions_bs,
-    lt_directions_cir,
-    pca_directions,
-    pilot_pca_cir,
-    bs_gradient,
-    cir_mean_gradient,
-)
-from .errors import ConfigInvalid, InvalidFeller, NotPositiveDefinite
+from .directions import engines
+from .errors import ConfigInvalid, StratMcError
 from .gaussian import RandomStream
-from .models import BsParams, CirParams, path_covariance
+from .models import BsParams, CirParams
 from .payoffs import KINDS, PayoffSpec, payoff_evaluator
 from .presets import payoff_for, uniform_weights
 from .stratify import (
+    _N_MIN,
     DirectionSet,
     StratumSpec,
     lhs_estimate,
@@ -61,11 +54,6 @@ ALLOCS = ("const", "opt")
 COLUMNS = ("method", "alloc", "payoff", "strike", "barrier", "price",
            "variance", "time_ratio", "n_samples", "strata", "seed")
 
-# the direction engines of each model; every stratified method is built
-# from them (see _method_parts)
-_ENGINES = {"bs": ("la", "lt", "pca"), "cir": ("la", "lt", "pilot-pca")}
-_N_MIN = 2
-
 # substream id reserved for direction engines (the pilot-PCA sample), kept
 # apart from the per-payoff ids so direction vectors do not depend on the
 # payoff list
@@ -88,6 +76,11 @@ class ExperimentConfig:
     format: str = "csv"
 
     @property
+    def params(self) -> BsParams | CirParams:
+        """The parameters of the configured model."""
+        return self.bs if self.model == "bs" else self.cir
+
+    @property
     def dim(self) -> int:
         return self.bs.dim if self.model == "bs" else self.cir.n_steps
 
@@ -100,15 +93,16 @@ class ExperimentConfig:
             raise ConfigInvalid("model: missing CIR parameters")
         if not self.payoffs:
             raise ConfigInvalid("payoff: at least one contract is required")
+        model_engines = engines(self.params)
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigInvalid(f"run.methods: unknown method {m!r}")
-            missing = sorted(set(_method_parts(m)[0]) - set(_ENGINES[self.model]))
+            missing = sorted(set(_method_parts(m)[0]) - model_engines.keys())
             if missing:
                 raise ConfigInvalid(
                     f"run.methods: {m} needs the {', '.join(missing)} engine, "
                     f"which the {self.model} model does not have (its "
-                    f"engines: {', '.join(_ENGINES[self.model])})")
+                    f"engines: {', '.join(model_engines)})")
         for a in self.allocs:
             if a not in ALLOCS:
                 raise ConfigInvalid(f"run.alloc: unknown rule {a!r}")
@@ -183,7 +177,7 @@ def _get(section, key, cast, default=None, name=""):
         raise ConfigInvalid(f"{name}.{key}: {exc}") from exc
 
 
-def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
+def _parse_model(section) -> tuple[str, BsParams | CirParams]:
     kind = _get(section, "kind", str, name="model").strip().lower()
     if kind == "bs":
         s0 = _floats(_get(section, "s0", str, name="model"))
@@ -211,9 +205,9 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
         try:
             params = BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate,
                               grid=grid, weights=uniform_weights(m, steps))
-        except (ValueError, NotPositiveDefinite) as exc:
+        except (ValueError, StratMcError) as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
-        return "bs", params, None
+        return "bs", params
     if kind == "cir":
         try:
             params = CirParams(
@@ -225,9 +219,9 @@ def _parse_model(section) -> tuple[str, BsParams | None, CirParams | None]:
                 n_steps=_get(section, "steps", int, name="model"),
                 maturity=_get(section, "maturity", _number, default=1.0, name="model"),
             )
-        except (ValueError, InvalidFeller) as exc:
+        except (ValueError, StratMcError) as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
-        return "cir", None, params
+        return "cir", params
     raise ConfigInvalid(f"model.kind: unknown model {kind!r}")
 
 
@@ -262,8 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigInvalid(f"could not read config file {path!r}")
     if "model" not in parser or "payoff" not in parser:
         raise ConfigInvalid("config needs [model] and [payoff] sections")
-    model, bs, cir = _parse_model(parser["model"])
-    payoffs = _parse_payoffs(parser["payoff"], bs if model == "bs" else cir)
+    model, params = _parse_model(parser["model"])
+    payoffs = _parse_payoffs(parser["payoff"], params)
     run = parser["run"] if "run" in parser else {}
     methods = [tok.strip().lower() for tok in
                _get(run, "methods", str, default="mc", name="run").split(",")
@@ -271,18 +265,17 @@ def load_config(path: str) -> ExperimentConfig:
     allocs = [tok.strip().lower() for tok in
               _get(run, "alloc", str, default="opt", name="run").split(",")
               if tok.strip()]
-    out_section = parser["output"] if "output" in parser else {}
+    output = parser["output"] if "output" in parser else {}
     config = ExperimentConfig(
-        model=model, bs=bs, cir=cir, payoffs=payoffs,
+        model=model, **{model: params}, payoffs=payoffs,
         methods=methods, allocs=allocs,
         strata=_get(run, "strata", int, default=100, name="run"),
         n_samples=_get(run, "n_samples", int, default=100_000, name="run"),
         pilot_fraction=_get(run, "pilot_fraction", _number, default=0.1, name="run"),
         lhs_replications=_get(run, "lhs_replications", int, default=30, name="run"),
         seed=_get(run, "seed", int, default=0, name="run"),
-        out=out_section.get("path") if hasattr(out_section, "get") else None,
-        format=(out_section.get("format", "csv") if hasattr(out_section, "get")
-                else "csv").strip().lower(),
+        out=output.get("path"),
+        format=output.get("format", "csv").strip().lower(),
     )
     config.validate()
     return config
@@ -303,45 +296,16 @@ def _method_parts(method: str) -> tuple[tuple[str, ...], int]:
     return tuple(method.split("+")), 1
 
 
-def _engines(config: ExperimentConfig, stream: RandomStream) -> dict:
-    """The model's direction engines, each mapping a count k to a
-    DirectionSet of k directions."""
-    if config.model == "bs":
-        params = config.bs
-        return {
-            "la": lambda k: la_directions_multi(
-                lambda e: bs_gradient(params, e), params.dim, k),
-            "lt": lambda k: lt_directions_bs(params, k),
-            "pca": lambda k: pca_directions(path_covariance(params), k)[0],
-        }
-    params = config.cir
-    return {
-        "la": lambda k: la_directions_multi(
-            lambda z: cir_mean_gradient(params, z), params.n_steps, k),
-        "lt": lambda k: lt_directions_cir(params, k),
-        # one pilot eigenvector: no method takes more than one
-        "pilot-pca": lambda k: DirectionSet(
-            pilot_pca_cir(params, stream.child(1))[:, None]),
-    }
-
-
 def build_directions(config: ExperimentConfig, method: str,
                      stream: RandomStream) -> DirectionSet:
     """Direction set for one stratified method under the configured model."""
     names, count = _method_parts(method)
-    engines = _engines(config, stream)
-    if not names or not engines.keys() >= set(names):
+    model_engines = engines(config.params, stream)
+    if not names or not model_engines.keys() >= set(names):
         raise ConfigInvalid(
             f"method {method!r} unsupported for model {config.model!r}")
     return DirectionSet(np.column_stack(
-        [engines[name](count).columns for name in names]))
-
-
-def _lhs_rotation(config: ExperimentConfig) -> np.ndarray:
-    """Full orthogonal matrix from the LT construction, used to rotate LHS."""
-    if config.model == "bs":
-        return lt_directions_bs(config.bs, config.bs.dim).columns
-    return lt_directions_cir(config.cir, config.cir.n_steps).columns
+        [model_engines[name](count).columns for name in names]))
 
 
 def _stratum_spec(config: ExperimentConfig, n_dirs: int) -> StratumSpec:
@@ -372,13 +336,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     root = RandomStream(config.seed)
     dir_stream = root.child(_DIR_STREAM_INDEX)
     dim = config.dim
-    params = config.bs if config.model == "bs" else config.cir
+    params = config.params
 
     directions: dict[str, DirectionSet] = {}
     for method in config.methods:
         if method not in ("mc", "lhs"):
             directions[method] = build_directions(config, method, dir_stream)
-    rotation = _lhs_rotation(config) if "lhs" in config.methods else None
+    # LHS is rotated by the full LT matrix
+    rotation = (engines(params)["lt"](dim).columns
+                if "lhs" in config.methods else None)
 
     rows: list[ResultRow] = []
     for ip, spec in enumerate(config.payoffs):
@@ -416,8 +382,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 rep = two_stage_estimate(
                     evaluator, dirs, strat_spec, config.n_samples,
                     cell_stream, allocation=alloc,
-                    pilot_fraction=config.pilot_fraction,
-                    n_min=_N_MIN)
+                    pilot_fraction=config.pilot_fraction)
                 rows.append(ResultRow(
                     method=method, alloc=alloc, payoff=spec.kind,
                     strike=spec.strike, barrier=spec.barrier,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import IndexOutOfRange
+from .errors import StratMcError
 
 __all__ = [
     "RandomStream",
@@ -81,7 +81,7 @@ def stratum_uniform(k: int, n_strata: int, stream: RandomStream, size=None):
     ((k-1)/K, k/K).  k is 1-based.
     """
     if not 1 <= k <= n_strata:
-        raise IndexOutOfRange(f"stratum {k} outside 1..{n_strata}")
+        raise StratMcError(f"stratum {k} outside 1..{n_strata}")
     u = stream.uniform_open(size=size)
     return (k - u) / n_strata
 

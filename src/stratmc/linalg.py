@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonIncreasingGrid,
-    NoConvergence,
-    NotPositiveDefinite,
-    RankDeficient,
-    ZeroVector,
-)
+from .errors import StratMcError
 
 __all__ = [
     "EigenDecomposition",
@@ -27,6 +21,7 @@ __all__ = [
     "bm_covariance",
     "gram_schmidt",
     "symmetric_eigen",
+    "normalize_sign",
     "angle_degrees",
 ]
 
@@ -51,7 +46,7 @@ def _require_symmetric(m: np.ndarray) -> np.ndarray:
 def cholesky(m: np.ndarray) -> np.ndarray:
     """Lower-triangular C with C @ C.T == m.
 
-    Raises NotPositiveDefinite if factorization fails or any pivot c_ii^2
+    Raises StratMcError if factorization fails or any pivot c_ii^2
     falls at or below 1e-12 times the largest diagonal entry of m.
     """
     m = _require_symmetric(m)
@@ -59,9 +54,9 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     try:
         c = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+        raise StratMcError(str(exc)) from exc
     if m.size and float(np.min(np.diag(c)) ** 2) <= tol:
-        raise NotPositiveDefinite("pivot at or below tolerance")
+        raise StratMcError("pivot at or below tolerance")
     return c
 
 
@@ -69,9 +64,9 @@ def bm_covariance(grid) -> np.ndarray:
     """Brownian-motion covariance on a time grid: entry (j, n) = min(t_j, t_n)."""
     t = np.asarray(grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
-        raise NonIncreasingGrid("grid must be a non-empty 1-d sequence")
+        raise StratMcError("grid must be a non-empty 1-d sequence")
     if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-        raise NonIncreasingGrid("grid must satisfy 0 < t_1 < ... < t_N")
+        raise StratMcError("grid must satisfy 0 < t_1 < ... < t_N")
     return np.minimum.outer(t, t)
 
 
@@ -81,7 +76,7 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
     Returns (F, norms) where F has orthonormal columns spanning the input
     and norms[i] is the length of the i-th residual f'_i before
     normalization.  The first column equals the first input vector, so for
-    unit inputs norms[0] == 1.  Raises RankDeficient when a residual norm
+    unit inputs norms[0] == 1.  Raises StratMcError when a residual norm
     drops below 1e-10.
     """
     e = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
@@ -94,7 +89,7 @@ def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
             resid -= (f[:, j] @ resid) * f[:, j]
         norms[i] = np.linalg.norm(resid)
         if norms[i] < 1e-10:
-            raise RankDeficient(f"vector {i} is dependent on its predecessors")
+            raise StratMcError(f"vector {i} is dependent on its predecessors")
         f[:, i] = resid / norms[i]
     return f, norms
 
@@ -110,7 +105,7 @@ def symmetric_eigen(m: np.ndarray) -> EigenDecomposition:
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        raise StratMcError(str(exc)) from exc
     order = np.argsort(w)[::-1]
     w = w[order]
     v = v[:, order]
@@ -132,13 +127,13 @@ def angle_degrees(u, v) -> float:
     """Angle between two directions in degrees, folded to [0, 90].
 
     Directions are sign-invariant, so the cosine is taken in absolute
-    value.  Raises ZeroVector for zero-length input.
+    value.  Raises StratMcError for zero-length input.
     """
     u = np.asarray(u, dtype=float).ravel()
     v = np.asarray(v, dtype=float).ravel()
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        raise ZeroVector("angle undefined for zero vector")
+        raise StratMcError("angle undefined for zero vector")
     c = abs(float(u @ v)) / (nu * nv)
     return float(np.degrees(np.arccos(min(c, 1.0))))

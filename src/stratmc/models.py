@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidFeller
+from .errors import StratMcError
 from .linalg import bm_covariance, cholesky
 
 __all__ = [
@@ -40,7 +40,7 @@ class BsParams:
     factor is the lower-triangular C with C C^T = Sigma_MN, drift the
     exponents (r - sigma_{k1}^2 / 2) t_{k2} and coef the prefactors
     w_{k1 k2} S0_{k1}, so that exp(mu_k) = coef_k e^{drift_k}.  A covariance
-    that is numerically singular raises NotPositiveDefinite.
+    that is numerically singular raises StratMcError.
     """
 
     s0: np.ndarray
@@ -100,8 +100,7 @@ class BsParams:
 class CirParams:
     """CIR square-root diffusion dS = alpha (mu - S) dt + sigma sqrt(S) dW.
 
-    enforce_feller=False relaxes the 2*alpha*mu > sigma^2 condition for
-    degenerate test configurations (alpha = 0, sigma = 0).
+    The parameters must satisfy the Feller condition 2*alpha*mu > sigma^2.
     """
 
     s0: float
@@ -111,7 +110,6 @@ class CirParams:
     rate: float
     n_steps: int
     maturity: float
-    enforce_feller: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         if self.s0 <= 0.0 or self.mu <= 0.0 or self.maturity <= 0.0:
@@ -120,12 +118,8 @@ class CirParams:
             raise ValueError("alpha, sigma and rate must be nonnegative")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
-        if self.enforce_feller:
-            self.check_feller()
-
-    def check_feller(self):
         if not 2.0 * self.alpha * self.mu > self.sigma ** 2:
-            raise InvalidFeller(
+            raise StratMcError(
                 f"2*alpha*mu = {2 * self.alpha * self.mu} must exceed "
                 f"sigma^2 = {self.sigma ** 2}")
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import AllZeroSigma, IndexOutOfRange, NotOrthogonal
+from .errors import StratMcError
 from .gaussian import RandomStream
 from .gaussian import lhs_normals as _lhs_normals
 from .linalg import gram_schmidt
@@ -48,6 +48,9 @@ _P_CEIL = np.nextafter(1.0, 0.0)
 _CHUNK = 8192
 # draws per evaluator call in plain MC; the MC rows' bytes depend on it
 _MC_CHUNK = 200_000
+# fewest draws a reachable stratum gets in any stage: two give a
+# within-stratum variance estimate
+_N_MIN = 2
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,7 @@ class DirectionSet:
         norms = np.linalg.norm(cols, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("direction columns must have unit norm")
-        frame, _ = gram_schmidt(cols.T)  # raises RankDeficient on dependence
+        frame, _ = gram_schmidt(cols.T)  # raises StratMcError on dependence
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "m", cols.T @ frame)
 
@@ -117,7 +120,7 @@ class StratumSpec:
         """Quantile interval (a^-, a^+) of stratum k along one direction."""
         n = self.counts[direction]
         if not 1 <= k <= n:
-            raise IndexOutOfRange(f"stratum {k} outside 1..{n}")
+            raise StratMcError(f"stratum {k} outside 1..{n}")
         edges = self.edges(direction)
         return float(edges[k - 1]), float(edges[k])
 
@@ -192,10 +195,10 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
     f, m = directions.frame, directions.m
     d, dp = f.shape
     if len(spec.counts) != dp:
-        raise IndexOutOfRange("stratum spec arity does not match the directions")
+        raise StratMcError("stratum spec arity does not match the directions")
     strata = np.asarray(strata, dtype=np.intp)
     if strata.size and (strata.min() < 0 or strata.max() >= spec.total):
-        raise IndexOutOfRange(f"stratum index outside 0..{spec.total - 1}")
+        raise StratMcError(f"stratum index outside 0..{spec.total - 1}")
     n = strata.size
     ks = np.unravel_index(strata, spec.counts)
     u = stream.uniform_open(size=(n, dp))
@@ -225,9 +228,9 @@ sample_strata = sample_stratum_nonorthogonal
 # --- allocation --------------------------------------------------------------
 
 
-def _largest_remainder(q: np.ndarray, total: int, n_min: int,
+def _largest_remainder(q: np.ndarray, total: int,
                        active: np.ndarray) -> np.ndarray:
-    """Integerize fractions q*total, keeping the sum exact and n >= n_min
+    """Integerize fractions q*total, keeping the sum exact and n >= _N_MIN
     on active strata (inactive strata get 0)."""
     target = np.where(active, q * total, 0.0)
     n = np.floor(target).astype(int)
@@ -236,24 +239,24 @@ def _largest_remainder(q: np.ndarray, total: int, n_min: int,
         order = np.argsort(-(target - n), kind="stable")
         order = order[active[order]]
         n[order[:short]] += 1
-    low = active & (n < n_min)
-    n[low] = n_min
+    low = active & (n < _N_MIN)
+    n[low] = _N_MIN
     surplus = int(n.sum()) - total
     while surplus > 0:
-        i = int(np.argmax(np.where(active & (n > n_min), n, -1)))
-        if n[i] <= n_min:
+        i = int(np.argmax(np.where(active & (n > _N_MIN), n, -1)))
+        if n[i] <= _N_MIN:
             raise ValueError("total too small for n_min per stratum")
-        take = min(surplus, n[i] - n_min)
+        take = min(surplus, n[i] - _N_MIN)
         n[i] -= take
         surplus -= take
     return n
 
 
-def optimal_allocation(p, sigma_hat, n_total: int, n_min: int = 2) -> AllocationPlan:
+def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
     """Counts n_k proportional to p_k * sigma_k (the variance-minimizing rule).
 
     Strata with p_k == 0 are treated as unreachable and get zero draws;
-    strata with sigma_hat == 0 still get n_min so stage two can correct a
+    strata with sigma_hat == 0 still get _N_MIN so stage two can correct a
     lucky pilot.
     """
     p = np.asarray(p, dtype=float)
@@ -265,13 +268,13 @@ def optimal_allocation(p, sigma_hat, n_total: int, n_min: int = 2) -> Allocation
     active = p > 0.0
     w = p * s
     if not np.any(w > 0.0):
-        raise AllZeroSigma("every stratum std estimate is zero")
+        raise StratMcError("every stratum std estimate is zero")
     q = w / w.sum()
-    n = _largest_remainder(q, n_total, n_min, active)
+    n = _largest_remainder(q, n_total, active)
     return AllocationPlan(q=q, n=n, total=n_total)
 
 
-def equal_allocation(p, n_total: int, n_min: int = 2) -> AllocationPlan:
+def equal_allocation(p, n_total: int) -> AllocationPlan:
     """Equal counts across reachable strata (the constant allocation rule;
     identical to proportional allocation when strata are equiprobable)."""
     p = np.asarray(p, dtype=float)
@@ -280,7 +283,7 @@ def equal_allocation(p, n_total: int, n_min: int = 2) -> AllocationPlan:
     if k_active == 0:
         raise ValueError("no reachable strata")
     q = np.where(active, 1.0 / k_active, 0.0)
-    n = _largest_remainder(q, n_total, n_min, active)
+    n = _largest_remainder(q, n_total, active)
     return AllocationPlan(q=q, n=n, total=n_total)
 
 
@@ -345,8 +348,8 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 
 def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                        n_total: int, stream: RandomStream,
-                       allocation: str = "opt", pilot_fraction: float = 0.1,
-                       n_min: int = 2) -> EstimateReport:
+                       allocation: str = "opt",
+                       pilot_fraction: float = 0.1) -> EstimateReport:
     """Stratified estimate under the constant or the two-stage optimal rule.
 
     "const": every reachable stratum gets an equal share of n_total in one
@@ -365,7 +368,7 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     p = np.full(n_strata, 1.0 / n_strata)
 
     if allocation == "const":
-        plan = equal_allocation(p, n_total, n_min=n_min)
+        plan = equal_allocation(p, n_total)
         report = stratified_estimate(evaluator, directions, spec, plan,
                                      stream.child(1))
         report.wall_time = time.perf_counter() - t0
@@ -373,15 +376,15 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     if allocation != "opt":
         raise ValueError(f"unknown allocation rule: {allocation!r}")
 
-    n_pilot = max(int(round(pilot_fraction * n_total)), n_min * n_strata)
+    n_pilot = max(int(round(pilot_fraction * n_total)), _N_MIN * n_strata)
     n_main = n_total - n_pilot
-    if n_main < n_min * n_strata:
+    if n_main < _N_MIN * n_strata:
         raise ValueError("budget too small for a two-stage run")
-    pilot_plan = equal_allocation(p, n_pilot, n_min=n_min)
+    pilot_plan = equal_allocation(p, n_pilot)
     pilot = stratified_estimate(evaluator, directions, spec, pilot_plan,
                                 stream.child(1))
     p_eff = np.where(pilot.stratum_empty, 0.0, p)
-    plan = optimal_allocation(p_eff, pilot.stratum_sigmas, n_main, n_min=n_min)
+    plan = optimal_allocation(p_eff, pilot.stratum_sigmas, n_main)
     report = stratified_estimate(evaluator, directions, spec, plan,
                                  stream.child(2))
     report.n_samples = pilot.n_samples + report.n_samples
@@ -428,7 +431,7 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     d = rotation.shape[0]
     if rotation.shape != (d, d) or \
             np.max(np.abs(rotation.T @ rotation - np.eye(d))) > 1e-8:
-        raise NotOrthogonal("rotation matrix is not orthogonal")
+        raise StratMcError("rotation matrix is not orthogonal")
     if replications < 2:
         raise ValueError("need at least two replications")
     n_rep = n_total // replications

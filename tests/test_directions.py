@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from stratmc import (
-    DegenerateCovariance,
-    DependentDirections,
-    NegativePathValue,
     RandomStream,
+    StratMcError,
     angle_degrees,
     bs_asian_params,
     bs_barrier_params,
@@ -22,11 +20,9 @@ from stratmc import (
     basket_params,
     bm_covariance,
     cir_asian_params,
-    cir_mean_gradient,
     cir_workspace,
+    engines,
     export_directions,
-    la_direction_bs,
-    la_direction_cir,
     la_directions_multi,
     lt_directions_bs,
     lt_directions_cir,
@@ -36,6 +32,11 @@ from stratmc import (
     uniform_weights,
 )
 from stratmc.models import BsParams, CirParams, bs_basket_g, cir_euler_path
+
+
+def la_of(params):
+    """The LA direction: the first direction of the model's la engine."""
+    return engines(params)["la"](1).columns[:, 0]
 
 
 class TestPca:
@@ -67,7 +68,7 @@ class TestLaBs:
     def test_single_date_single_asset(self):
         p = BsParams(s0=[50.0], sigma=[0.3], corr=[[1.0]], rate=0.05,
                      grid=[1.0], weights=uniform_weights(1, 1))
-        np.testing.assert_allclose(la_direction_bs(p), [1.0])
+        np.testing.assert_allclose(la_of(p), [1.0])
 
     def test_gradient_matches_finite_differences(self):
         p = BsParams(s0=[100.0, 60.0], sigma=[0.2, 0.35],
@@ -84,20 +85,20 @@ class TestLaBs:
             assert grad[i] == pytest.approx(float(fd), rel=1e-6)
 
     def test_unit_norm_and_sign(self):
-        v = la_direction_bs(bs_asian_params())
+        v = la_of(bs_asian_params())
         assert np.linalg.norm(v) == pytest.approx(1.0)
         assert v[np.argmax(np.abs(v))] > 0
 
     def test_matches_first_lt_column(self):
         for p in (bs_asian_params(), basket_params()):
             lt = lt_directions_bs(p, 1)
-            assert angle_degrees(la_direction_bs(p), lt.columns[:, 0]) <= 1e-8
+            assert angle_degrees(la_of(p), lt.columns[:, 0]) <= 1e-8
 
 
 class TestMultiLa:
     def test_constant_gradient_is_dependent(self):
         grad = lambda point: np.array([1.0, 2.0, 0.0])
-        with pytest.raises(DependentDirections):
+        with pytest.raises(StratMcError, match="dependent on its predecessors"):
             la_directions_multi(grad, 3, 2)
 
     def test_two_directions_bs(self):
@@ -106,7 +107,7 @@ class TestMultiLa:
         assert ds.count == 2
         np.testing.assert_allclose(np.linalg.norm(ds.columns, axis=0),
                                    [1.0, 1.0], atol=1e-12)
-        np.testing.assert_allclose(ds.columns[:, 0], la_direction_bs(p),
+        np.testing.assert_allclose(ds.columns[:, 0], la_of(p),
                                    atol=1e-12)
         # second iterate moves away but stays close to the first
         ang = angle_degrees(ds.columns[:, 0], ds.columns[:, 1])
@@ -138,20 +139,20 @@ class TestAngleRegressions:
 
     def test_asian_la_vs_pca(self):
         p = bs_asian_params()
-        la = la_direction_bs(p)
+        la = la_of(p)
         pca = pca_directions(path_covariance(p), 1)[0].columns[:, 0]
         assert angle_degrees(la, pca) == pytest.approx(54.62, abs=1.0)
 
     def test_barrier_la_vs_pca(self):
         p = bs_barrier_params()
-        la = la_direction_bs(p)
+        la = la_of(p)
         pca = pca_directions(path_covariance(p), 1)[0].columns[:, 0]
         assert angle_degrees(la, pca) == pytest.approx(51.95, abs=1.0)
 
     def test_angles_do_not_depend_on_strike(self):
         # both engines see only model parameters, so strike plays no role
         p = bs_asian_params()
-        assert la_direction_bs(p).shape == (64,)
+        assert la_of(p).shape == (64,)
         # (documented invariant; the engines take no strike argument)
 
 
@@ -182,7 +183,7 @@ class TestCirWorkspace:
     def test_gradient_matches_finite_differences(self):
         p = cir_asian_params()
         z0 = np.zeros(p.n_steps)
-        grad = cir_mean_gradient(p, z0)
+        grad = cir_workspace(p, z0).t
         h = 1e-6
         idx = [0, 7, 31, 63]
         for i in idx:
@@ -195,7 +196,7 @@ class TestCirWorkspace:
     def test_negative_path_raises(self):
         p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, rate=0.05,
                       n_steps=64, maturity=1.0)
-        with pytest.raises(NegativePathValue):
+        with pytest.raises(StratMcError, match="induced path went negative"):
             cir_workspace(p, np.full(64, -15.0))
 
 
@@ -214,37 +215,23 @@ class TestLtCir:
     def test_first_column_near_la(self):
         # frozen measured value for the benchmark set
         p = cir_asian_params()
-        ang = angle_degrees(la_direction_cir(p),
+        ang = angle_degrees(la_of(p),
                             lt_directions_cir(p, 1).columns[:, 0])
         assert ang == pytest.approx(0.616, abs=0.02)
 
-    def test_nominal_expansion_first_column_is_la(self):
-        p = cir_asian_params()
-        ds = lt_directions_cir(p, 2, expansion="nominal")
-        assert angle_degrees(ds.columns[:, 0], la_direction_cir(p)) <= 1e-10
-
-    def test_nominal_no_reversion_gives_linear_ramp(self):
-        # alpha = 0 freezes the zero-noise path, so the row sums count the
-        # remaining steps: direction proportional to (N, N-1, ..., 1)
-        p = CirParams(s0=100.0, alpha=0.0, mu=100.0, sigma=2.0, rate=0.0,
-                      n_steps=8, maturity=1.0, enforce_feller=False)
-        ds = lt_directions_cir(p, 1, expansion="nominal")
-        ramp = np.arange(8, 0, -1.0)
-        np.testing.assert_allclose(ds.columns[:, 0], ramp / np.linalg.norm(ramp),
-                                   rtol=1e-12)
 
 
 class TestLaCir:
     def test_unit_and_deterministic(self):
         p = cir_asian_params()
-        v = la_direction_cir(p)
+        v = la_of(p)
         assert np.linalg.norm(v) == pytest.approx(1.0)
-        np.testing.assert_array_equal(v, la_direction_cir(p))
+        np.testing.assert_array_equal(v, la_of(p))
 
     def test_matches_workspace_zero_noise(self):
         p = cir_asian_params()
         t = cir_workspace(p, np.zeros(p.n_steps)).t
-        assert angle_degrees(t, la_direction_cir(p)) <= 1e-12
+        assert angle_degrees(t, la_of(p)) <= 1e-12
 
 
 class TestPilotPca:
@@ -258,13 +245,13 @@ class TestPilotPca:
     def test_angle_to_la_benchmark(self):
         p = cir_asian_params()
         v = pilot_pca_cir(p, RandomStream(97))
-        ang = angle_degrees(v, la_direction_cir(p))
+        ang = angle_degrees(v, la_of(p))
         assert ang == pytest.approx(43.7, abs=3.0)
 
     def test_degenerate_covariance(self):
         p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=1e-8, rate=0.05,
                       n_steps=16, maturity=1.0)
-        with pytest.raises(DegenerateCovariance):
+        with pytest.raises(StratMcError, match="pilot paths carry no variance"):
             pilot_pca_cir(p, RandomStream(98))
 
 

@@ -22,11 +22,13 @@ from stratmc import (
     RandomStream,
     build_directions,
     bs_asian_params,
+    bs_gradient,
     cir_asian_params,
+    cir_workspace,
+    engines,
     format_rows,
-    la_direction_bs,
-    la_direction_cir,
     load_config,
+    normalize_sign,
     parse_csv,
     run_experiment,
 )
@@ -127,13 +129,13 @@ class TestBuildDirections:
                              ids=["bs", "cir"])
     def test_methods_compose_engines(self, config):
         stream = RandomStream(3)
-        engines = self.ENGINES[config.model]
+        assert engines(config.params).keys() == self.ENGINES[config.model]
         for method in METHODS[2:]:
             if method.startswith("two-dir-"):
                 names, count = {method[len("two-dir-"):]}, 2
             else:
                 names, count = set(method.split("+")), 1
-            if not names <= engines:
+            if not names <= self.ENGINES[config.model]:
                 with pytest.raises(ConfigInvalid):
                     build_directions(config, method, stream)
                 continue
@@ -152,14 +154,15 @@ class TestBuildDirections:
                 build_directions(config, baseline, stream)
 
     def test_la_engine_is_the_gradient_direction(self):
-        # one iterated-gradient direction is the LA direction, bit for bit
+        # one iterated-gradient direction is the normalized zero-noise
+        # gradient, bit for bit
         bs, cir = small_bs_config(), small_cir_config()
-        np.testing.assert_array_equal(
-            build_directions(bs, "la", RandomStream(0)).columns[:, 0],
-            la_direction_bs(bs.bs))
-        np.testing.assert_array_equal(
-            build_directions(cir, "la", RandomStream(0)).columns[:, 0],
-            la_direction_cir(cir.cir))
+        for config, grad in (
+                (bs, bs_gradient(bs.bs, np.zeros(bs.dim))),
+                (cir, cir_workspace(cir.cir, np.zeros(cir.dim)).t)):
+            np.testing.assert_array_equal(
+                build_directions(config, "la", RandomStream(0)).columns[:, 0],
+                normalize_sign(grad / float(np.linalg.norm(grad))))
 
 
 class TestValidation:
@@ -421,12 +424,16 @@ class TestCli:
 
     def test_directions_command(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
-        ini.write_text(BS_INI)
+        ini.write_text(BS_INI.replace("mc, la", "mc, la, two-dir-la"))
         out = tmp_path / "dirs.txt"
         assert main(["directions", "--config", str(ini),
                      "--out", str(out)]) == 0
-        assert "# column" in out.read_text()
-        assert "la" in capsys.readouterr().out
+        assert out.read_text().count("# column") == 3
+        text = capsys.readouterr().out
+        assert "[la]" in text
+        # the two iterated gradient directions nearly coincide
+        ang = float(text.split("angle(col 1, col 2) = ")[1].split()[0])
+        assert 0.0 < ang < 5.0
 
     def test_config_error_exit_code(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -450,6 +457,16 @@ class TestCli:
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--config", str(ini)]) == 2
+
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+        # far out of the money every pilot stratum std is zero, so the
+        # optimal allocation is undefined: a numeric failure, not a config one
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI.replace("strike = 45 50 55", "strike = 100000"))
+        assert main(["experiment", "--config", str(ini)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: every stratum std estimate is zero")
+        assert "Traceback" not in err
 
     def test_missing_config_exit_code(self):
         assert main(["experiment", "--config", "/nonexistent.ini"]) == 2

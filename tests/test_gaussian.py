@@ -10,8 +10,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from stratmc import (
-    IndexOutOfRange,
     RandomStream,
+    StratMcError,
     lhs_normals,
     stratum_uniform,
 )
@@ -121,7 +121,7 @@ class TestStratumUniform:
 
     @pytest.mark.parametrize("k", [0, 9, -1])
     def test_index_out_of_range(self, k):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(StratMcError, match="outside 1..8"):
             stratum_uniform(k, 8, RandomStream(0))
 
 

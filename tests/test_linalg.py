@@ -9,10 +9,7 @@ import numpy as np
 import pytest
 
 from stratmc import (
-    NonIncreasingGrid,
-    NotPositiveDefinite,
-    RankDeficient,
-    ZeroVector,
+    StratMcError,
     angle_degrees,
     bm_covariance,
     cholesky,
@@ -54,11 +51,11 @@ class TestCholesky:
         assert np.allclose(np.triu(c, k=1), 0.0)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(StratMcError, match="not positive definite"):
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_singular(self):
-        with pytest.raises(NotPositiveDefinite):
+        with pytest.raises(StratMcError, match="not positive definite"):
             cholesky(np.ones((2, 2)))
 
     def test_rejects_asymmetric(self):
@@ -75,9 +72,9 @@ class TestBmCovariance:
                 assert sigma[i, j] == min(grid[i], grid[j])
 
     def test_rejects_unsorted(self):
-        with pytest.raises(NonIncreasingGrid):
+        with pytest.raises(StratMcError, match="0 < t_1 < ... < t_N"):
             bm_covariance([0.5, 0.5, 1.0])
-        with pytest.raises(NonIncreasingGrid):
+        with pytest.raises(StratMcError, match="0 < t_1 < ... < t_N"):
             bm_covariance([-0.1, 0.5])
 
 
@@ -114,7 +111,7 @@ class TestGramSchmidt:
 
     def test_rank_deficient(self):
         v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(StratMcError, match="dependent on its predecessors"):
             gram_schmidt(np.vstack([v, 2.0 * v]))
 
 
@@ -185,7 +182,7 @@ class TestAngle:
             assert ang == pytest.approx(angle_degrees(3.0 * a, -0.5 * b))
 
     def test_zero_vector(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(StratMcError, match="angle undefined for zero vector"):
             angle_degrees([0.0, 0.0], [1.0, 0.0])
 
 

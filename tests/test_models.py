@@ -10,8 +10,8 @@ import pytest
 from stratmc import (
     BsParams,
     CirParams,
-    InvalidFeller,
     RandomStream,
+    StratMcError,
     asset_covariance,
     bm_covariance,
     bs_basket_g,
@@ -154,14 +154,15 @@ class TestCir:
         assert abs(path[-1] - (p.mu + (1 - p.alpha / 64) ** 64 * (50 - p.mu))) < 1e-6
 
     def test_feller_check(self):
-        p = self.params(sigma=20.0, enforce_feller=False)  # 2*1.5*100 < 400
-        with pytest.raises(InvalidFeller):
-            p.check_feller()
-        self.params().check_feller()  # 300 > 64, fine
+        # 2*alpha*mu must strictly exceed sigma^2
+        with pytest.raises(StratMcError, match=r"must exceed sigma\^2"):
+            self.params(alpha=1.0, mu=50.0, sigma=10.0)  # 100 == 100
+        self.params(alpha=1.0, mu=50.0, sigma=9.99)
+        self.params()  # 300 > 64, fine
 
     def test_flooring_flag_on_extreme_draws(self):
         # the sqrt argument is floored at zero, the state itself is not
-        p = self.params(sigma=40.0, enforce_feller=False)
+        p = self.params()
         z = np.full(p.n_steps, -6.0)
         paths = cir_euler_path(z, p)
         assert paths.floored
@@ -190,5 +191,5 @@ class TestCir:
             self.params(sigma=-1.0)
         with pytest.raises(ValueError):
             self.params(n_steps=0)
-        with pytest.raises(InvalidFeller):
-            self.params(sigma=20.0)  # enforce_feller defaults to True
+        with pytest.raises(StratMcError, match=r"must exceed sigma\^2"):
+            self.params(sigma=20.0)  # 2*1.5*100 < 400
