@@ -5,10 +5,11 @@ allocation combinations, runs the estimators and emits result tables as CSV
 or JSON.
 
 Output files are bit-reproducible for a fixed seed: all randomness flows
-through per-cell substreams derived from the seed, and the time_ratio
-column reports a deterministic operation-count ratio (driver variates plus
-stratification transforms per draw, relative to the plain-MC baseline)
-rather than a wall-clock measurement.  Measured wall times stay available
+through per-cell substreams derived from the seed, shared by every contract
+of the table, and the time_ratio column reports a deterministic
+operation-count ratio (driver variates plus stratification transforms per
+draw, relative to the plain-MC baseline) rather than a wall-clock
+measurement.  Measured wall times stay available
 on the in-memory rows for interactive display.
 """
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .payoffs import KINDS, PayoffSpec, payoff_evaluator
 from .presets import payoff_for, uniform_weights
 from .stratify import (
     _N_MIN,
+    _pilot_size,
     DirectionSet,
     StratumSpec,
     lhs_estimate,
@@ -55,8 +57,8 @@ COLUMNS = ("method", "alloc", "payoff", "strike", "barrier", "price",
            "variance", "time_ratio", "n_samples", "strata", "seed")
 
 # substream id reserved for direction engines (the pilot-PCA sample), kept
-# apart from the per-payoff ids so direction vectors do not depend on the
-# payoff list
+# apart from the table's id (1) so direction vectors do not depend on the
+# cells or the payoff list
 _DIR_STREAM_INDEX = 0x517A7
 
 @dataclass
@@ -117,6 +119,19 @@ class ExperimentConfig:
             raise ConfigInvalid("run.strata must be >= 4 for two-direction methods")
         if not 0.0 < self.pilot_fraction < 1.0:
             raise ConfigInvalid("run.pilot_fraction must lie in (0, 1)")
+        if "opt" in self.allocs:
+            for m in self.methods:
+                names, count = _method_parts(m)
+                if not names:
+                    continue
+                k = _stratum_spec(self, len(names) * count).total
+                n_main = self.n_samples - _pilot_size(
+                    self.n_samples, k, self.pilot_fraction)
+                if n_main < _N_MIN * k:
+                    raise ConfigInvalid(
+                        f"run.n_samples: {m}/opt over {k} strata leaves "
+                        f"{n_main} draws after its pilot, fewer than "
+                        f"{_N_MIN} per stratum")
         if "lhs" in self.methods:
             if self.lhs_replications < 2:
                 raise ConfigInvalid("run.lhs_replications must be >= 2")
@@ -143,7 +158,8 @@ class ResultRow:
     n_samples: int
     strata: int
     seed: int
-    wall_seconds: float = field(default=0.0, compare=False)  # not serialized
+    # not serialized; a cell that serves S rows charges each 1/S of its time
+    wall_seconds: float = field(default=0.0, compare=False)
 
 
 # --- config parsing -----------------------------------------------------------
@@ -328,9 +344,15 @@ def _work(n_samples: int, dim: int, method: str, n_dirs: int = 0) -> float:
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run every (payoff, method, allocation) cell plus the MC baseline.
 
-    Deterministic for a fixed seed: payoff i uses substream root.child(i+1),
-    each cell a fixed child of that, and direction engines draw from a
-    reserved substream so results never depend on which cells are selected.
+    Every contract of the table is priced from the same draws (common
+    random numbers): each cell runs one estimator over all contracts at
+    once, from a fixed child of substream root.child(1), and direction
+    engines draw from a reserved substream, so results never depend on
+    which cells are selected.  A contract's mc, lhs and const rows depend on
+    its own contract only; an opt row also depends on the table's strike
+    list, because the main stage draws one pool sized by every contract's
+    allocation.  A cell charges each of its rows an equal share of its wall
+    time.  Deterministic for a fixed seed.
     """
     config.validate()
     root = RandomStream(config.seed)
@@ -346,52 +368,45 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     rotation = (engines(params)["lt"](dim).columns
                 if "lhs" in config.methods else None)
 
-    rows: list[ResultRow] = []
-    for ip, spec in enumerate(config.payoffs):
-        pay_stream = root.child(ip + 1)
-        evaluator = payoff_evaluator(params, spec)
+    specs = config.payoffs
+    table_stream = root.child(1)
+    evaluator = payoff_evaluator(params, specs)
 
-        mc = plain_mc_estimate(evaluator, dim, config.n_samples,
-                               pay_stream.child(0))
-        mc_work = _work(mc.n_samples, dim, "mc")
-        rows.append(ResultRow(
-            method="mc", alloc="-", payoff=spec.kind, strike=spec.strike,
-            barrier=spec.barrier, price=mc.price, variance=mc.variance,
-            time_ratio=1.0, n_samples=mc.n_samples, strata=1,
-            seed=config.seed, wall_seconds=mc.wall_time))
+    def cell_rows(method, alloc, rep, strata, n_dirs=0):
+        n_used = np.broadcast_to(rep.n_samples, len(specs))
+        return [ResultRow(
+            method=method, alloc=alloc, payoff=spec.kind, strike=spec.strike,
+            barrier=spec.barrier, price=float(rep.price[s]),
+            variance=float(rep.variance[s]),
+            time_ratio=_work(int(n_used[s]), dim, method, n_dirs) / mc_work,
+            n_samples=int(n_used[s]), strata=strata, seed=config.seed,
+            wall_seconds=rep.wall_time / len(specs))
+            for s, spec in enumerate(specs)]
 
-        for method in config.methods:
-            if method == "mc":
-                continue
-            cell_base = pay_stream.child(2 + 2 * METHODS.index(method))
-            if method == "lhs":
-                rep = lhs_estimate(evaluator, rotation, config.n_samples,
-                                   config.lhs_replications, cell_base)
-                rows.append(ResultRow(
-                    method="lhs", alloc="-", payoff=spec.kind,
-                    strike=spec.strike, barrier=spec.barrier,
-                    price=rep.price, variance=rep.variance,
-                    time_ratio=_work(rep.n_samples, dim, "lhs") / mc_work,
-                    n_samples=rep.n_samples, strata=1,
-                    seed=config.seed, wall_seconds=rep.wall_time))
-                continue
-            dirs = directions[method]
-            strat_spec = _stratum_spec(config, dirs.count)
-            for alloc in config.allocs:
-                cell_stream = cell_base.child(ALLOCS.index(alloc))
-                rep = two_stage_estimate(
-                    evaluator, dirs, strat_spec, config.n_samples,
-                    cell_stream, allocation=alloc,
-                    pilot_fraction=config.pilot_fraction)
-                rows.append(ResultRow(
-                    method=method, alloc=alloc, payoff=spec.kind,
-                    strike=spec.strike, barrier=spec.barrier,
-                    price=rep.price, variance=rep.variance,
-                    time_ratio=_work(rep.n_samples, dim, method,
-                                     dirs.count) / mc_work,
-                    n_samples=rep.n_samples, strata=strat_spec.total,
-                    seed=config.seed, wall_seconds=rep.wall_time))
-    return rows
+    mc = plain_mc_estimate(evaluator, dim, config.n_samples,
+                           table_stream.child(0))
+    mc_work = _work(mc.n_samples, dim, "mc")
+    cells = [cell_rows("mc", "-", mc, 1)]
+    for method in config.methods:
+        if method == "mc":
+            continue
+        cell_base = table_stream.child(2 + 2 * METHODS.index(method))
+        if method == "lhs":
+            rep = lhs_estimate(evaluator, rotation, config.n_samples,
+                               config.lhs_replications, cell_base)
+            cells.append(cell_rows("lhs", "-", rep, 1))
+            continue
+        dirs = directions[method]
+        strat_spec = _stratum_spec(config, dirs.count)
+        for alloc in config.allocs:
+            rep = two_stage_estimate(
+                evaluator, dirs, strat_spec, config.n_samples,
+                cell_base.child(ALLOCS.index(alloc)), allocation=alloc,
+                pilot_fraction=config.pilot_fraction)
+            cells.append(cell_rows(method, alloc, rep, strat_spec.total,
+                                   dirs.count))
+    # one block of rows per contract, in the table's contract order
+    return [cell[s] for s in range(len(specs)) for cell in cells]
 
 
 # --- table output ----------------------------------------------------------------

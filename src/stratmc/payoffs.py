@@ -3,8 +3,8 @@
 All evaluators accept a PathMatrix or a raw array shaped (..., M, N) and
 return discounted payoffs with the leading batch shape.  Barrier knock-out
 uses strict comparison: S < B survives, S == B knocks out.
-payoff_evaluator composes a model's path map with a contract into the
-driver-space function f(z) that the estimators sample.
+payoff_evaluator composes a model's path map with one or more contracts
+into the driver-space function f(z) that the estimators sample.
 """
 from __future__ import annotations
 
@@ -100,17 +100,31 @@ def evaluate(path, spec: PayoffSpec) -> np.ndarray:
     return _DISPATCH[spec.kind](path, spec)
 
 
-def payoff_evaluator(params, spec: PayoffSpec):
-    """The discounted payoff of spec as a function of the driver z, shape
-    (..., dim) -> (...), under BsParams or CirParams.
+def payoff_evaluator(params, specs):
+    """The discounted payoff as a function of the driver z under BsParams or
+    CirParams: f(z), shape (..., dim) -> (...), for one PayoffSpec, and
+    (S, ...) for a sequence of S contracts, one contiguous row per
+    contract, all priced from one path map of the same z.
 
-    A lognormal basket whose averaging weights are the model's own is
-    priced from the weighted lognormal sum bs_basket_g, which equals the
-    payoff on the full path matrix without building it.
+    When every contract is a lognormal basket whose averaging weights are
+    the model's own, the path map is the weighted lognormal sum
+    bs_basket_g, which equals the payoff on the full path matrix without
+    building it.
     """
+    one = isinstance(specs, PayoffSpec)
+    specs = [specs] if one else list(specs)
     if isinstance(params, CirParams):
-        return lambda z: evaluate(cir_euler_path(z, params), spec)
-    if spec.kind == "asian-basket" and np.array_equal(spec.weights, params.weights):
-        return lambda z: spec.discount * np.maximum(
-            bs_basket_g(z, params) - spec.strike, 0.0)
-    return lambda z: evaluate(bs_paths(z, params), spec)
+        path, payoff = (lambda z: cir_euler_path(z, params)), evaluate
+    elif all(s.kind == "asian-basket" and np.array_equal(s.weights, params.weights)
+             for s in specs):
+        path = lambda z: bs_basket_g(z, params)
+        payoff = lambda g, spec: spec.discount * np.maximum(g - spec.strike, 0.0)
+    else:
+        path, payoff = (lambda z: bs_paths(z, params)), evaluate
+    if one:
+        return lambda z: payoff(path(z), specs[0])
+
+    def table(z):
+        x = path(z)
+        return np.stack([payoff(x, spec) for spec in specs])
+    return table

@@ -147,6 +147,13 @@ class EstimateReport:
     `variance` is the single-draw-equivalent value n_used * Var(estimator),
     directly comparable with a plain-MC sample variance; `est_variance` is
     the variance of the estimator itself.
+
+    An evaluator may price S contracts from the same draws, f(z) -> (S, n),
+    one row per contract.  price, variance and est_variance then hold one
+    value per row, shape (S,), as do the leading axes of stratum_means and
+    stratum_sigmas; a one-row evaluator f(z) -> (n,) gives scalars.
+    n_samples counts the draws in the estimate, one count per row where
+    rows differ (see two_stage_estimate).
     """
 
     price: float
@@ -161,8 +168,14 @@ class EstimateReport:
     stratum_empty: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def std_error(self) -> float:
-        return float(np.sqrt(max(self.est_variance, 0.0)))
+    def std_error(self):
+        return np.sqrt(np.maximum(self.est_variance, 0.0))
+
+
+def _rows_as(values: np.ndarray, shape: tuple):
+    """Per-row results in the evaluator's row shape: a Python scalar for a
+    one-row evaluator f(z) -> (n,), an array of shape (S,) for f(z) -> (S, n)."""
+    return values.reshape(shape) if shape else values.item()
 
 
 # --- sampler ------------------------------------------------------------------
@@ -291,7 +304,7 @@ def equal_allocation(p, n_total: int) -> AllocationPlan:
 
 
 def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
-                        plan: AllocationPlan, stream: RandomStream) -> EstimateReport:
+                        plan, stream: RandomStream) -> EstimateReport:
     """Single-stage stratified estimator over every stratum in spec.
 
     Every draw carries its weight (p_k for orthonormal directions): the
@@ -301,49 +314,78 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     values.  A stratum with an unreachable draw is reported empty, with no
     draws and no contribution.
 
+    `plan` is one AllocationPlan for every row of the evaluator, or a
+    sequence of S plans, one per row.  The stage draws max_s n_k^s rows in
+    stratum k and row s uses the first n_k^s of them, so each row sees an
+    iid sample of exactly its own size; its emptiness is decided on those
+    same draws.  With per-row plans, stratum_counts and stratum_empty have
+    one row per plan and n_samples counts the draws that enter at least one
+    row's estimate.
+
     The stage's draws are laid out stratum by stratum and sampled in chunks
     of _CHUNK rows, chunk c from substream stream.child(c), so the result is
     a pure function of the stream and the plan.
     """
     t0 = time.perf_counter()
     n_strata = spec.total
-    if plan.n.shape[0] != n_strata:
+    per_row = not isinstance(plan, AllocationPlan)
+    n = np.array([p.n for p in plan] if per_row else [plan.n])
+    if n.shape[1] != n_strata:
         raise ValueError("allocation plan does not match stratum spec")
-    strata = np.repeat(np.arange(n_strata), plan.n)
-    vals = np.empty(strata.size)
-    unreachable = np.zeros(strata.size, dtype=bool)
+    pool = n.max(axis=0)
+    strata = np.repeat(np.arange(n_strata), pool)
+    # position of each draw within its stratum
+    rank = np.arange(strata.size) - np.repeat(np.cumsum(pool) - pool, pool)
+    parts, weights = [], []
     for c, start in enumerate(range(0, strata.size, _CHUNK)):
-        rows = slice(start, start + _CHUNK)
-        z, weight = sample_strata(directions, spec, strata[rows], stream.child(c))
-        vals[rows] = evaluator(z) * weight
-        unreachable[rows] = weight == 0.0
+        z, weight = sample_strata(directions, spec, strata[start:start + _CHUNK],
+                                  stream.child(c))
+        parts.append(evaluator(z) * weight)
+        weights.append(weight)
+    vals = np.concatenate(parts, axis=-1)
+    unreachable = np.concatenate(weights) == 0.0
 
-    empty = np.bincount(strata[unreachable], minlength=n_strata) > 0
-    keep = ~empty[strata]
-    strata, vals = strata[keep], vals[keep]
-    counts = np.where(empty, 0, plan.n)
-    # two passes: means first, then squared deviations from them, so the
-    # within-stratum variance does not cancel
-    means = np.bincount(strata, vals, n_strata) / np.maximum(counts, 1)
-    dev2 = np.bincount(strata, (vals - means[strata]) ** 2, n_strata)
-    sigmas = np.sqrt(dev2 / np.maximum(counts - 1, 1))
+    # a row's stratum is empty when an unreachable draw is among its own
+    first_bad = np.full(n_strata, strata.size)
+    np.minimum.at(first_bad, strata[unreachable], rank[unreachable])
+    empty = first_bad < n
+    counts = np.where(empty, 0, n)
+    rows = vals.reshape(-1, strata.size)
+    row_counts = np.broadcast_to(counts, (rows.shape[0], n_strata))
+    means, sigmas = np.empty((2,) + row_counts.shape)
+    price, est_var = np.empty((2, rows.shape[0]))
+    for s, (row, c) in enumerate(zip(rows, row_counts)):
+        keep = rank < c[strata]
+        st, v = strata[keep], row[keep]
+        # two passes: means first, then squared deviations from them, so
+        # the within-stratum variance does not cancel
+        means[s] = np.bincount(st, v, n_strata) / np.maximum(c, 1)
+        dev2 = np.bincount(st, (v - means[s][st]) ** 2, n_strata)
+        sigmas[s] = np.sqrt(dev2 / np.maximum(c - 1, 1))
+        used = c > 0
+        price[s] = np.sum(means[s][used])
+        est_var[s] = np.sum(sigmas[s][used] ** 2 / c[used])
 
-    used = counts > 0
-    price = float(np.sum(means[used]))
-    est_var = float(np.sum(sigmas[used] ** 2 / counts[used]))
-    n_used = int(counts.sum())
+    shape = vals.shape[:-1]
+    counts, empty = (counts, empty) if per_row else (counts[0], empty[0])
     return EstimateReport(
-        price=price,
-        variance=est_var * n_used,
-        est_variance=est_var,
+        price=_rows_as(price, shape),
+        variance=_rows_as(est_var * row_counts.sum(axis=1), shape),
+        est_variance=_rows_as(est_var, shape),
         wall_time=time.perf_counter() - t0,
-        n_samples=n_used,
+        n_samples=int(row_counts.max(axis=0).sum()),
         n_strata=n_strata,
-        stratum_means=means,
-        stratum_sigmas=sigmas,
+        stratum_means=means.reshape(shape + (n_strata,)),
+        stratum_sigmas=sigmas.reshape(shape + (n_strata,)),
         stratum_counts=counts,
         stratum_empty=empty,
     )
+
+
+def _pilot_size(n_total: int, n_strata: int, pilot_fraction: float) -> int:
+    """Draws of an opt cell's pilot stage: pilot_fraction of the budget,
+    and at least _N_MIN per stratum."""
+    return max(int(round(pilot_fraction * n_total)), _N_MIN * n_strata)
 
 
 def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
@@ -356,8 +398,13 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     stage.  "opt": a pilot stage (pilot_fraction of the budget, equal
     allocation) estimates the per-stratum stds, the remaining budget is
     allocated proportionally to p_k * sigma_hat_k, and the reported price
-    and variance come from the main stage alone.  n_samples reports the
-    full budget either way.
+    and variance come from the main stage alone.  n_samples counts the
+    draws that enter the estimate, the pilot's included.
+
+    For an evaluator with S rows the pilot is shared and each row gets its
+    own allocation from its own stds; the main stage draws one pool, of
+    which row s uses the first n_k^s draws of stratum k (see
+    stratified_estimate).  n_samples then holds one count per row.
     """
     t0 = time.perf_counter()
     n_strata = spec.total
@@ -376,7 +423,7 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     if allocation != "opt":
         raise ValueError(f"unknown allocation rule: {allocation!r}")
 
-    n_pilot = max(int(round(pilot_fraction * n_total)), _N_MIN * n_strata)
+    n_pilot = _pilot_size(n_total, n_strata, pilot_fraction)
     n_main = n_total - n_pilot
     if n_main < _N_MIN * n_strata:
         raise ValueError("budget too small for a two-stage run")
@@ -384,11 +431,14 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     pilot = stratified_estimate(evaluator, directions, spec, pilot_plan,
                                 stream.child(1))
     p_eff = np.where(pilot.stratum_empty, 0.0, p)
-    plan = optimal_allocation(p_eff, pilot.stratum_sigmas, n_main)
-    report = stratified_estimate(evaluator, directions, spec, plan,
-                                 stream.child(2))
-    report.n_samples = pilot.n_samples + report.n_samples
-    report.variance = report.est_variance * (report.n_samples)
+    one_row = pilot.stratum_sigmas.ndim == 1
+    plans = [optimal_allocation(p_eff, sigmas, n_main)
+             for sigmas in np.atleast_2d(pilot.stratum_sigmas)]
+    report = stratified_estimate(evaluator, directions, spec,
+                                 plans[0] if one_row else plans, stream.child(2))
+    n_used = pilot.n_samples + np.atleast_2d(report.stratum_counts).sum(axis=1)
+    report.n_samples = n_used.item() if one_row else n_used
+    report.variance = report.est_variance * report.n_samples
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -399,18 +449,15 @@ def plain_mc_estimate(evaluator, dim: int, n_total: int,
     t0 = time.perf_counter()
     if n_total < 2:
         raise ValueError("need at least two draws")
-    vals = np.empty(n_total)
-    done = 0
-    while done < n_total:
-        m = min(_MC_CHUNK, n_total - done)
-        z = stream.normal((m, dim))
-        vals[done:done + m] = evaluator(z)
-        done += m
-    var1 = float(vals.var(ddof=1))
+    vals = np.concatenate([
+        evaluator(stream.normal((min(_MC_CHUNK, n_total - done), dim)))
+        for done in range(0, n_total, _MC_CHUNK)], axis=-1)
+    var1 = vals.var(ddof=1, axis=-1)
+    shape = vals.shape[:-1]
     return EstimateReport(
-        price=float(vals.mean()),
-        variance=var1,
-        est_variance=var1 / n_total,
+        price=_rows_as(vals.mean(axis=-1), shape),
+        variance=_rows_as(var1, shape),
+        est_variance=_rows_as(var1 / n_total, shape),
         wall_time=time.perf_counter() - t0,
         n_samples=n_total,
         n_strata=1,
@@ -438,15 +485,18 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     if n_rep < 2:
         raise ValueError("budget too small for the replication count")
 
-    means = np.array([
-        float(np.mean(evaluator(_lhs_normals(n_rep, d, stream.child(r)) @ rotation.T)))
-        for r in range(replications)])
-    var_rep = float(means.var(ddof=1))
+    # one row of replication means per evaluator row
+    means = np.stack([
+        np.mean(evaluator(_lhs_normals(n_rep, d, stream.child(r)) @ rotation.T),
+                axis=-1)
+        for r in range(replications)], axis=-1)
+    var_rep = means.var(ddof=1, axis=-1)
+    shape = means.shape[:-1]
     n_used = n_rep * replications
     return EstimateReport(
-        price=float(means.mean()),
-        variance=var_rep * n_rep,
-        est_variance=var_rep / replications,
+        price=_rows_as(means.mean(axis=-1), shape),
+        variance=_rows_as(var_rep * n_rep, shape),
+        est_variance=_rows_as(var_rep / replications, shape),
         wall_time=time.perf_counter() - t0,
         n_samples=n_used,
         n_strata=1,

@@ -1,5 +1,6 @@
 """Smoke test: the narrative demos and the README's quick start, which use
-the library's public API, run to completion."""
+the library's public API, run to completion; the single-contract demo
+configs reproduce their recorded tables byte for byte."""
 import os
 import subprocess
 import sys
@@ -11,16 +12,32 @@ from stratmc import parse_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
+# tables recorded with `stratmc experiment --config demos/configs/<name>.ini
+# --seed 42`; a change that moves their bytes must say why
+GOLDEN = ("basket", "bs_barrier", "cir_asian")
+
+
+def run(*args):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"),
-                                       os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                          text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=path))
+    proc = run(str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_demo_config_reproduces_its_table(name):
+    proc = run("-m", "stratmc.cli", "experiment", "--config",
+               f"demos/configs/{name}.ini", "--seed", "42")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / f"{name}.csv").read_text(
+        encoding="utf-8")
 
 
 def test_readme_quick_start(capsys):

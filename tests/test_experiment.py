@@ -7,6 +7,7 @@ deterministic time_ratio column follows directly from the operation counts
 """
 import json
 import tempfile
+import time
 import textwrap
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import f as f_dist
 
 from stratmc import (
     METHODS,
@@ -34,7 +36,7 @@ from stratmc import (
 )
 from stratmc.cli import main
 from stratmc.payoffs import PayoffSpec
-from stratmc.presets import uniform_weights
+from stratmc.presets import payoff_for, uniform_weights
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -121,6 +123,77 @@ class TestRunExperiment:
         assert rows[1].variance < rows[0].variance
 
 
+def strikes_config(strikes, **overrides) -> ExperimentConfig:
+    params = bs_asian_params()
+    return small_bs_config(payoffs=[payoff_for(params, k) for k in strikes],
+                           **overrides)
+
+
+class TestSharedDraws:
+    """The strikes of one table share their draws (common random numbers)."""
+
+    CELLS = dict(methods=["lhs", "la", "la+pca"], allocs=["const", "opt"],
+                 strata=16)
+
+    @staticmethod
+    def rows_of(rows, strike, with_opt=False):
+        return [r for r in rows if r.strike == strike
+                and (with_opt or r.alloc != "opt")]
+
+    def test_rows_match_smaller_tables(self):
+        # mc, lhs and const rows depend on their own contract only: a
+        # strike's rows are the same bytes alone, in a pair and in a triple
+        triple = run_experiment(strikes_config([45, 50, 55], **self.CELLS))
+        for strikes in ([45], [55], [45, 55], [50, 55]):
+            table = run_experiment(strikes_config(strikes, **self.CELLS))
+            for k in strikes:
+                assert format_rows(self.rows_of(table, k)) == \
+                    format_rows(self.rows_of(triple, k)), (strikes, k)
+        # rows keep the one-table-per-contract order
+        assert [r.strike for r in triple] == [45.0] * 6 + [50.0] * 6 + [55.0] * 6
+
+    def test_opt_rows_depend_on_the_strike_list(self):
+        # an opt row prices from a main-stage pool sized by every strike's
+        # allocation, so its draws move with the strike list; its budget
+        # does not
+        alone = run_experiment(strikes_config([50], **self.CELLS))
+        triple = run_experiment(strikes_config([45, 50, 55], **self.CELLS))
+        opt = lambda rows: [r for r in self.rows_of(rows, 50.0, True)
+                            if r.alloc == "opt"]
+        assert [r.n_samples for r in opt(alone)] == [r.n_samples for r in opt(triple)]
+        assert [r.price for r in opt(alone)] != [r.price for r in opt(triple)]
+
+    def test_opt_row_agrees_with_its_one_strike_table(self):
+        # over 20 seeds the K=50 la/opt row of a three-strike table and of
+        # a one-strike table estimate the same price with the same variance
+        seeds = range(1000, 1020)
+        price, var = {}, {}
+        for strikes in ([50], [45, 50, 55]):
+            rows = [[r for r in run_experiment(strikes_config(
+                        strikes, allocs=["opt"], seed=seed))
+                     if r.strike == 50.0 and r.method == "la"][0]
+                    for seed in seeds]
+            price[len(strikes)] = np.array([r.price for r in rows])
+            var[len(strikes)] = np.array([r.variance for r in rows])
+        se = np.sqrt(sum(p.var(ddof=1) / p.size for p in price.values()))
+        assert abs(price[1].mean() - price[3].mean()) < 3.0 * se
+        # an F(20, 20) bound, one degree of freedom per seed, on the ratio
+        # of the mean reported variances, at the 0.1% level each way
+        bound = f_dist.ppf(0.999, len(seeds), len(seeds))
+        assert 1 / bound < var[3].mean() / var[1].mean() < bound
+
+    def test_cell_time_is_split_between_rows(self):
+        config = strikes_config([45, 50, 55], **self.CELLS)
+        t0 = time.perf_counter()
+        rows = run_experiment(config)
+        wall = time.perf_counter() - t0
+        assert all(r.wall_seconds > 0.0 for r in rows)
+        assert sum(r.wall_seconds for r in rows) <= wall
+        # the three rows of a cell share its time equally
+        for cell in zip(*(self.rows_of(rows, k, True) for k in (45, 50, 55))):
+            assert len({r.wall_seconds for r in cell}) == 1
+
+
 class TestBuildDirections:
     # engines of each model; every method names one or two of them
     ENGINES = {"bs": {"la", "lt", "pca"}, "cir": {"la", "lt", "pilot-pca"}}
@@ -191,6 +264,16 @@ class TestValidation:
             small_bs_config(allocs=["greedy"]).validate()
         with pytest.raises(ConfigInvalid):
             small_bs_config(format="xml").validate()
+
+    def test_opt_pilot_must_leave_a_main_stage(self):
+        # 10 strata: the pilot takes max(round(0.1 n), 20) draws and the
+        # main stage needs 20 more
+        with pytest.raises(ConfigInvalid, match="after its pilot"):
+            small_bs_config(strata=10, n_samples=39).validate()
+        small_bs_config(strata=10, n_samples=40).validate()
+        small_bs_config(strata=10, n_samples=39, allocs=["const"]).validate()
+        # a 3 x 3 grid has 9 strata
+        small_bs_config(methods=["two-dir-la"], strata=10, n_samples=36).validate()
 
     def test_lhs_needs_replications(self):
         with pytest.raises(ConfigInvalid):
@@ -450,9 +533,11 @@ class TestCli:
         BS_INI.replace("s0 = 50", "s0 = 40 50 60\nrho = -0.6"),
         BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 0.99999999999999"),
         BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
+        BS_INI.replace("n_samples = 2000", "n_samples = 20"),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
             "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite",
-            "rho-numerically-singular", "sigma-numerically-singular"])
+            "rho-numerically-singular", "sigma-numerically-singular",
+            "opt-pilot-takes-the-budget"])
     def test_malformed_config_exit_code(self, tmp_path, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))

@@ -167,3 +167,21 @@ def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
     assert np.count_nonzero(f) > 0
     np.testing.assert_allclose(f, evaluate(paths(z, params), spec),
                                rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("params, specs", [
+    (bs_asian_params(), [payoff_for(bs_asian_params(), k) for k in (45.0, 50.0, 55.0)]),
+    (bs_barrier_params(), [payoff_for(bs_barrier_params(), k,
+                                      "asian-barrier-complete", 60.0)
+                           for k in (45.0, 50.0)]),
+    (cir_asian_params(), [payoff_for(cir_asian_params(), k) for k in (95.0, 100.0)]),
+], ids=["bs-asian", "barrier-complete", "cir-asian"])
+def test_payoff_evaluator_rows_are_the_single_contract_values(params, specs):
+    # a table's evaluator gives one contiguous row per contract, each the
+    # single-contract evaluator's values bit for bit
+    dim = params.n_steps if isinstance(params, CirParams) else params.dim
+    z = RandomStream(13).normal((300, dim))
+    rows = payoff_evaluator(params, specs)(z)
+    assert rows.shape == (len(specs), 300) and rows.flags.c_contiguous
+    for row, spec in zip(rows, specs):
+        np.testing.assert_array_equal(row, payoff_evaluator(params, spec)(z))

@@ -461,6 +461,111 @@ class TestEstimators:
         assert rep.variance == pytest.approx(rep.est_variance * 400)
 
 
+class TestSharedRows:
+    """An evaluator with S rows, f(z) -> (S, n), prices S contracts from
+    the same draws; every row must keep exactly its own estimator."""
+
+    STRIKES = (-0.5, 0.0, 0.8)
+
+    @staticmethod
+    def rows(z):
+        return np.stack([np.maximum(z[:, 0] + 0.3 * z[:, 1] - k, 0.0)
+                         for k in TestSharedRows.STRIKES])
+
+    @staticmethod
+    def pool_values(ev, dirs, spec, pool, stream):
+        """Redraw a stage of `pool` draws per stratum, chunk by chunk."""
+        strata = np.repeat(np.arange(spec.total), pool)
+        vals, weights = [], []
+        for c, start in enumerate(range(0, strata.size, _CHUNK)):
+            z, weight = sample_strata(dirs, spec, strata[start:start + _CHUNK],
+                                      stream.child(c))
+            vals.append(ev(z) * weight)
+            weights.append(weight)
+        return strata, np.concatenate(vals, axis=-1), np.concatenate(weights)
+
+    def test_one_row_matches_the_single_evaluator(self):
+        # a (1, n) evaluator reports arrays whose entries are the scalar
+        # results of the (n,) evaluator, bit for bit
+        dirs = DirectionSet(np.eye(3)[:, :1])
+        spec = StratumSpec((10,))
+        one = lambda z: self.rows(z)[1]
+        stacked = lambda z: self.rows(z)[1:2]
+        for run in (
+                lambda ev: plain_mc_estimate(ev, 3, 5_000, RandomStream(90)),
+                lambda ev: lhs_estimate(ev, np.eye(3), 5_000, 10, RandomStream(91)),
+                lambda ev: two_stage_estimate(ev, dirs, spec, 5_000,
+                                              RandomStream(92), "const"),
+                lambda ev: two_stage_estimate(ev, dirs, spec, 5_000,
+                                              RandomStream(93), "opt")):
+            a, b = run(one), run(stacked)
+            assert isinstance(a.price, float)
+            assert (a.price, a.variance, a.est_variance) == \
+                (b.price[0], b.variance[0], b.est_variance[0])
+            assert a.n_samples == int(np.broadcast_to(b.n_samples, 1)[0])
+
+    def test_opt_rows_use_their_own_allocation_from_one_pool(self):
+        # one shared pilot; row s gets optimal_allocation of its own pilot
+        # stds, and its main stage is the first n_k^s draws of stratum k
+        # of one pool of max_s n_k^s draws per stratum
+        dirs = DirectionSet(np.eye(4)[:, :1])
+        spec = StratumSpec((20,))
+        n_total = 3 * _CHUNK
+        stream = RandomStream(94)
+        rep = two_stage_estimate(self.rows, dirs, spec, n_total, stream, "opt")
+
+        p = np.full(spec.total, 1 / spec.total)
+        n_pilot = max(round(0.1 * n_total), 2 * spec.total)
+        plans = []
+        for s in range(len(self.STRIKES)):
+            pilot = stratified_estimate(lambda z: self.rows(z)[s], dirs, spec,
+                                        equal_allocation(p, n_pilot),
+                                        stream.child(1))
+            plans.append(optimal_allocation(p, pilot.stratum_sigmas,
+                                            n_total - n_pilot).n)
+        plans = np.array(plans)
+        assert len({tuple(n) for n in plans}) == len(self.STRIKES)
+        np.testing.assert_array_equal(rep.stratum_counts, plans)
+        np.testing.assert_array_equal(rep.n_samples, n_total)
+
+        strata, vals, _ = self.pool_values(self.rows, dirs, spec,
+                                           plans.max(axis=0), stream.child(2))
+        for s, n in enumerate(plans):
+            means = [vals[s][strata == k][:n[k]].mean() for k in range(spec.total)]
+            assert rep.price[s] == pytest.approx(np.sum(means), rel=1e-12)
+            np.testing.assert_allclose(rep.stratum_means[s], means, rtol=1e-12)
+
+    def test_emptiness_is_decided_on_each_rows_own_draws(self):
+        # nearly parallel directions leave corner boxes partly reachable; a
+        # row that stops before a box's first unreachable draw keeps the box
+        theta = np.radians(5.0)
+        dirs = DirectionSet(np.column_stack([[1.0, 0.0, 0.0],
+                                             [np.cos(theta), np.sin(theta), 0.0]]))
+        spec = StratumSpec((6, 6))
+        p = np.full(spec.total, 1 / spec.total)
+        small = equal_allocation(p, 3 * spec.total)
+        large = equal_allocation(p, 60 * spec.total)
+        ev = lambda z: np.stack([np.exp(z[:, 0]), np.exp(0.5 * z[:, 1])])
+        rep = stratified_estimate(ev, dirs, spec, [small, large], RandomStream(95))
+
+        strata, vals, weight = self.pool_values(ev, dirs, spec, large.n,
+                                                RandomStream(95))
+        for s, plan in enumerate((small, large)):
+            for k in range(spec.total):
+                mine = slice(0, plan.n[k])
+                w = weight[strata == k][mine]
+                assert rep.stratum_empty[s, k] == np.any(w == 0.0)
+                if not rep.stratum_empty[s, k]:
+                    assert rep.stratum_means[s, k] == pytest.approx(
+                        vals[s][strata == k][mine].mean(), rel=1e-12)
+        # the case is exercised: some box is empty for one row only
+        assert np.any(rep.stratum_empty[0] != rep.stratum_empty[1])
+        np.testing.assert_array_equal(rep.stratum_counts,
+                                      np.where(rep.stratum_empty, 0,
+                                               [small.n, large.n]))
+        assert rep.n_samples == int(rep.stratum_counts.max(axis=0).sum())
+
+
 class TestLhsEstimator:
     def test_additive_payoff_collapses(self):
         d = 5
