@@ -68,13 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     config = load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        config.out = args.out
-    if getattr(args, "format", None) is not None:
-        config.format = args.format
-    config.validate()
+    for name in ("seed", "out", "format"):
+        if getattr(args, name) is not None:
+            setattr(config, name, getattr(args, name))
     return config
 
 

@@ -160,11 +160,12 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
         raise StratMcError("induced path hit zero inside the horizon")
     alpha = 1.0 - params.alpha * dt \
         + 0.5 * params.sigma * np.sqrt(dt / inner) * zhat[1:]
-    w = np.zeros((n, n))
-    for m in range(n):
-        w[m, m] = beta[m]
-        for j in range(m, n - 1):
-            w[m, j + 1] = alpha[j] * w[m, j]
+    # w[m, j] = beta[m] alpha[m] ... alpha[j-1], a running product along row
+    # m taken left to right, as the recurrence takes it
+    j = np.arange(n)
+    steps = np.where(j > j[:, None], np.r_[1.0, alpha], 1.0)
+    np.fill_diagonal(steps, beta)
+    w = np.triu(np.cumprod(steps, axis=1))
     t = w.sum(axis=1)
     return LtCirWorkspace(path=s, alpha=alpha, beta=beta, w=w, t=t)
 

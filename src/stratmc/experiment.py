@@ -29,11 +29,10 @@ from .models import BsParams, CirParams
 from .payoffs import KINDS, PayoffSpec, payoff_evaluator
 from .presets import payoff_for, uniform_weights
 from .stratify import (
-    _N_MIN,
-    _pilot_size,
     DirectionSet,
     StratumSpec,
     lhs_estimate,
+    min_budget,
     plain_mc_estimate,
     two_stage_estimate,
 )
@@ -63,36 +62,26 @@ _DIR_STREAM_INDEX = 0x517A7
 
 @dataclass
 class ExperimentConfig:
-    model: str
-    bs: BsParams | None = None
-    cir: CirParams | None = None
+    params: BsParams | CirParams
     payoffs: list[PayoffSpec] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
     allocs: list[str] = field(default_factory=lambda: ["opt"])
     strata: int = 100
     n_samples: int = 100_000
-    pilot_fraction: float = 0.1
     lhs_replications: int = 30
     seed: int = 0
     out: str | None = None
     format: str = "csv"
 
     @property
-    def params(self) -> BsParams | CirParams:
-        """The parameters of the configured model."""
-        return self.bs if self.model == "bs" else self.cir
-
-    @property
-    def dim(self) -> int:
-        return self.bs.dim if self.model == "bs" else self.cir.n_steps
+    def model(self) -> str:
+        """The configured model's kind, "bs" or "cir"."""
+        return "bs" if isinstance(self.params, BsParams) else "cir"
 
     def validate(self):
-        if self.model not in ("bs", "cir"):
-            raise ConfigInvalid(f"model.kind: unknown model {self.model!r}")
-        if self.model == "bs" and self.bs is None:
-            raise ConfigInvalid("model: missing BS parameters")
-        if self.model == "cir" and self.cir is None:
-            raise ConfigInvalid("model: missing CIR parameters")
+        if not isinstance(self.params, (BsParams, CirParams)):
+            raise ConfigInvalid("model: params must be BsParams or CirParams, "
+                                f"not {type(self.params).__name__}")
         if not self.payoffs:
             raise ConfigInvalid("payoff: at least one contract is required")
         model_engines = engines(self.params)
@@ -112,26 +101,20 @@ class ExperimentConfig:
             raise ConfigInvalid("run.alloc: need at least one rule")
         if self.strata < 1:
             raise ConfigInvalid("run.strata must be >= 1")
-        if self.n_samples < self.strata * _N_MIN:
+        if self.n_samples < min_budget(self.strata, "const"):
             raise ConfigInvalid("run.n_samples must cover n_min per stratum")
         if self.strata < 4 and any(len(engines) * count == 2 for engines, count
                                    in map(_method_parts, self.methods)):
             raise ConfigInvalid("run.strata must be >= 4 for two-direction methods")
-        if not 0.0 < self.pilot_fraction < 1.0:
-            raise ConfigInvalid("run.pilot_fraction must lie in (0, 1)")
-        if "opt" in self.allocs:
-            for m in self.methods:
-                names, count = _method_parts(m)
-                if not names:
-                    continue
-                k = _stratum_spec(self, len(names) * count).total
-                n_main = self.n_samples - _pilot_size(
-                    self.n_samples, k, self.pilot_fraction)
-                if n_main < _N_MIN * k:
-                    raise ConfigInvalid(
-                        f"run.n_samples: {m}/opt over {k} strata leaves "
-                        f"{n_main} draws after its pilot, fewer than "
-                        f"{_N_MIN} per stratum")
+        for m in self.methods:
+            names, count = _method_parts(m)
+            k = _stratum_spec(self, len(names) * count).total
+            if names and "opt" in self.allocs and \
+                    self.n_samples < min_budget(k, "opt"):
+                raise ConfigInvalid(
+                    f"run.n_samples: {m}/opt over {k} strata needs "
+                    f"{min_budget(k, 'opt')} draws to keep n_min per "
+                    f"stratum after its pilot")
         if "lhs" in self.methods:
             if self.lhs_replications < 2:
                 raise ConfigInvalid("run.lhs_replications must be >= 2")
@@ -141,7 +124,7 @@ class ExperimentConfig:
             raise ConfigInvalid(f"output.format: unknown format {self.format!r}")
         if self.model == "bs":
             for p in self.payoffs:
-                if p.kind != "asian-basket" and self.bs.n_assets != 1:
+                if p.kind != "asian-basket" and self.params.n_assets != 1:
                     raise ConfigInvalid("payoff: barrier contracts are single-asset")
 
 
@@ -180,6 +163,35 @@ def _floats(raw: str) -> list[float]:
         raise ConfigInvalid(f"could not parse number list {raw!r}") from exc
 
 
+def _words(raw: str) -> list[str]:
+    """A comma-separated list, lower-cased, empty entries dropped."""
+    return [tok.strip().lower() for tok in raw.split(",") if tok.strip()]
+
+
+# the INI grammar: the keys of [model] (one set per kind) and [payoff], and
+# for [run] and [output] each key's ExperimentConfig field and parser; a key
+# the file leaves out keeps the field's default
+_MODEL_KEYS = {
+    "bs": ("kind", "s0", "sigma", "rho", "rate", "steps", "maturity"),
+    "cir": ("kind", "s0", "alpha", "mu", "sigma", "rate", "steps", "maturity"),
+}
+_PAYOFF_KEYS = ("kind", "strike", "barrier")
+_SETTINGS = {
+    "run": {"methods": ("methods", _words), "alloc": ("allocs", _words),
+            "strata": ("strata", int), "n_samples": ("n_samples", int),
+            "lhs_replications": ("lhs_replications", int),
+            "seed": ("seed", int)},
+    "output": {"path": ("out", str), "format": ("format", str.lower)},
+}
+
+
+def _check_keys(section, name: str, known) -> None:
+    for key in section:
+        if key not in known:
+            raise ConfigInvalid(f"{name}.{key}: unknown key (known: "
+                                f"{', '.join(known)})")
+
+
 def _get(section, key, cast, default=None, name=""):
     if key not in section:
         if default is not None:
@@ -187,68 +199,62 @@ def _get(section, key, cast, default=None, name=""):
         raise ConfigInvalid(f"{name}.{key} is required")
     try:
         return cast(section[key])
-    except ConfigInvalid:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, configparser.Error) as exc:
         raise ConfigInvalid(f"{name}.{key}: {exc}") from exc
 
 
-def _parse_model(section) -> tuple[str, BsParams | CirParams]:
+def _parse_model(section) -> BsParams | CirParams:
     kind = _get(section, "kind", str, name="model").strip().lower()
-    if kind == "bs":
-        s0 = _floats(_get(section, "s0", str, name="model"))
-        sigma = _floats(_get(section, "sigma", str, name="model"))
-        m = len(s0)
-        if m == 0:
-            raise ConfigInvalid("model.s0 needs at least one value")
-        if len(sigma) == 1 and m > 1:
-            sigma = sigma * m
-        rho = _get(section, "rho", _number, default=0.0, name="model")
-        steps = _get(section, "steps", int, name="model")
-        maturity = _get(section, "maturity", _number, default=1.0, name="model")
-        rate = _get(section, "rate", _number, default=0.0, name="model")
-        if steps < 1:
-            raise ConfigInvalid("model.steps must be >= 1")
-        # a common correlation rho gives a positive-definite matrix exactly
-        # for -1/(m-1) < rho < 1
-        if m > 1 and not -1.0 / (m - 1) < rho < 1.0:
-            raise ConfigInvalid(
-                f"model.rho = {rho} must lie in ({-1.0 / (m - 1):g}, 1) "
-                f"for {m} assets")
-        corr = np.full((m, m), rho)
-        np.fill_diagonal(corr, 1.0)
-        grid = np.arange(1, steps + 1) * (maturity / steps)
-        try:
-            params = BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate,
-                              grid=grid, weights=uniform_weights(m, steps))
-        except (ValueError, StratMcError) as exc:
-            raise ConfigInvalid(f"model: {exc}") from exc
-        return "bs", params
+    if kind not in _MODEL_KEYS:
+        raise ConfigInvalid(f"model.kind: unknown model {kind!r}")
+    _check_keys(section, "model", _MODEL_KEYS[kind])
+    steps = _get(section, "steps", int, name="model")
+    maturity = _get(section, "maturity", _number, default=1.0, name="model")
+    rate = _get(section, "rate", _number, default=0.0, name="model")
+    if steps < 1:
+        raise ConfigInvalid("model.steps must be >= 1")
     if kind == "cir":
         try:
-            params = CirParams(
+            return CirParams(
                 s0=_get(section, "s0", _number, name="model"),
                 alpha=_get(section, "alpha", _number, name="model"),
                 mu=_get(section, "mu", _number, name="model"),
                 sigma=_get(section, "sigma", _number, name="model"),
-                rate=_get(section, "rate", _number, default=0.0, name="model"),
-                n_steps=_get(section, "steps", int, name="model"),
-                maturity=_get(section, "maturity", _number, default=1.0, name="model"),
-            )
+                rate=rate, n_steps=steps, maturity=maturity)
         except (ValueError, StratMcError) as exc:
             raise ConfigInvalid(f"model: {exc}") from exc
-        return "cir", params
-    raise ConfigInvalid(f"model.kind: unknown model {kind!r}")
+    s0 = _floats(_get(section, "s0", str, name="model"))
+    sigma = _floats(_get(section, "sigma", str, name="model"))
+    m = len(s0)
+    if m == 0:
+        raise ConfigInvalid("model.s0 needs at least one value")
+    if len(sigma) == 1 and m > 1:
+        sigma = sigma * m
+    rho = _get(section, "rho", _number, default=0.0, name="model")
+    # a common correlation rho gives a positive-definite matrix exactly
+    # for -1/(m-1) < rho < 1
+    if m > 1 and not -1.0 / (m - 1) < rho < 1.0:
+        raise ConfigInvalid(
+            f"model.rho = {rho} must lie in ({-1.0 / (m - 1):g}, 1) "
+            f"for {m} assets")
+    corr = np.full((m, m), rho)
+    np.fill_diagonal(corr, 1.0)
+    grid = np.arange(1, steps + 1) * (maturity / steps)
+    try:
+        return BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate, grid=grid,
+                        weights=uniform_weights(m, steps))
+    except (ValueError, StratMcError) as exc:
+        raise ConfigInvalid(f"model: {exc}") from exc
 
 
 def _parse_payoffs(section, params: BsParams | CirParams) -> list[PayoffSpec]:
+    _check_keys(section, "payoff", _PAYOFF_KEYS)
     kind = _get(section, "kind", str, name="payoff").strip().lower()
     if kind not in KINDS:
         raise ConfigInvalid(f"payoff.kind: unknown kind {kind!r}")
     strikes = _floats(_get(section, "strike", str, name="payoff"))
-    barrier = None
-    if "barrier" in section:
-        barrier = _get(section, "barrier", _number, name="payoff")
+    barrier = (_get(section, "barrier", _number, name="payoff")
+               if "barrier" in section else None)
     try:
         return [payoff_for(params, k, kind, barrier) for k in strikes]
     except ValueError as exc:
@@ -260,8 +266,8 @@ def load_config(path: str) -> ExperimentConfig:
 
     Sections: [model] (kind = bs|cir plus parameters), [payoff]
     (kind/strike/barrier), [run] (methods, alloc, strata, n_samples,
-    pilot_fraction, lhs_replications, seed), [output]
-    (path, format).  See the README for the full grammar.
+    lhs_replications, seed), [output] (path, format).  An unknown section
+    or key is a ConfigInvalid.  See the README for the full grammar.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -270,29 +276,21 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigInvalid(f"{path}: {exc}") from exc
     if not read:
         raise ConfigInvalid(f"could not read config file {path!r}")
+    # sections() leaves out [DEFAULT], whose keys would reach every section
+    for name in parser.sections() + ["DEFAULT"] * bool(parser.defaults()):
+        if name not in ("model", "payoff", *_SETTINGS):
+            raise ConfigInvalid(f"[{name}]: unknown section")
     if "model" not in parser or "payoff" not in parser:
         raise ConfigInvalid("config needs [model] and [payoff] sections")
-    model, params = _parse_model(parser["model"])
+    params = _parse_model(parser["model"])
     payoffs = _parse_payoffs(parser["payoff"], params)
-    run = parser["run"] if "run" in parser else {}
-    methods = [tok.strip().lower() for tok in
-               _get(run, "methods", str, default="mc", name="run").split(",")
-               if tok.strip()]
-    allocs = [tok.strip().lower() for tok in
-              _get(run, "alloc", str, default="opt", name="run").split(",")
-              if tok.strip()]
-    output = parser["output"] if "output" in parser else {}
-    config = ExperimentConfig(
-        model=model, **{model: params}, payoffs=payoffs,
-        methods=methods, allocs=allocs,
-        strata=_get(run, "strata", int, default=100, name="run"),
-        n_samples=_get(run, "n_samples", int, default=100_000, name="run"),
-        pilot_fraction=_get(run, "pilot_fraction", _number, default=0.1, name="run"),
-        lhs_replications=_get(run, "lhs_replications", int, default=30, name="run"),
-        seed=_get(run, "seed", int, default=0, name="run"),
-        out=output.get("path"),
-        format=output.get("format", "csv").strip().lower(),
-    )
+    settings = {}
+    for name, keys in _SETTINGS.items():
+        section = parser[name] if name in parser else {}
+        _check_keys(section, name, keys)
+        settings.update((attr, _get(section, key, cast, name=name))
+                        for key, (attr, cast) in keys.items() if key in section)
+    config = ExperimentConfig(params=params, payoffs=payoffs, **settings)
     config.validate()
     return config
 
@@ -357,13 +355,9 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     config.validate()
     root = RandomStream(config.seed)
     dir_stream = root.child(_DIR_STREAM_INDEX)
-    dim = config.dim
     params = config.params
+    dim = params.dim
 
-    directions: dict[str, DirectionSet] = {}
-    for method in config.methods:
-        if method not in ("mc", "lhs"):
-            directions[method] = build_directions(config, method, dir_stream)
     # LHS is rotated by the full LT matrix
     rotation = (engines(params)["lt"](dim).columns
                 if "lhs" in config.methods else None)
@@ -396,13 +390,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                config.lhs_replications, cell_base)
             cells.append(cell_rows("lhs", "-", rep, 1))
             continue
-        dirs = directions[method]
+        dirs = build_directions(config, method, dir_stream)
         strat_spec = _stratum_spec(config, dirs.count)
         for alloc in config.allocs:
             rep = two_stage_estimate(
                 evaluator, dirs, strat_spec, config.n_samples,
-                cell_base.child(ALLOCS.index(alloc)), allocation=alloc,
-                pilot_fraction=config.pilot_fraction)
+                cell_base.child(ALLOCS.index(alloc)), allocation=alloc)
             cells.append(cell_rows(method, alloc, rep, strat_spec.total,
                                    dirs.count))
     # one block of rows per contract, in the table's contract order

@@ -127,6 +127,10 @@ class CirParams:
     def dt(self) -> float:
         return self.maturity / self.n_steps
 
+    @property
+    def dim(self) -> int:
+        return self.n_steps
+
 
 @dataclass
 class PathMatrix:

@@ -36,6 +36,7 @@ __all__ = [
     "equal_allocation",
     "stratified_estimate",
     "two_stage_estimate",
+    "min_budget",
     "plain_mc_estimate",
     "lhs_estimate",
 ]
@@ -51,6 +52,8 @@ _MC_CHUNK = 200_000
 # fewest draws a reachable stratum gets in any stage: two give a
 # within-stratum variance estimate
 _N_MIN = 2
+# share of an opt cell's budget spent on its pilot stage
+_PILOT_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -382,24 +385,25 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     )
 
 
-def _pilot_size(n_total: int, n_strata: int, pilot_fraction: float) -> int:
-    """Draws of an opt cell's pilot stage: pilot_fraction of the budget,
-    and at least _N_MIN per stratum."""
-    return max(int(round(pilot_fraction * n_total)), _N_MIN * n_strata)
+def min_budget(n_strata: int, allocation: str) -> int:
+    """Fewest draws two_stage_estimate accepts over n_strata strata: _N_MIN
+    per stratum in each stage, one stage for "const" and two for "opt" (its
+    pilot takes max(_PILOT_FRACTION n, _N_MIN n_strata) of the n draws)."""
+    return _N_MIN * n_strata * {"const": 1, "opt": 2}[allocation]
 
 
 def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                        n_total: int, stream: RandomStream,
-                       allocation: str = "opt",
-                       pilot_fraction: float = 0.1) -> EstimateReport:
+                       allocation: str = "opt") -> EstimateReport:
     """Stratified estimate under the constant or the two-stage optimal rule.
 
     "const": every reachable stratum gets an equal share of n_total in one
-    stage.  "opt": a pilot stage (pilot_fraction of the budget, equal
+    stage.  "opt": a pilot stage (_PILOT_FRACTION of the budget, equal
     allocation) estimates the per-stratum stds, the remaining budget is
     allocated proportionally to p_k * sigma_hat_k, and the reported price
     and variance come from the main stage alone.  n_samples counts the
-    draws that enter the estimate, the pilot's included.
+    draws that enter the estimate, the pilot's included.  A budget below
+    min_budget(spec.total, allocation) raises ValueError.
 
     For an evaluator with S rows the pilot is shared and each row gets its
     own allocation from its own stds; the main stage draws one pool, of
@@ -408,6 +412,10 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     """
     t0 = time.perf_counter()
     n_strata = spec.total
+    if allocation not in ("const", "opt"):
+        raise ValueError(f"unknown allocation rule: {allocation!r}")
+    if n_total < min_budget(n_strata, allocation):
+        raise ValueError(f"budget too small for {allocation} over {n_strata} strata")
     # the estimator variance is sum_k s_k^2 / n_k, with s_k the std of
     # weight * g (the weight carries p_k), and n_k proportional to s_k
     # minimizes it; a uniform p makes the optimal rule exactly that, and
@@ -420,13 +428,9 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                                      stream.child(1))
         report.wall_time = time.perf_counter() - t0
         return report
-    if allocation != "opt":
-        raise ValueError(f"unknown allocation rule: {allocation!r}")
 
-    n_pilot = _pilot_size(n_total, n_strata, pilot_fraction)
+    n_pilot = max(int(round(_PILOT_FRACTION * n_total)), _N_MIN * n_strata)
     n_main = n_total - n_pilot
-    if n_main < _N_MIN * n_strata:
-        raise ValueError("budget too small for a two-stage run")
     pilot_plan = equal_allocation(p, n_pilot)
     pilot = stratified_estimate(evaluator, directions, spec, pilot_plan,
                                 stream.child(1))

@@ -1,6 +1,8 @@
 """Smoke test: the narrative demos and the README's quick start, which use
-the library's public API, run to completion; the single-contract demo
-configs reproduce their recorded tables byte for byte."""
+the library's public API, run to completion; every demo config reproduces
+its recorded table byte for byte; the README's config grammar lists the
+keys the parser accepts."""
+import configparser
 import os
 import subprocess
 import sys
@@ -9,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from stratmc import parse_csv
+from stratmc.experiment import _MODEL_KEYS, _PAYOFF_KEYS, _SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 # tables recorded with `stratmc experiment --config demos/configs/<name>.ini
 # --seed 42`; a change that moves their bytes must say why
-GOLDEN = ("basket", "bs_barrier", "cir_asian")
+GOLDEN = ("basket", "bs_asian", "bs_barrier", "cir_asian")
 
 
 def run(*args):
@@ -49,3 +52,15 @@ def test_readme_quick_start(capsys):
     mc, la, lhs = parse_csv(capsys.readouterr().out)
     assert (mc.method, la.method, lhs.method) == ("mc", "la", "lhs")
     assert la.variance < mc.variance / 100.0  # the README quotes ~700x
+
+
+def test_readme_grammar_lists_the_accepted_keys():
+    # [model] lists the keys of both kinds
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config files", 1)[1]
+    grammar = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    grammar.read_string(section.split("```ini\n", 1)[1].split("```", 1)[0])
+    accepted = {"model": set().union(*_MODEL_KEYS.values()),
+                "payoff": set(_PAYOFF_KEYS),
+                **{name: set(keys) for name, keys in _SETTINGS.items()}}
+    assert {name: set(grammar[name]) for name in grammar.sections()} == accepted

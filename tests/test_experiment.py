@@ -6,6 +6,7 @@ deterministic time_ratio column follows directly from the operation counts
 (mc 1.0, lhs 2.0, one extra projection per direction otherwise).
 """
 import json
+import re
 import tempfile
 import time
 import textwrap
@@ -22,6 +23,7 @@ from stratmc import (
     ConfigInvalid,
     ExperimentConfig,
     RandomStream,
+    StratMcError,
     build_directions,
     bs_asian_params,
     bs_gradient,
@@ -35,7 +37,7 @@ from stratmc import (
     run_experiment,
 )
 from stratmc.cli import main
-from stratmc.payoffs import PayoffSpec
+from stratmc.payoffs import KINDS, PayoffSpec
 from stratmc.presets import payoff_for, uniform_weights
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -46,7 +48,7 @@ def small_bs_config(**overrides) -> ExperimentConfig:
     spec = PayoffSpec(kind="asian-basket", strike=50.0, barrier=None,
                       weights=params.weights,
                       discount=float(np.exp(-params.rate * params.grid[-1])))
-    base = dict(model="bs", bs=params, payoffs=[spec], methods=["la"],
+    base = dict(params=params, payoffs=[spec], methods=["la"],
                 allocs=["opt"], strata=20, n_samples=4000,
                 lhs_replications=10, seed=11)
     base.update(overrides)
@@ -58,7 +60,7 @@ def small_cir_config(**overrides) -> ExperimentConfig:
     spec = PayoffSpec(kind="asian-basket", strike=100.0, barrier=None,
                       weights=uniform_weights(1, params.n_steps),
                       discount=float(np.exp(-params.rate * params.maturity)))
-    base = dict(model="cir", cir=params, payoffs=[spec], methods=["la"],
+    base = dict(params=params, payoffs=[spec], methods=["la"],
                 strata=20, n_samples=4000, seed=5)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -231,8 +233,8 @@ class TestBuildDirections:
         # gradient, bit for bit
         bs, cir = small_bs_config(), small_cir_config()
         for config, grad in (
-                (bs, bs_gradient(bs.bs, np.zeros(bs.dim))),
-                (cir, cir_workspace(cir.cir, np.zeros(cir.dim)).t)):
+                (bs, bs_gradient(bs.params, np.zeros(bs.params.dim))),
+                (cir, cir_workspace(cir.params, np.zeros(cir.params.dim)).t)):
             np.testing.assert_array_equal(
                 build_directions(config, "la", RandomStream(0)).columns[:, 0],
                 normalize_sign(grad / float(np.linalg.norm(grad))))
@@ -307,6 +309,13 @@ class TestTables:
             format_rows([])
 
 
+def load_text(text: str) -> ExperimentConfig:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.ini"
+        path.write_text(text)
+        return load_config(str(path))
+
+
 BS_INI = """\
 [model]
 kind = bs
@@ -330,6 +339,27 @@ seed = 7
 [output]
 format = json
 """
+CIR_INI = textwrap.dedent("""\
+    [model]
+    kind = cir
+    s0 = 100
+    alpha = 1.5
+    mu = 100
+    sigma = 8
+    steps = 8
+    """) + BS_INI[BS_INI.index("[payoff]"):]
+# configs with a key or section outside the grammar, and the name each
+# error message must give
+UNKNOWN_NAMES = {
+    "unknown-run-key": (BS_INI.replace("seed = 7", "seed = 7\nn_sample = 5000"),
+                        "run.n_sample"),
+    "removed-key": (BS_INI.replace("seed = 7", "seed = 7\npilot_fraction = 0.2"),
+                    "run.pilot_fraction"),
+    "unknown-section": (BS_INI.replace("[run]", "[runs]"), "[runs]"),
+    "rho-on-cir": (CIR_INI.replace("steps = 8", "steps = 8\nrho = 0.2"),
+                   "model.rho"),
+    "default-section": ("[DEFAULT]\nseed = 3\n" + BS_INI, "[DEFAULT]"),
+}
 
 
 class TestLoadConfig:
@@ -338,7 +368,7 @@ class TestLoadConfig:
         path.write_text(BS_INI)
         config = load_config(str(path))
         assert config.model == "bs"
-        assert config.bs.rate == 0.05  # inline comment stripped
+        assert config.params.rate == 0.05  # inline comment stripped
         assert [p.strike for p in config.payoffs] == [45.0, 50.0, 55.0]
         assert config.methods == ["mc", "la"]
         assert config.strata == 10
@@ -366,8 +396,8 @@ class TestLoadConfig:
             """))
         config = load_config(str(path))
         assert config.model == "cir"
-        assert config.cir.n_steps == 64
-        assert config.methods == ["mc"]  # default
+        assert config.params.n_steps == 64
+        assert config.methods == []  # default; the mc row is always priced
 
     def test_multi_asset_with_common_correlation(self, tmp_path):
         path = tmp_path / "basket.ini"
@@ -384,9 +414,9 @@ class TestLoadConfig:
             strike = 55
             """))
         config = load_config(str(path))
-        assert config.bs.n_assets == 2
-        np.testing.assert_array_equal(config.bs.sigma, [0.3, 0.3])
-        assert config.bs.corr[0][1] == 0.2
+        assert config.params.n_assets == 2
+        np.testing.assert_array_equal(config.params.sigma, [0.3, 0.3])
+        assert config.params.corr[0][1] == 0.2
 
     def test_basket_without_rho_is_uncorrelated(self, tmp_path):
         text = (DEMOS / "configs" / "basket.ini").read_text()
@@ -394,9 +424,15 @@ class TestLoadConfig:
         path.write_text("".join(ln for ln in text.splitlines(keepends=True)
                                 if not ln.startswith("rho")))
         config = load_config(str(path))
-        np.testing.assert_array_equal(config.bs.corr, np.eye(5))
+        np.testing.assert_array_equal(config.params.corr, np.eye(5))
         assert main(["experiment", "--config", str(path),
                      "--out", str(tmp_path / "table.csv")]) == 0
+
+    @pytest.mark.parametrize("text, name", UNKNOWN_NAMES.values(),
+                             ids=UNKNOWN_NAMES.keys())
+    def test_unknown_key_or_section_is_named(self, text, name):
+        with pytest.raises(ConfigInvalid, match=re.escape(name)):
+            load_text(text)
 
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -441,23 +477,25 @@ BASE_MODEL = {
 }
 BASE_REST = {
     "payoff": {"kind": "asian-basket", "strike": "50", "barrier": "60"},
-    "run": {"methods": "mc, la, two-dir-la, lhs", "strata": "16",
-            "n_samples": "2000", "pilot_fraction": "0.1",
-            "lhs_replications": "10", "seed": "1"},
+    "run": {"methods": "mc, la, lt, two-dir-la, lhs", "alloc": "const, opt",
+            "strata": "16", "n_samples": "2000", "lhs_replications": "10",
+            "seed": "1"},
 }
 
 
 @st.composite
 def ini_texts(draw):
-    """A valid config with up to four numeric values replaced or removed."""
+    """A valid config of any model and payoff kind with up to four numeric
+    values replaced or removed."""
     model = draw(st.sampled_from(sorted(BASE_MODEL)))
     sections = {"model": dict(BASE_MODEL[model]),
                 **{name: dict(keys) for name, keys in BASE_REST.items()}}
     if model == "bs":
         sections["model"]["s0"] = draw(st.sampled_from(["50", "50 60",
                                                         "40 50 60"]))
+    sections["payoff"]["kind"] = draw(st.sampled_from(KINDS))
     numeric = sorted((name, key) for name, keys in sections.items()
-                     for key in keys if key not in ("kind", "methods"))
+                     for key in keys if key not in ("kind", "methods", "alloc"))
     edits = draw(st.dictionaries(st.sampled_from(numeric),
                                  st.one_of(st.none(), VALUES), max_size=4))
     for (name, key), value in edits.items():
@@ -474,15 +512,25 @@ def ini_texts(draw):
 def test_load_config_accepts_or_rejects_as_config_error(text):
     # a config either loads or is rejected as ConfigInvalid (exit 2);
     # a loaded lognormal model always has its path factor
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "exp.ini"
-        path.write_text(text)
-        try:
-            config = load_config(str(path))
-        except ConfigInvalid:
-            return
+    try:
+        config = load_text(text)
+    except ConfigInvalid:
+        return
     if config.model == "bs":
-        assert config.bs.factor.shape == (config.dim, config.dim)
+        assert config.params.factor.shape == (config.params.dim,
+                                              config.params.dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ini_texts())
+def test_run_experiment_prices_or_raises_stratmc_error(text):
+    # every cell of a tiny table prices to finite numbers, or the run fails
+    # as a StratMcError (exit 2 or 3); any other exception is a defect
+    try:
+        rows = run_experiment(load_text(text))
+    except StratMcError:
+        return
+    assert np.all(np.isfinite([(r.price, r.variance) for r in rows]))
 
 
 class TestCli:
@@ -534,10 +582,12 @@ class TestCli:
         BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 0.99999999999999"),
         BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
         BS_INI.replace("n_samples = 2000", "n_samples = 20"),
+        BS_INI.replace("strike = 45 50 55", "strike = 45%"),
+        *(text for text, _ in UNKNOWN_NAMES.values()),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
             "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite",
             "rho-numerically-singular", "sigma-numerically-singular",
-            "opt-pilot-takes-the-budget"])
+            "opt-pilot-takes-the-budget", "percent-in-value", *UNKNOWN_NAMES])
     def test_malformed_config_exit_code(self, tmp_path, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))

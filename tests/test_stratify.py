@@ -21,6 +21,7 @@ from stratmc import (
     StratumSpec,
     equal_allocation,
     lhs_estimate,
+    min_budget,
     optimal_allocation,
     plain_mc_estimate,
     sample_strata,
@@ -387,6 +388,22 @@ class TestEstimators:
         rep = two_stage_estimate(lambda z: z[:, 0] ** 2, dirs, spec, 1_000,
                                  RandomStream(68), "const")
         np.testing.assert_array_equal(rep.stratum_counts, np.full(5, 200))
+
+    @pytest.mark.parametrize("allocation", ["const", "opt"])
+    def test_min_budget_is_the_smallest_accepted(self, allocation):
+        # at min_budget every stage keeps two draws per stratum; one draw
+        # fewer is refused
+        dirs = self.v_first(2)
+        payoff = lambda z: z[:, 0] ** 2 + z[:, 1]
+        for k in (1, 5, 10, 37):
+            spec, n = StratumSpec((k,)), min_budget(k, allocation)
+            rep = two_stage_estimate(payoff, dirs, spec, n, RandomStream(k),
+                                     allocation)
+            assert rep.stratum_counts.min() >= 2
+            assert rep.n_samples == n
+            with pytest.raises(ValueError, match="budget too small"):
+                two_stage_estimate(payoff, dirs, spec, n - 1, RandomStream(k),
+                                   allocation)
 
     def test_estimate_matches_plain_mc(self):
         # cross-estimator agreement on a smooth payoff
