@@ -28,12 +28,7 @@ from .models import (
     cir_euler_path,
     cir_zero_noise_path,
 )
-from .payoffs import (
-    asian_barrier_complete,
-    asian_barrier_expiry,
-    asian_basket,
-    payoff_evaluator,
-)
+from .payoffs import evaluate, payoff_evaluator
 from .presets import (
     basket_params,
     bs_asian_params,
@@ -437,9 +432,9 @@ def _criterion_10():
     plain_spec = payoff_for(params, 50.0)
     e_spec = payoff_for(params, 50.0, "asian-barrier-expiry", 60.0)
     c_spec = payoff_for(params, 50.0, "asian-barrier-complete", 60.0)
-    plain = asian_basket(paths, plain_spec)
-    expiry = asian_barrier_expiry(paths, e_spec)
-    complete = asian_barrier_complete(paths, c_spec)
+    plain = evaluate(paths, plain_spec)
+    expiry = evaluate(paths, e_spec)
+    complete = evaluate(paths, c_spec)
     violations = int(np.sum(complete > expiry) + np.sum(expiry > plain))
     ok = violations == 0
     return ok, f"{violations} ordering violations over 10000 paths"

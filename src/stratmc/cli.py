@@ -15,15 +15,8 @@ import numpy as np
 
 from . import acceptance
 from .errors import ConfigInvalid, StratMcError
-from .experiment import (
-    _DIR_STREAM_INDEX,
-    build_directions,
-    format_rows,
-    load_config,
-    run_experiment,
-)
+from .experiment import direction_sets, format_rows, load_config, run_experiment
 from .directions import export_directions
-from .gaussian import RandomStream
 from .linalg import angle_degrees
 
 
@@ -76,11 +69,9 @@ def _load(args):
 
 def _cmd_directions(args) -> int:
     config = _load(args)
-    methods = [m for m in config.methods if m not in ("mc", "lhs")]
-    if not methods:
+    sets = direction_sets(config)
+    if not sets:
         raise ConfigInvalid("run.methods: no direction-based method selected")
-    stream = RandomStream(config.seed).child(_DIR_STREAM_INDEX)
-    sets = {m: build_directions(config, m, stream) for m in methods}
     for name, ds in sets.items():
         print(f"[{name}]  {ds.count} direction(s), dim {ds.dim}")
         for j in range(ds.count):

@@ -61,13 +61,36 @@ def pca_directions(sigma: np.ndarray, m: int) -> tuple[DirectionSet, float]:
     return DirectionSet(columns=cols), ratio
 
 
+def _lt_columns(expansion, count: int, dim: int) -> DirectionSet:
+    """The LT construction shared by both models: column p is the
+    first-order expansion column expansion(previous columns), projected
+    against the previous columns, normalized and sign-fixed."""
+    if not 1 <= count <= dim:
+        raise ValueError(f"column count must lie in 1..{dim}")
+    cols: list[np.ndarray] = []
+    for _ in range(count):
+        b = _project_out(expansion(cols), cols)
+        norm = float(np.linalg.norm(b))
+        if norm < 1e-12:
+            raise StratMcError("expansion column vanished after projection")
+        cols.append(normalize_sign(b / norm))
+    a_mat = np.column_stack(cols)
+    assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
+    return DirectionSet(columns=a_mat)
+
+
 # --- Black-Scholes -----------------------------------------------------------
+
+
+def _bs_expansion(params: BsParams, shift: np.ndarray) -> np.ndarray:
+    """C^T (e^mu * e^shift): the payoff gradient at the point whose
+    path-space shift is C eps = shift."""
+    return params.factor.T @ (params.coef * np.exp(params.drift + shift))
 
 
 def bs_gradient(params: BsParams, eps: np.ndarray) -> np.ndarray:
     """Gradient of g(eps) = sum_k exp(mu_k + (C eps)_k): C^T (e^mu * e^{C eps})."""
-    c = params.factor
-    return c.T @ (params.coef * np.exp(params.drift + c @ np.asarray(eps, float)))
+    return _bs_expansion(params, params.factor @ np.asarray(eps, float))
 
 
 def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
@@ -98,24 +121,10 @@ def lt_directions_bs(params: BsParams, count: int) -> DirectionSet:
     The first column therefore coincides with the LA direction.
     """
     c = params.factor
-    dim = params.dim
-    if not 1 <= count <= dim:
-        raise ValueError("column count must lie in 1..dim")
-    cols: list[np.ndarray] = []
-    shift = np.zeros(dim)
-    for _ in range(count):
-        u = params.coef * np.exp(params.drift + shift)
-        b = c.T @ u
-        b = _project_out(b, cols)
-        norm = float(np.linalg.norm(b))
-        if norm < 1e-12:
-            raise StratMcError("expansion column vanished after projection")
-        a = normalize_sign(b / norm)
-        cols.append(a)
-        shift += c @ a
-    a_mat = np.column_stack(cols)
-    assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
-    return DirectionSet(columns=a_mat)
+    return _lt_columns(
+        lambda cols: _bs_expansion(
+            params, sum((c @ a for a in cols), np.zeros(params.dim))),
+        count, params.dim)
 
 
 # --- CIR ---------------------------------------------------------------------
@@ -177,21 +186,12 @@ def lt_directions_cir(params: CirParams, count: int) -> DirectionSet:
     leading ones, so column 1 sits near, not on, the LA direction.
     """
     n = params.n_steps
-    if not 1 <= count <= n:
-        raise ValueError("column count must lie in 1..n_steps")
-    cols: list[np.ndarray] = []
-    for el in range(1, count + 1):
+
+    def expansion(cols):
         zhat = np.zeros(n)
-        zhat[:el] = 1.0
-        ws = cir_workspace(params, zhat)
-        b = _project_out(ws.t.copy(), cols)
-        norm = float(np.linalg.norm(b))
-        if norm < 1e-12:
-            raise StratMcError("expansion column vanished after projection")
-        cols.append(normalize_sign(b / norm))
-    a_mat = np.column_stack(cols)
-    assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
-    return DirectionSet(columns=a_mat)
+        zhat[:len(cols) + 1] = 1.0
+        return cir_workspace(params, zhat).t
+    return _lt_columns(expansion, count, n)
 
 
 def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:

@@ -45,6 +45,7 @@ __all__ = [
     "load_config",
     "run_experiment",
     "build_directions",
+    "direction_sets",
     "format_rows",
     "parse_csv",
 ]
@@ -122,10 +123,13 @@ class ExperimentConfig:
                 raise ConfigInvalid("run.n_samples too small for the LHS replications")
         if self.format not in ("csv", "json"):
             raise ConfigInvalid(f"output.format: unknown format {self.format!r}")
-        if self.model == "bs":
-            for p in self.payoffs:
-                if p.kind != "asian-basket" and self.params.n_assets != 1:
-                    raise ConfigInvalid("payoff: barrier contracts are single-asset")
+        grid = ((self.params.n_assets, self.params.n_dates)
+                if self.model == "bs" else (1, self.params.n_steps))
+        for p in self.payoffs:
+            if p.weights.shape != grid:
+                raise ConfigInvalid(
+                    f"payoff: averaging weights of shape {p.weights.shape} do "
+                    f"not match the {self.model} model's grid {grid}")
 
 
 @dataclass
@@ -322,6 +326,14 @@ def build_directions(config: ExperimentConfig, method: str,
         [model_engines[name](count).columns for name in names]))
 
 
+def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
+    """{method: DirectionSet} for every direction-based method of the
+    config, drawn from the substream reserved for direction engines."""
+    stream = RandomStream(config.seed).child(_DIR_STREAM_INDEX)
+    return {m: build_directions(config, m, stream)
+            for m in config.methods if m not in ("mc", "lhs")}
+
+
 def _stratum_spec(config: ExperimentConfig, n_dirs: int) -> StratumSpec:
     if n_dirs == 2:
         side = int(math.isqrt(config.strata))
@@ -344,17 +356,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     Every contract of the table is priced from the same draws (common
     random numbers): each cell runs one estimator over all contracts at
-    once, from a fixed child of substream root.child(1), and direction
-    engines draw from a reserved substream, so results never depend on
-    which cells are selected.  A contract's mc, lhs and const rows depend on
-    its own contract only; an opt row also depends on the table's strike
-    list, because the main stage draws one pool sized by every contract's
-    allocation.  A cell charges each of its rows an equal share of its wall
-    time.  Deterministic for a fixed seed.
+    once, from a fixed child of the seed's substream 1, and direction
+    engines draw from a reserved substream (direction_sets), so results
+    never depend on which cells are selected.  A contract's mc, lhs and
+    const rows depend on its own contract only; an opt row also depends on
+    the table's strike list, because the main stage draws one pool sized by
+    every contract's allocation.  A cell charges each of its rows an equal
+    share of its wall time.  Deterministic for a fixed seed.
     """
     config.validate()
-    root = RandomStream(config.seed)
-    dir_stream = root.child(_DIR_STREAM_INDEX)
     params = config.params
     dim = params.dim
 
@@ -363,7 +373,8 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 if "lhs" in config.methods else None)
 
     specs = config.payoffs
-    table_stream = root.child(1)
+    table_stream = RandomStream(config.seed).child(1)
+    directions = direction_sets(config)
     evaluator = payoff_evaluator(params, specs)
 
     def cell_rows(method, alloc, rep, strata, n_dirs=0):
@@ -390,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                config.lhs_replications, cell_base)
             cells.append(cell_rows("lhs", "-", rep, 1))
             continue
-        dirs = build_directions(config, method, dir_stream)
+        dirs = directions[method]
         strat_spec = _stratum_spec(config, dirs.count)
         for alloc in config.allocs:
             rep = two_stage_estimate(

@@ -1,7 +1,7 @@
-"""Discounted payoff evaluators for the three contract families.
+"""The discounted payoff of the three contract families.
 
-All evaluators accept a PathMatrix or a raw array shaped (..., M, N) and
-return discounted payoffs with the leading batch shape.  Barrier knock-out
+evaluate accepts a PathMatrix or a raw array shaped (..., M, N) and
+returns discounted payoffs with the leading batch shape.  Barrier knock-out
 uses strict comparison: S < B survives, S == B knocks out.
 payoff_evaluator composes a model's path map with one or more contracts
 into the driver-space function f(z) that the estimators sample.
@@ -14,14 +14,7 @@ import numpy as np
 
 from .models import CirParams, PathMatrix, bs_basket_g, bs_paths, cir_euler_path
 
-__all__ = [
-    "PayoffSpec",
-    "asian_basket",
-    "asian_barrier_expiry",
-    "asian_barrier_complete",
-    "evaluate",
-    "payoff_evaluator",
-]
+__all__ = ["PayoffSpec", "evaluate", "payoff_evaluator"]
 
 KINDS = ("asian-basket", "asian-barrier-expiry", "asian-barrier-complete")
 
@@ -42,6 +35,8 @@ class PayoffSpec:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
         if self.strike <= 0.0:
             raise ValueError("strike must be positive")
+        if self.kind == "asian-basket" and self.barrier is not None:
+            raise ValueError("asian-basket takes no barrier")
         if self.kind != "asian-basket" and self.barrier is None:
             raise ValueError(f"{self.kind} requires a barrier")
         if self.barrier is not None and self.barrier <= self.strike:
@@ -51,6 +46,9 @@ class PayoffSpec:
         w = np.atleast_2d(np.asarray(self.weights, dtype=float))
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("averaging weights must sum to 1")
+        if self.kind != "asian-basket" and w.shape[0] != 1:
+            raise ValueError("barrier contracts are single-asset, not "
+                             f"{w.shape[0]} assets")
         object.__setattr__(self, "weights", w)
 
 
@@ -60,44 +58,22 @@ def _values(path) -> np.ndarray:
     return np.asarray(path, dtype=float)
 
 
-def _average(s: np.ndarray, spec: PayoffSpec) -> np.ndarray:
-    return np.einsum("...mn,mn->...", s, spec.weights)
-
-
-def asian_basket(path, spec: PayoffSpec) -> np.ndarray:
-    """e^{-rT} (sum_ij w_ij S_i(t_j) - K)^+."""
-    s = _values(path)
-    return spec.discount * np.maximum(_average(s, spec) - spec.strike, 0.0)
-
-
-def asian_barrier_expiry(path, spec: PayoffSpec) -> np.ndarray:
-    """Asian payoff knocked out when the terminal value reaches the barrier."""
-    s = _values(path)
-    if s.shape[-2] != 1:
-        raise ValueError("barrier contracts are single-asset")
-    alive = s[..., 0, -1] < spec.barrier
-    return spec.discount * np.maximum(_average(s, spec) - spec.strike, 0.0) * alive
-
-
-def asian_barrier_complete(path, spec: PayoffSpec) -> np.ndarray:
-    """Asian payoff knocked out when any monitored value reaches the barrier."""
-    s = _values(path)
-    if s.shape[-2] != 1:
-        raise ValueError("barrier contracts are single-asset")
-    alive = np.all(s[..., 0, :] < spec.barrier, axis=-1)
-    return spec.discount * np.maximum(_average(s, spec) - spec.strike, 0.0) * alive
-
-
-_DISPATCH = {
-    "asian-basket": asian_basket,
-    "asian-barrier-expiry": asian_barrier_expiry,
-    "asian-barrier-complete": asian_barrier_complete,
-}
+def _call(average: np.ndarray, spec: PayoffSpec) -> np.ndarray:
+    """e^{-rT} (A - K)^+ for the weighted average A."""
+    return spec.discount * np.maximum(average - spec.strike, 0.0)
 
 
 def evaluate(path, spec: PayoffSpec) -> np.ndarray:
-    """Dispatch on spec.kind."""
-    return _DISPATCH[spec.kind](path, spec)
+    """The discounted call on A = sum_ij w_ij S_i(t_j), knocked out for
+    asian-barrier-expiry when S(t_N) reaches the barrier and for
+    asian-barrier-complete when any S(t_j) does."""
+    s = _values(path)
+    value = _call(np.einsum("...mn,mn->...", s, spec.weights), spec)
+    if spec.kind == "asian-barrier-expiry":
+        return value * (s[..., 0, -1] < spec.barrier)
+    if spec.kind == "asian-barrier-complete":
+        return value * np.all(s[..., 0, :] < spec.barrier, axis=-1)
+    return value
 
 
 def payoff_evaluator(params, specs):
@@ -117,8 +93,7 @@ def payoff_evaluator(params, specs):
         path, payoff = (lambda z: cir_euler_path(z, params)), evaluate
     elif all(s.kind == "asian-basket" and np.array_equal(s.weights, params.weights)
              for s in specs):
-        path = lambda z: bs_basket_g(z, params)
-        payoff = lambda g, spec: spec.discount * np.maximum(g - spec.strike, 0.0)
+        path, payoff = (lambda z: bs_basket_g(z, params)), _call
     else:
         path, payoff = (lambda z: bs_paths(z, params)), evaluate
     if one:

@@ -25,10 +25,13 @@ from stratmc import (
     RandomStream,
     StratMcError,
     build_directions,
+    basket_params,
     bs_asian_params,
+    bs_barrier_params,
     bs_gradient,
     cir_asian_params,
     cir_workspace,
+    direction_sets,
     engines,
     format_rows,
     load_config,
@@ -281,6 +284,22 @@ class TestValidation:
         with pytest.raises(ConfigInvalid):
             small_bs_config(methods=["lhs"], lhs_replications=1).validate()
 
+    @pytest.mark.parametrize("params, other", [
+        (basket_params(), bs_asian_params()),
+        (bs_barrier_params(), cir_asian_params()),
+        (cir_asian_params(), bs_barrier_params()),
+    ], ids=["basket-with-asian-grid", "bs-with-cir-grid", "cir-with-bs-grid"])
+    def test_contract_grid_must_be_the_models(self, params, other):
+        # einsum would broadcast a (1, 64) weight grid against (40, 1) paths
+        # and price a contract on the wrong averages
+        spec = payoff_for(other, 50.0)
+        config = ExperimentConfig(params=params, payoffs=[spec], methods=["mc"],
+                                  n_samples=1000, strata=10)
+        grid = payoff_for(params, 50.0).weights.shape
+        with pytest.raises(ConfigInvalid, match=re.escape(
+                f"{spec.weights.shape}") + ".*" + re.escape(f"{grid}")):
+            config.validate()
+
 
 class TestTables:
     def test_csv_round_trip(self):
@@ -494,6 +513,8 @@ def ini_texts(draw):
         sections["model"]["s0"] = draw(st.sampled_from(["50", "50 60",
                                                         "40 50 60"]))
     sections["payoff"]["kind"] = draw(st.sampled_from(KINDS))
+    if sections["payoff"]["kind"] == "asian-basket":
+        del sections["payoff"]["barrier"]
     numeric = sorted((name, key) for name, keys in sections.items()
                      for key in keys if key not in ("kind", "methods", "alloc"))
     edits = draw(st.dictionaries(st.sampled_from(numeric),
@@ -566,6 +587,21 @@ class TestCli:
         ang = float(text.split("angle(col 1, col 2) = ")[1].split()[0])
         assert 0.0 < ang < 5.0
 
+    def test_directions_export_is_direction_sets(self, tmp_path):
+        # the exported 17-digit columns are the run's direction sets bit for
+        # bit, pilot-pca's sampled direction included
+        ini = tmp_path / "exp.ini"
+        ini.write_text(CIR_INI.replace("mc, la", "mc, la, pilot-pca, two-dir-lt"))
+        out = tmp_path / "dirs.txt"
+        assert main(["directions", "--config", str(ini), "--out", str(out)]) == 0
+        blocks = out.read_text().split("# column ")[1:]
+        exported = np.column_stack([[float(v) for v in b.split()[1:]]
+                                    for b in blocks])
+        sets = direction_sets(load_config(str(ini)))
+        assert list(sets) == ["la", "pilot-pca", "two-dir-lt"]
+        np.testing.assert_array_equal(
+            exported, np.column_stack([ds.columns for ds in sets.values()]))
+
     def test_config_error_exit_code(self, tmp_path):
         ini = tmp_path / "exp.ini"
         ini.write_text(BS_INI.replace("mc, la", "warp"))
@@ -583,11 +619,13 @@ class TestCli:
         BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
         BS_INI.replace("n_samples = 2000", "n_samples = 20"),
         BS_INI.replace("strike = 45 50 55", "strike = 45%"),
+        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60"),
         *(text for text, _ in UNKNOWN_NAMES.values()),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
             "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite",
             "rho-numerically-singular", "sigma-numerically-singular",
-            "opt-pilot-takes-the-budget", "percent-in-value", *UNKNOWN_NAMES])
+            "opt-pilot-takes-the-budget", "percent-in-value", "barrier-on-basket",
+            *UNKNOWN_NAMES])
     def test_malformed_config_exit_code(self, tmp_path, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))

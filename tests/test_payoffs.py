@@ -11,9 +11,6 @@ from stratmc import (
     CirParams,
     PayoffSpec,
     RandomStream,
-    asian_barrier_complete,
-    asian_barrier_expiry,
-    asian_basket,
     basket_params,
     bs_asian_params,
     bs_barrier_params,
@@ -37,25 +34,25 @@ def spec_for(kind="asian-basket", strike=45.0, barrier=None, m=1, n=2,
 class TestAsianBasket:
     def test_hand_example(self):
         s = np.array([[[60.0, 40.0]]])  # one path, avg 50
-        assert asian_basket(s, spec_for(strike=45.0))[0] == 5.0
-        assert asian_basket(s, spec_for(strike=55.0))[0] == 0.0
+        assert evaluate(s, spec_for(strike=45.0))[0] == 5.0
+        assert evaluate(s, spec_for(strike=55.0))[0] == 0.0
 
     def test_discounting(self):
         s = np.array([[[60.0, 40.0]]])
         spec = spec_for(strike=45.0, discount=0.9)
-        assert asian_basket(s, spec)[0] == pytest.approx(4.5)
+        assert evaluate(s, spec)[0] == pytest.approx(4.5)
 
     def test_accepts_path_matrix(self):
         s = np.array([[[60.0, 40.0]]])
         spec = spec_for()
-        np.testing.assert_array_equal(asian_basket(PathMatrix(s), spec),
-                                      asian_basket(s, spec))
+        np.testing.assert_array_equal(evaluate(PathMatrix(s), spec),
+                                      evaluate(s, spec))
 
     def test_multi_asset_weights(self):
         spec = PayoffSpec(kind="asian-basket", strike=10.0,
                           weights=np.array([[0.75], [0.25]]), discount=1.0)
         s = np.array([[[100.0], [20.0]]])
-        assert asian_basket(s, spec)[0] == pytest.approx(70.0)  # avg 80
+        assert evaluate(s, spec)[0] == pytest.approx(70.0)  # avg 80
 
 
 class TestBarriers:
@@ -63,20 +60,20 @@ class TestBarriers:
         spec = spec_for("asian-barrier-expiry", strike=45.0, barrier=60.0)
         alive = np.array([[[70.0, 59.999]]])  # terminal below the barrier
         dead = np.array([[[40.0, 60.0]]])     # terminal exactly at the barrier
-        assert asian_barrier_expiry(alive, spec)[0] > 0.0
-        assert asian_barrier_expiry(dead, spec)[0] == 0.0
+        assert evaluate(alive, spec)[0] > 0.0
+        assert evaluate(dead, spec)[0] == 0.0
 
     def test_expiry_ignores_intermediate_breaches(self):
         spec = spec_for("asian-barrier-expiry", strike=45.0, barrier=60.0)
         s = np.array([[[95.0, 50.0]]])  # breached early, back below at T
-        assert asian_barrier_expiry(s, spec)[0] == pytest.approx(27.5)
+        assert evaluate(s, spec)[0] == pytest.approx(27.5)
 
     def test_complete_knockout_any_date(self):
         spec = spec_for("asian-barrier-complete", strike=45.0, barrier=60.0)
         s = np.array([[[95.0, 50.0]]])
-        assert asian_barrier_complete(s, spec)[0] == 0.0
+        assert evaluate(s, spec)[0] == 0.0
         s = np.array([[[59.0, 50.0]]])
-        assert asian_barrier_complete(s, spec)[0] == pytest.approx(9.5)
+        assert evaluate(s, spec)[0] == pytest.approx(9.5)
 
     def test_infinite_barrier_equals_plain(self):
         rng = np.random.default_rng(7)
@@ -85,24 +82,21 @@ class TestBarriers:
         huge = spec_for("asian-barrier-complete", strike=50.0, barrier=1e12,
                         n=8)
         np.testing.assert_array_equal(
-            asian_barrier_complete(s, huge), asian_basket(s, plain))
+            evaluate(s, huge), evaluate(s, plain))
 
     def test_pathwise_dominance(self):
         rng = np.random.default_rng(8)
         s = rng.lognormal(mean=4.0, sigma=0.4, size=(5_000, 1, 16))
-        plain = asian_basket(s, spec_for(strike=50.0, n=16))
-        expiry = asian_barrier_expiry(
-            s, spec_for("asian-barrier-expiry", 50.0, 70.0, n=16))
-        complete = asian_barrier_complete(
-            s, spec_for("asian-barrier-complete", 50.0, 70.0, n=16))
+        plain = evaluate(s, spec_for(strike=50.0, n=16))
+        expiry = evaluate(s, spec_for("asian-barrier-expiry", 50.0, 70.0, n=16))
+        complete = evaluate(s, spec_for("asian-barrier-complete", 50.0, 70.0,
+                                        n=16))
         assert np.all(complete <= expiry)
         assert np.all(expiry <= plain)
 
     def test_barrier_contracts_are_single_asset(self):
-        spec = spec_for("asian-barrier-expiry", 45.0, 60.0, m=2)
-        s = np.ones((3, 2, 2)) * 50.0
-        with pytest.raises(ValueError):
-            asian_barrier_expiry(s, spec)
+        with pytest.raises(ValueError, match="single-asset"):
+            spec_for("asian-barrier-expiry", 45.0, 60.0, m=2)
 
 
 class TestValidation:
@@ -113,6 +107,10 @@ class TestValidation:
     def test_barrier_required_for_barrier_kinds(self):
         with pytest.raises(ValueError):
             spec_for("asian-barrier-complete", strike=50.0, barrier=None)
+
+    def test_no_barrier_on_a_plain_basket(self):
+        with pytest.raises(ValueError, match="takes no barrier"):
+            spec_for("asian-basket", strike=50.0, barrier=60.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -128,17 +126,6 @@ class TestValidation:
             spec_for(discount=0.0)
         with pytest.raises(ValueError):
             spec_for(discount=1.5)
-
-
-def test_evaluate_dispatch():
-    stream = RandomStream(9)
-    s = np.exp(stream.normal((50, 1, 4)) * 0.3 + 4.0)
-    for kind, fn in [("asian-basket", asian_basket),
-                     ("asian-barrier-expiry", asian_barrier_expiry),
-                     ("asian-barrier-complete", asian_barrier_complete)]:
-        spec = spec_for(kind, 50.0, barrier=90.0 if "barrier" in kind else None,
-                        n=4)
-        np.testing.assert_array_equal(evaluate(s, spec), fn(s, spec))
 
 
 def _terminal_call(params):
