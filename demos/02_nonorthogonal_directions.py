@@ -29,7 +29,7 @@ def main():
     spec = StratumSpec((2, 2))
     stream = RandomStream(21)
 
-    upper = 3  # flat index of stratum (2, 2), in the order of spec.indices()
+    upper = 3  # flat 0-based index of box (1, 1), last direction fastest
 
     print("1. Draws from the (upper, upper) quadrant stratum")
     z, weight = sample_strata(dirs, spec, np.full(5, upper), stream)

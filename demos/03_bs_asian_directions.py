@@ -11,10 +11,10 @@ import numpy as np
 
 from stratmc import (
     ExperimentConfig,
+    PayoffSpec,
     angle_degrees,
     bs_asian_params,
     engines,
-    payoff_for,
     run_experiment,
 )
 
@@ -34,7 +34,7 @@ def main():
     print()
     print("2. Variance table, strike 50, 100 strata, 100k draws, seed 42")
     config = ExperimentConfig(
-        params=params, payoffs=[payoff_for(params, 50.0)],
+        params=params, payoffs=[PayoffSpec(50.0)],
         methods=["lhs", "la", "lt", "pca", "la+pca"],
         allocs=["const", "opt"], strata=100, n_samples=100_000, seed=42)
     rows = run_experiment(config)

@@ -12,11 +12,11 @@ import numpy as np
 
 from stratmc import (
     ExperimentConfig,
+    PayoffSpec,
     RandomStream,
     angle_degrees,
     cir_asian_params,
     engines,
-    payoff_for,
     run_experiment,
 )
 
@@ -35,7 +35,7 @@ def main():
     print()
     print("2. Strike-100 average-rate call, 100 strata, 100k draws, seed 42")
     config = ExperimentConfig(
-        params=params, payoffs=[payoff_for(params, 100.0)],
+        params=params, payoffs=[PayoffSpec(100.0)],
         methods=["la", "lt", "pilot-pca"], allocs=["opt"],
         strata=100, n_samples=100_000, seed=42)
     rows = run_experiment(config)

@@ -28,13 +28,12 @@ from .models import (
     cir_euler_path,
     cir_zero_noise_path,
 )
-from .payoffs import evaluate, payoff_evaluator
+from .payoffs import PayoffSpec, evaluate, payoff_evaluator
 from .presets import (
     basket_params,
     bs_asian_params,
     bs_barrier_params,
     cir_asian_params,
-    payoff_for,
 )
 from .stratify import (
     DirectionSet,
@@ -150,14 +149,15 @@ def _criterion_2():
 
     # oracle: unconditional draws; E[w g | stratum k] drawn stratified equals
     # E[g 1_{box k}] drawn plainly, and E[w] equals the box probability
-    strata = list(spec.indices())
     n_plain = 4_000_000
     chunk = 1_000_000
-    sums = np.zeros((len(strata), 3))
-    sq = np.zeros((len(strata), 3))
+    sums = np.zeros((spec.total, 3))
+    sq = np.zeros((spec.total, 3))
     ostream = stream.child(10_000)
-    bounds = [(spec.marginal_bounds(0, mk[0]), spec.marginal_bounds(1, mk[1]))
-              for mk in strata]
+    # the boxes in flat-index order, the sampler's
+    e_1, e_2 = spec.edges(0), spec.edges(1)
+    bounds = [((e_1[k1], e_1[k1 + 1]), (e_2[k2], e_2[k2 + 1])) for k1, k2
+              in zip(*np.unravel_index(np.arange(spec.total), spec.counts))]
     for _ in range(n_plain // chunk):
         z = ostream.normal((chunk, 3))
         p1 = z @ e1
@@ -247,22 +247,22 @@ def _criterion_5():
     barrier = bs_barrier_params()
     basket = basket_params()
     # (label, model, contract, substream, printed target)
-    cases = [(f"bs K={k:g}", asian, payoff_for(asian, k), i, target)
+    cases = [(f"bs K={k:g}", asian, PayoffSpec(k), i, target)
              for i, (k, target) in enumerate([(45.0, 7.02), (50.0, 4.02),
                                               (55.0, 2.06)])]
     cases += [
         ("barrier-expiry", barrier,
-         payoff_for(barrier, 50.0, "asian-barrier-expiry", 60.0), 10, 1.38),
+         PayoffSpec(50.0, "asian-barrier-expiry", 60.0), 10, 1.38),
         ("barrier-complete", barrier,
-         payoff_for(barrier, 50.0, "asian-barrier-complete", 60.0), 11, 1.22),
-        ("basket K=40", basket, payoff_for(basket, 40.0), 12, 4.15),
+         PayoffSpec(50.0, "asian-barrier-complete", 60.0), 11, 1.22),
+        ("basket K=40", basket, PayoffSpec(40.0), 12, 4.15),
     ]
     checks = [_price_check(label, payoff_evaluator(params, spec), params.dim,
                            stream.child(child), target, 0.005)[1]
               for label, params, spec, child, target in cases]
 
     cir = cir_asian_params()
-    ev_c = payoff_evaluator(cir, payoff_for(cir, 100.0))
+    ev_c = payoff_evaluator(cir, PayoffSpec(100.0))
     rep, chk = _price_check("cir K=100", ev_c, cir.n_steps, stream.child(13),
                             10.6, 0.05)
     checks.append(chk)
@@ -280,7 +280,7 @@ def _criterion_6():
     spec1 = StratumSpec((n_strata,))
 
     bs = bs_asian_params()
-    ev = payoff_evaluator(bs, payoff_for(bs, 50.0))
+    ev = payoff_evaluator(bs, PayoffSpec(50.0))
     mc = plain_mc_estimate(ev, bs.dim, n_samples, stream.child(0))
     la_set = engines(bs)["la"](1)
     pca_set = engines(bs)["pca"](1)
@@ -289,7 +289,7 @@ def _criterion_6():
     ratio_bs = mc.variance / la.variance
 
     cir = cir_asian_params()
-    ev_c = payoff_evaluator(cir, payoff_for(cir, 100.0))
+    ev_c = payoff_evaluator(cir, PayoffSpec(100.0))
     mc_c = plain_mc_estimate(ev_c, cir.n_steps, n_samples, stream.child(3))
     la_c_set = engines(cir)["la"](1)
     la_c = two_stage_estimate(ev_c, la_c_set, spec1, n_samples,
@@ -429,12 +429,11 @@ def _criterion_10():
     stream = RandomStream(1010)
     eps = stream.normal((10_000, params.dim))
     paths = bs_paths(eps, params)
-    plain_spec = payoff_for(params, 50.0)
-    e_spec = payoff_for(params, 50.0, "asian-barrier-expiry", 60.0)
-    c_spec = payoff_for(params, 50.0, "asian-barrier-complete", 60.0)
-    plain = evaluate(paths, plain_spec)
-    expiry = evaluate(paths, e_spec)
-    complete = evaluate(paths, c_spec)
+    plain, expiry, complete = (
+        evaluate(paths, PayoffSpec(50.0, kind, barrier), params)
+        for kind, barrier in (("asian-basket", None),
+                              ("asian-barrier-expiry", 60.0),
+                              ("asian-barrier-complete", 60.0)))
     violations = int(np.sum(complete > expiry) + np.sum(expiry > plain))
     ok = violations == 0
     return ok, f"{violations} ordering violations over 10000 paths"

@@ -64,14 +64,17 @@ def pca_directions(sigma: np.ndarray, m: int) -> tuple[DirectionSet, float]:
 def _lt_columns(expansion, count: int, dim: int) -> DirectionSet:
     """The LT construction shared by both models: column p is the
     first-order expansion column expansion(previous columns), projected
-    against the previous columns, normalized and sign-fixed."""
+    against the previous columns, normalized and sign-fixed.  A column
+    vanishes when projection leaves at most 1e-12 of its expansion's norm,
+    whatever that norm's scale."""
     if not 1 <= count <= dim:
         raise ValueError(f"column count must lie in 1..{dim}")
     cols: list[np.ndarray] = []
     for _ in range(count):
-        b = _project_out(expansion(cols), cols)
+        raw = expansion(cols)
+        b = _project_out(raw, cols)
         norm = float(np.linalg.norm(b))
-        if norm < 1e-12:
+        if not norm > 1e-12 * float(np.linalg.norm(raw)):
             raise StratMcError("expansion column vanished after projection")
         cols.append(normalize_sign(b / norm))
     a_mat = np.column_stack(cols)
@@ -97,13 +100,14 @@ def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
     """Iterated-gradient LA directions: v_1 = grad(0)/||.||, v_{p+1} =
     grad(v_p)/||.||.  v_1 is the LA direction, the normalized payoff
     gradient at the zero-noise point.  The returned set is generally
-    non-orthogonal."""
+    non-orthogonal.  A gradient vanishes only when its norm is 0 or not
+    finite: a tiny but representable gradient still has a direction."""
     point = np.zeros(dim)
     cols = []
     for _ in range(count):
         g = np.asarray(gradient(point), dtype=float)
         norm = float(np.linalg.norm(g))
-        if norm < 1e-14:
+        if not 0.0 < norm < np.inf:
             raise StratMcError("gradient vanished at an iterated point")
         v = g / norm
         cols.append(v)
@@ -135,12 +139,11 @@ class LtCirWorkspace:
     """Coefficients of the first-order CIR expansion along one driver path.
 
     alpha[i] = dS_{i+2}/dS_{i+1} and beta[m] = sigma sqrt(dt S_m) on the
-    induced path; w[m, j] = dS_{j+1}/dz_{m+1} obeys the one-step recurrence
-    w[m, j+1] = alpha[j] w[m, j]; t[m] = sum_j w[m, j] is the unnormalized
-    direction and t[N-1] = beta[N-1] always.
+    induced Euler path S_0..S_N; w[m, j] = dS_{j+1}/dz_{m+1} obeys the
+    one-step recurrence w[m, j+1] = alpha[j] w[m, j]; t[m] = sum_j w[m, j]
+    is the unnormalized direction and t[N-1] = beta[N-1] always.
     """
 
-    path: np.ndarray   # induced path S_0..S_N, length N+1
     alpha: np.ndarray  # (N-1,)
     beta: np.ndarray   # (N,)
     w: np.ndarray      # (N, N) lower-right; w[m, j] = 0 for j < m
@@ -154,14 +157,11 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
     if zhat.shape != (n,):
         raise ValueError("driver must have length n_steps")
     dt = params.dt
-    s = np.empty(n + 1)
-    s[0] = params.s0
-    for j in range(n):
-        if s[j] < 0.0:
-            raise StratMcError(
-                f"induced path went negative at step {j}")
-        s[j + 1] = s[j] + params.alpha * (params.mu - s[j]) * dt \
-            + params.sigma * np.sqrt(s[j] * dt) * zhat[j]
+    s = np.r_[params.s0, cir_euler_path(zhat, params).values[0]]
+    negative = np.flatnonzero(s[:n] < 0.0)
+    if negative.size:
+        raise StratMcError(
+            f"induced path went negative at step {negative[0]}")
     beta = params.sigma * np.sqrt(dt * s[:n])
     # alpha[i] = 1 - a dt + (sigma/2) sqrt(dt / S_{i+1}) z_{i+2}, i = 0..N-2
     inner = s[1:n]
@@ -176,7 +176,7 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
     np.fill_diagonal(steps, beta)
     w = np.triu(np.cumprod(steps, axis=1))
     t = w.sum(axis=1)
-    return LtCirWorkspace(path=s, alpha=alpha, beta=beta, w=w, t=t)
+    return LtCirWorkspace(alpha=alpha, beta=beta, w=w, t=t)
 
 
 def lt_directions_cir(params: CirParams, count: int) -> DirectionSet:

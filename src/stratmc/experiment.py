@@ -25,9 +25,8 @@ import numpy as np
 from .directions import engines
 from .errors import ConfigInvalid, StratMcError
 from .gaussian import RandomStream
-from .models import BsParams, CirParams
+from .models import BsParams, CirParams, uniform_weights
 from .payoffs import KINDS, PayoffSpec, payoff_evaluator
-from .presets import payoff_for, uniform_weights
 from .stratify import (
     DirectionSet,
     StratumSpec,
@@ -44,7 +43,6 @@ __all__ = [
     "ResultRow",
     "load_config",
     "run_experiment",
-    "build_directions",
     "direction_sets",
     "format_rows",
     "parse_csv",
@@ -85,51 +83,50 @@ class ExperimentConfig:
                                 f"not {type(self.params).__name__}")
         if not self.payoffs:
             raise ConfigInvalid("payoff: at least one contract is required")
+        try:
+            payoff_evaluator(self.params, self.payoffs)
+        except ValueError as exc:
+            raise ConfigInvalid(f"payoff: {exc}") from exc
+        if not self.allocs:
+            raise ConfigInvalid("run.alloc: need at least one rule")
+        for a in self.allocs:
+            if a not in ALLOCS:
+                raise ConfigInvalid(f"run.alloc: unknown rule {a!r}")
+        if self.strata < 1:
+            raise ConfigInvalid("run.strata must be >= 1")
+        if self.n_samples < 2:
+            raise ConfigInvalid("run.n_samples must be >= 2")
         model_engines = engines(self.params)
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigInvalid(f"run.methods: unknown method {m!r}")
-            missing = sorted(set(_method_parts(m)[0]) - model_engines.keys())
+            names, count = _method_parts(m)
+            missing = sorted(set(names) - model_engines.keys())
             if missing:
                 raise ConfigInvalid(
                     f"run.methods: {m} needs the {', '.join(missing)} engine, "
                     f"which the {self.model} model does not have (its "
                     f"engines: {', '.join(model_engines)})")
-        for a in self.allocs:
-            if a not in ALLOCS:
-                raise ConfigInvalid(f"run.alloc: unknown rule {a!r}")
-        if not self.allocs:
-            raise ConfigInvalid("run.alloc: need at least one rule")
-        if self.strata < 1:
-            raise ConfigInvalid("run.strata must be >= 1")
-        if self.n_samples < min_budget(self.strata, "const"):
-            raise ConfigInvalid("run.n_samples must cover n_min per stratum")
-        if self.strata < 4 and any(len(engines) * count == 2 for engines, count
-                                   in map(_method_parts, self.methods)):
-            raise ConfigInvalid("run.strata must be >= 4 for two-direction methods")
-        for m in self.methods:
-            names, count = _method_parts(m)
-            k = _stratum_spec(self, len(names) * count).total
-            if names and "opt" in self.allocs and \
-                    self.n_samples < min_budget(k, "opt"):
-                raise ConfigInvalid(
-                    f"run.n_samples: {m}/opt over {k} strata needs "
-                    f"{min_budget(k, 'opt')} draws to keep n_min per "
-                    f"stratum after its pilot")
-        if "lhs" in self.methods:
-            if self.lhs_replications < 2:
+            if m == "lhs" and self.lhs_replications < 2:
                 raise ConfigInvalid("run.lhs_replications must be >= 2")
-            if self.n_samples // self.lhs_replications < 2:
-                raise ConfigInvalid("run.n_samples too small for the LHS replications")
+            if m == "lhs" and self.n_samples // self.lhs_replications < 2:
+                raise ConfigInvalid(
+                    "run.n_samples too small for the LHS replications")
+            if not names:
+                continue
+            grid = _stratum_spec(self, len(names) * count)
+            if len(grid.counts) == 2 and grid.total < 4:
+                raise ConfigInvalid(
+                    "run.strata must be >= 4 for two-direction methods")
+            for a in self.allocs:
+                need = min_budget(grid.total, a)
+                if self.n_samples < need:
+                    raise ConfigInvalid(
+                        f"run.n_samples: {m}/{a} over {grid.total} strata "
+                        f"needs {need} draws to keep n_min per stratum"
+                        + (" after its pilot" if a == "opt" else ""))
         if self.format not in ("csv", "json"):
             raise ConfigInvalid(f"output.format: unknown format {self.format!r}")
-        grid = ((self.params.n_assets, self.params.n_dates)
-                if self.model == "bs" else (1, self.params.n_steps))
-        for p in self.payoffs:
-            if p.weights.shape != grid:
-                raise ConfigInvalid(
-                    f"payoff: averaging weights of shape {p.weights.shape} do "
-                    f"not match the {self.model} model's grid {grid}")
 
 
 @dataclass
@@ -251,7 +248,7 @@ def _parse_model(section) -> BsParams | CirParams:
         raise ConfigInvalid(f"model: {exc}") from exc
 
 
-def _parse_payoffs(section, params: BsParams | CirParams) -> list[PayoffSpec]:
+def _parse_payoffs(section) -> list[PayoffSpec]:
     _check_keys(section, "payoff", _PAYOFF_KEYS)
     kind = _get(section, "kind", str, name="payoff").strip().lower()
     if kind not in KINDS:
@@ -260,7 +257,7 @@ def _parse_payoffs(section, params: BsParams | CirParams) -> list[PayoffSpec]:
     barrier = (_get(section, "barrier", _number, name="payoff")
                if "barrier" in section else None)
     try:
-        return [payoff_for(params, k, kind, barrier) for k in strikes]
+        return [PayoffSpec(k, kind, barrier) for k in strikes]
     except ValueError as exc:
         raise ConfigInvalid(f"payoff: {exc}") from exc
 
@@ -287,7 +284,7 @@ def load_config(path: str) -> ExperimentConfig:
     if "model" not in parser or "payoff" not in parser:
         raise ConfigInvalid("config needs [model] and [payoff] sections")
     params = _parse_model(parser["model"])
-    payoffs = _parse_payoffs(parser["payoff"], params)
+    payoffs = _parse_payoffs(parser["payoff"])
     settings = {}
     for name, keys in _SETTINGS.items():
         section = parser[name] if name in parser else {}
@@ -314,31 +311,25 @@ def _method_parts(method: str) -> tuple[tuple[str, ...], int]:
     return tuple(method.split("+")), 1
 
 
-def build_directions(config: ExperimentConfig, method: str,
-                     stream: RandomStream) -> DirectionSet:
-    """Direction set for one stratified method under the configured model."""
-    names, count = _method_parts(method)
-    model_engines = engines(config.params, stream)
-    if not names or not model_engines.keys() >= set(names):
-        raise ConfigInvalid(
-            f"method {method!r} unsupported for model {config.model!r}")
-    return DirectionSet(np.column_stack(
-        [model_engines[name](count).columns for name in names]))
-
-
 def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
-    """{method: DirectionSet} for every direction-based method of the
+    """{method: DirectionSet} for every direction-based method of a valid
     config, drawn from the substream reserved for direction engines."""
-    stream = RandomStream(config.seed).child(_DIR_STREAM_INDEX)
-    return {m: build_directions(config, m, stream)
-            for m in config.methods if m not in ("mc", "lhs")}
+    config.validate()
+    model_engines = engines(
+        config.params, RandomStream(config.seed).child(_DIR_STREAM_INDEX))
+    sets = {}
+    for method in config.methods:
+        names, count = _method_parts(method)
+        if names:
+            sets[method] = DirectionSet(np.column_stack(
+                [model_engines[name](count).columns for name in names]))
+    return sets
 
 
 def _stratum_spec(config: ExperimentConfig, n_dirs: int) -> StratumSpec:
-    if n_dirs == 2:
-        side = int(math.isqrt(config.strata))
-        return StratumSpec((side, side))
-    return StratumSpec((config.strata,))
+    """One direction's K slabs, or a sqrt(K) x sqrt(K) grid for two."""
+    return StratumSpec((math.isqrt(config.strata),) * 2 if n_dirs == 2
+                       else (config.strata,))
 
 
 def _work(n_samples: int, dim: int, method: str, n_dirs: int = 0) -> float:
@@ -364,7 +355,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     every contract's allocation.  A cell charges each of its rows an equal
     share of its wall time.  Deterministic for a fixed seed.
     """
-    config.validate()
+    directions = direction_sets(config)
     params = config.params
     dim = params.dim
 
@@ -374,7 +365,6 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
 
     specs = config.payoffs
     table_stream = RandomStream(config.seed).child(1)
-    directions = direction_sets(config)
     evaluator = payoff_evaluator(params, specs)
 
     def cell_rows(method, alloc, rep, strata, n_dirs=0):

@@ -110,9 +110,7 @@ def symmetric_eigen(m: np.ndarray) -> EigenDecomposition:
     w = w[order]
     v = v[:, order]
     for i in range(v.shape[1]):
-        j = int(np.argmax(np.abs(v[:, i])))
-        if v[j, i] < 0.0:
-            v[:, i] = -v[:, i]
+        v[:, i] = normalize_sign(v[:, i])
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 

@@ -26,15 +26,22 @@ __all__ = [
     "bs_paths",
     "cir_euler_path",
     "cir_zero_noise_path",
+    "uniform_weights",
 ]
+
+
+def uniform_weights(m: int, n: int) -> np.ndarray:
+    """The equal-weight (m, n) averaging grid, every entry 1 / (m n)."""
+    return np.full((m, n), 1.0 / (m * n))
 
 
 @dataclass(frozen=True)
 class BsParams:
     """Multi-asset Black-Scholes parameters on a monitoring grid.
 
-    weights is the (M, N) averaging matrix w_ij used by the basket payoff
-    and by the drift construction mu_k = ln(w S0) + (r - sigma^2/2) t.
+    weights is the (M, N) averaging matrix w_ij, summing to 1, of every
+    contract priced under the model, and of the drift construction
+    mu_k = ln(w S0) + (r - sigma^2/2) t; maturity is t_N.
 
     Derived on construction, over the flattened (asset, date) index k:
     factor is the lower-triangular C with C C^T = Sigma_MN, drift the
@@ -73,6 +80,8 @@ class BsParams:
             raise ValueError("weights must have shape (assets, dates)")
         if np.any(weights < 0.0):
             raise ValueError("weights must be nonnegative")
+        if abs(float(weights.sum()) - 1.0) > 1e-9:
+            raise ValueError("averaging weights must sum to 1")
         for name, val in (("s0", s0), ("sigma", sigma), ("corr", corr),
                           ("grid", grid), ("weights", weights)):
             object.__setattr__(self, name, val)
@@ -95,12 +104,17 @@ class BsParams:
     def dim(self) -> int:
         return self.n_assets * self.n_dates
 
+    @property
+    def maturity(self) -> float:
+        return float(self.grid[-1])
+
 
 @dataclass(frozen=True)
 class CirParams:
     """CIR square-root diffusion dS = alpha (mu - S) dt + sigma sqrt(S) dW.
 
     The parameters must satisfy the Feller condition 2*alpha*mu > sigma^2.
+    Contracts average the N Euler values with the uniform weights.
     """
 
     s0: float
@@ -130,6 +144,10 @@ class CirParams:
     @property
     def dim(self) -> int:
         return self.n_steps
+
+    @property
+    def weights(self) -> np.ndarray:
+        return uniform_weights(1, self.n_steps)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """The discounted payoff of the three contract families.
 
+A contract states its terms only: strike, kind and barrier.  The model
+supplies the averaging weights (params.weights) and the discount e^{-rT}.
 evaluate accepts a PathMatrix or a raw array shaped (..., M, N) and
 returns discounted payoffs with the leading batch shape.  Barrier knock-out
 uses strict comparison: S < B survives, S == B knocks out.
@@ -21,13 +23,11 @@ KINDS = ("asian-basket", "asian-barrier-expiry", "asian-barrier-complete")
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Contract descriptor: kind, strike, optional barrier, averaging
-    weights (M, N) summing to 1, and the discount factor e^{-rT}."""
+    """Contract descriptor: strike, kind and, for the barrier kinds, the
+    barrier."""
 
-    kind: str
     strike: float
-    weights: np.ndarray
-    discount: float
+    kind: str = "asian-basket"
     barrier: float | None = None
 
     def __post_init__(self):
@@ -41,34 +41,26 @@ class PayoffSpec:
             raise ValueError(f"{self.kind} requires a barrier")
         if self.barrier is not None and self.barrier <= self.strike:
             raise ValueError("barrier must exceed the strike")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount factor must lie in (0, 1]")
-        w = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("averaging weights must sum to 1")
-        if self.kind != "asian-basket" and w.shape[0] != 1:
-            raise ValueError("barrier contracts are single-asset, not "
-                             f"{w.shape[0]} assets")
-        object.__setattr__(self, "weights", w)
 
 
-def _values(path) -> np.ndarray:
-    if isinstance(path, PathMatrix):
-        return path.values
-    return np.asarray(path, dtype=float)
+def _discount(params) -> float:
+    """The model's discount factor e^{-rT} to maturity."""
+    return float(np.exp(-params.rate * params.maturity))
 
 
-def _call(average: np.ndarray, spec: PayoffSpec) -> np.ndarray:
+def _call(average: np.ndarray, spec: PayoffSpec, discount: float) -> np.ndarray:
     """e^{-rT} (A - K)^+ for the weighted average A."""
-    return spec.discount * np.maximum(average - spec.strike, 0.0)
+    return discount * np.maximum(average - spec.strike, 0.0)
 
 
-def evaluate(path, spec: PayoffSpec) -> np.ndarray:
-    """The discounted call on A = sum_ij w_ij S_i(t_j), knocked out for
-    asian-barrier-expiry when S(t_N) reaches the barrier and for
-    asian-barrier-complete when any S(t_j) does."""
-    s = _values(path)
-    value = _call(np.einsum("...mn,mn->...", s, spec.weights), spec)
+def evaluate(path, spec: PayoffSpec, params) -> np.ndarray:
+    """The discounted call on A = sum_ij w_ij S_i(t_j), with the model's
+    weights and discount, knocked out for asian-barrier-expiry when S(t_N)
+    reaches the barrier and for asian-barrier-complete when any S(t_j)
+    does."""
+    s = path.values if isinstance(path, PathMatrix) else np.asarray(path, float)
+    value = _call(np.einsum("...mn,mn->...", s, params.weights), spec,
+                  _discount(params))
     if spec.kind == "asian-barrier-expiry":
         return value * (s[..., 0, -1] < spec.barrier)
     if spec.kind == "asian-barrier-complete":
@@ -82,20 +74,24 @@ def payoff_evaluator(params, specs):
     (S, ...) for a sequence of S contracts, one contiguous row per
     contract, all priced from one path map of the same z.
 
-    When every contract is a lognormal basket whose averaging weights are
-    the model's own, the path map is the weighted lognormal sum
-    bs_basket_g, which equals the payoff on the full path matrix without
-    building it.
+    When every contract is a lognormal basket, the path map is the
+    weighted lognormal sum bs_basket_g, which equals the payoff on the full
+    path matrix without building it.  A barrier contract on a multi-asset
+    model raises ValueError: the barrier watches a single asset.
     """
     one = isinstance(specs, PayoffSpec)
     specs = [specs] if one else list(specs)
+    m = params.weights.shape[0]
+    if m > 1 and any(s.kind != "asian-basket" for s in specs):
+        raise ValueError(f"barrier contracts are single-asset, not {m} assets")
+    payoff = lambda x, spec: evaluate(x, spec, params)
     if isinstance(params, CirParams):
-        path, payoff = (lambda z: cir_euler_path(z, params)), evaluate
-    elif all(s.kind == "asian-basket" and np.array_equal(s.weights, params.weights)
-             for s in specs):
-        path, payoff = (lambda z: bs_basket_g(z, params)), _call
+        path = lambda z: cir_euler_path(z, params)
+    elif all(s.kind == "asian-basket" for s in specs):
+        path = lambda z: bs_basket_g(z, params)
+        payoff = lambda g, spec: _call(g, spec, _discount(params))
     else:
-        path, payoff = (lambda z: bs_paths(z, params)), evaluate
+        path = lambda z: bs_paths(z, params)
     if one:
         return lambda z: payoff(path(z), specs[0])
 

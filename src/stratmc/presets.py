@@ -4,21 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import BsParams, CirParams
-from .payoffs import PayoffSpec
+from .models import BsParams, CirParams, uniform_weights
 
 __all__ = [
     "bs_asian_params",
     "bs_barrier_params",
     "basket_params",
     "cir_asian_params",
-    "uniform_weights",
-    "payoff_for",
 ]
-
-
-def uniform_weights(m: int, n: int) -> np.ndarray:
-    return np.full((m, n), 1.0 / (m * n))
 
 
 def bs_asian_params() -> BsParams:
@@ -75,20 +68,3 @@ def cir_asian_params() -> CirParams:
         maturity=1.0,
     )
 
-
-def payoff_for(params, strike: float, kind: str = "asian-basket",
-               barrier: float | None = None) -> PayoffSpec:
-    """PayoffSpec with the model's uniform averaging weights and discount."""
-    if isinstance(params, CirParams):
-        m, n = 1, params.n_steps
-        maturity = params.maturity
-    else:
-        m, n = params.n_assets, params.n_dates
-        maturity = float(params.grid[-1])
-    return PayoffSpec(
-        kind=kind,
-        strike=strike,
-        barrier=barrier,
-        weights=uniform_weights(m, n),
-        discount=float(np.exp(-params.rate * maturity)),
-    )

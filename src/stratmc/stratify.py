@@ -92,7 +92,9 @@ class DirectionSet:
 
 @dataclass(frozen=True)
 class StratumSpec:
-    """Per-direction interval counts; marginal intervals are equiprobable."""
+    """Per-direction interval counts; marginal intervals are equiprobable.
+    A stratum is named by its flat 0-based index over the grid, last
+    direction fastest (np.unravel_index(k, counts) gives its intervals)."""
 
     counts: tuple[int, ...]
 
@@ -106,26 +108,13 @@ class StratumSpec:
     def total(self) -> int:
         return int(np.prod(self.counts))
 
-    def indices(self):
-        """All stratum multi-indices (1-based), last direction fastest."""
-        for idx in np.ndindex(*self.counts):
-            yield tuple(i + 1 for i in idx)
-
     def edges(self, direction: int) -> np.ndarray:
         """The K_j + 1 quantile edges along one direction, -inf to inf;
-        stratum k (1-based) spans edges[k - 1] to edges[k]."""
+        stratum k (0-based) spans edges[k] to edges[k + 1]."""
         n = self.counts[direction]
         edges = ndtri(np.arange(n + 1) / n)
         edges[0], edges[-1] = -np.inf, np.inf
         return edges
-
-    def marginal_bounds(self, direction: int, k: int) -> tuple[float, float]:
-        """Quantile interval (a^-, a^+) of stratum k along one direction."""
-        n = self.counts[direction]
-        if not 1 <= k <= n:
-            raise StratMcError(f"stratum {k} outside 1..{n}")
-        edges = self.edges(direction)
-        return float(edges[k - 1]), float(edges[k])
 
 
 @dataclass
@@ -195,8 +184,8 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
                                  strata, stream: RandomStream) -> StrataDraw:
     """Draw one z per entry of `strata`, with every projection in its box.
 
-    `strata` holds flat 0-based stratum indices in the order of
-    spec.indices().  The draws are made on the set's orthonormal frame F,
+    `strata` holds flat 0-based stratum indices, last direction fastest
+    (see StratumSpec).  The draws are made on the set's orthonormal frame F,
     with E = F m^T (directions.frame and directions.m): coordinate i along
     f_i is drawn from the normal restricted to the sequential interval
     (a_i^- - s_i, a_i^+ - s_i) / m[i, i], with s_i the shift contributed by

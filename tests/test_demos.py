@@ -1,7 +1,7 @@
 """Smoke test: the narrative demos and the README's quick start, which use
 the library's public API, run to completion; every demo config reproduces
-its recorded table byte for byte; the README's config grammar lists the
-keys the parser accepts."""
+its recorded table byte for byte, and three of them their direction
+columns; the README's config grammar lists the keys the parser accepts."""
 import configparser
 import os
 import subprocess
@@ -18,6 +18,10 @@ DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 # tables recorded with `stratmc experiment --config demos/configs/<name>.ini
 # --seed 42`; a change that moves their bytes must say why
 GOLDEN = ("basket", "bs_asian", "bs_barrier", "cir_asian")
+# direction columns recorded with `stratmc directions --config
+# demos/configs/<name>.ini --seed 42 --out directions_<name>.txt`; a diff
+# names the engine that moved
+DIRECTION_GOLDEN = ("basket", "bs_asian", "cir_asian")
 
 
 def run(*args):
@@ -40,6 +44,17 @@ def test_demo_config_reproduces_its_table(name):
                f"demos/configs/{name}.ini", "--seed", "42")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (ROOT / "tests" / "data" / f"{name}.csv").read_text(
+        encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", DIRECTION_GOLDEN)
+def test_demo_config_reproduces_its_directions(name, tmp_path):
+    out = tmp_path / "directions.txt"
+    proc = run("-m", "stratmc.cli", "directions", "--config",
+               f"demos/configs/{name}.ini", "--seed", "42", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text(encoding="utf-8") == (
+        ROOT / "tests" / "data" / f"directions_{name}.txt").read_text(
         encoding="utf-8")
 
 

@@ -5,6 +5,7 @@ stratified row must agree with it within combined standard errors, and the
 deterministic time_ratio column follows directly from the operation counts
 (mc 1.0, lhs 2.0, one extra projection per direction otherwise).
 """
+import dataclasses
 import json
 import re
 import tempfile
@@ -22,12 +23,8 @@ from stratmc import (
     METHODS,
     ConfigInvalid,
     ExperimentConfig,
-    RandomStream,
     StratMcError,
-    build_directions,
-    basket_params,
     bs_asian_params,
-    bs_barrier_params,
     bs_gradient,
     cir_asian_params,
     cir_workspace,
@@ -41,17 +38,13 @@ from stratmc import (
 )
 from stratmc.cli import main
 from stratmc.payoffs import KINDS, PayoffSpec
-from stratmc.presets import payoff_for, uniform_weights
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def small_bs_config(**overrides) -> ExperimentConfig:
-    params = bs_asian_params()
-    spec = PayoffSpec(kind="asian-basket", strike=50.0, barrier=None,
-                      weights=params.weights,
-                      discount=float(np.exp(-params.rate * params.grid[-1])))
-    base = dict(params=params, payoffs=[spec], methods=["la"],
+    base = dict(params=bs_asian_params(), payoffs=[PayoffSpec(50.0)],
+                methods=["la"],
                 allocs=["opt"], strata=20, n_samples=4000,
                 lhs_replications=10, seed=11)
     base.update(overrides)
@@ -59,11 +52,8 @@ def small_bs_config(**overrides) -> ExperimentConfig:
 
 
 def small_cir_config(**overrides) -> ExperimentConfig:
-    params = cir_asian_params()
-    spec = PayoffSpec(kind="asian-basket", strike=100.0, barrier=None,
-                      weights=uniform_weights(1, params.n_steps),
-                      discount=float(np.exp(-params.rate * params.maturity)))
-    base = dict(params=params, payoffs=[spec], methods=["la"],
+    base = dict(params=cir_asian_params(), payoffs=[PayoffSpec(100.0)],
+                methods=["la"],
                 strata=20, n_samples=4000, seed=5)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -129,8 +119,7 @@ class TestRunExperiment:
 
 
 def strikes_config(strikes, **overrides) -> ExperimentConfig:
-    params = bs_asian_params()
-    return small_bs_config(payoffs=[payoff_for(params, k) for k in strikes],
+    return small_bs_config(payoffs=[PayoffSpec(k) for k in strikes],
                            **overrides)
 
 
@@ -200,14 +189,20 @@ class TestSharedDraws:
 
 
 class TestBuildDirections:
+    """direction_sets builds each stratified method's set from the model's
+    engines."""
+
     # engines of each model; every method names one or two of them
     ENGINES = {"bs": {"la", "lt", "pca"}, "cir": {"la", "lt", "pilot-pca"}}
 
     @pytest.mark.parametrize("config", [small_bs_config(), small_cir_config()],
                              ids=["bs", "cir"])
     def test_methods_compose_engines(self, config):
-        stream = RandomStream(3)
         assert engines(config.params).keys() == self.ENGINES[config.model]
+
+        def build(method):
+            sets = direction_sets(dataclasses.replace(config, methods=[method]))
+            return sets[method]
         for method in METHODS[2:]:
             if method.startswith("two-dir-"):
                 names, count = {method[len("two-dir-"):]}, 2
@@ -215,21 +210,20 @@ class TestBuildDirections:
                 names, count = set(method.split("+")), 1
             if not names <= self.ENGINES[config.model]:
                 with pytest.raises(ConfigInvalid):
-                    build_directions(config, method, stream)
+                    build(method)
                 continue
-            ds = build_directions(config, method, stream)
+            ds = build(method)
             assert ds.count == len(names) * count, method
             if "+" in method:
                 for j, name in enumerate(method.split("+")):
-                    single = build_directions(config, name, stream)
                     np.testing.assert_array_equal(ds.columns[:, j],
-                                                  single.columns[:, 0])
+                                                  build(name).columns[:, 0])
             elif count == 2:
-                single = build_directions(config, method[len("two-dir-"):], stream)
+                single = build(method[len("two-dir-"):])
                 np.testing.assert_array_equal(ds.columns[:, 0], single.columns[:, 0])
-        for baseline in ("mc", "lhs"):
-            with pytest.raises(ConfigInvalid):
-                build_directions(config, baseline, stream)
+        # the baselines stratify nothing
+        assert direction_sets(
+            dataclasses.replace(config, methods=["mc", "lhs"])) == {}
 
     def test_la_engine_is_the_gradient_direction(self):
         # one iterated-gradient direction is the normalized zero-noise
@@ -239,7 +233,7 @@ class TestBuildDirections:
                 (bs, bs_gradient(bs.params, np.zeros(bs.params.dim))),
                 (cir, cir_workspace(cir.params, np.zeros(cir.params.dim)).t)):
             np.testing.assert_array_equal(
-                build_directions(config, "la", RandomStream(0)).columns[:, 0],
+                direction_sets(config)["la"].columns[:, 0],
                 normalize_sign(grad / float(np.linalg.norm(grad))))
 
 
@@ -259,6 +253,15 @@ class TestValidation:
     def test_budget_must_cover_strata(self):
         with pytest.raises(ConfigInvalid):
             small_bs_config(strata=100, n_samples=150).validate()
+
+    def test_unstratified_methods_need_no_strata_budget(self):
+        # mc and lhs stratify nothing, so only their own budgets count
+        config = small_bs_config(methods=["mc", "lhs"], strata=100,
+                                 n_samples=150)
+        config.validate()
+        assert [r.method for r in run_experiment(config)] == ["mc", "lhs"]
+        with pytest.raises(ConfigInvalid, match="n_samples must be >= 2"):
+            small_bs_config(methods=[], n_samples=1).validate()
 
     def test_two_direction_methods_need_grid(self):
         with pytest.raises(ConfigInvalid):
@@ -283,22 +286,6 @@ class TestValidation:
     def test_lhs_needs_replications(self):
         with pytest.raises(ConfigInvalid):
             small_bs_config(methods=["lhs"], lhs_replications=1).validate()
-
-    @pytest.mark.parametrize("params, other", [
-        (basket_params(), bs_asian_params()),
-        (bs_barrier_params(), cir_asian_params()),
-        (cir_asian_params(), bs_barrier_params()),
-    ], ids=["basket-with-asian-grid", "bs-with-cir-grid", "cir-with-bs-grid"])
-    def test_contract_grid_must_be_the_models(self, params, other):
-        # einsum would broadcast a (1, 64) weight grid against (40, 1) paths
-        # and price a contract on the wrong averages
-        spec = payoff_for(other, 50.0)
-        config = ExperimentConfig(params=params, payoffs=[spec], methods=["mc"],
-                                  n_samples=1000, strata=10)
-        grid = payoff_for(params, 50.0).weights.shape
-        with pytest.raises(ConfigInvalid, match=re.escape(
-                f"{spec.weights.shape}") + ".*" + re.escape(f"{grid}")):
-            config.validate()
 
 
 class TestTables:
@@ -640,6 +627,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: every stratum std estimate is zero")
         assert "Traceback" not in err
+
+    def test_vanishing_but_representable_gradient(self, tmp_path, capsys):
+        # sigma = 40 drives every zero-noise value towards underflow: the
+        # gradient's norm is tiny but not zero, so la and lt still have a
+        # direction, and every row prices the worthless contract at 0
+        text = (BS_INI.replace("sigma = 0.3", "sigma = 40")
+                .replace("steps = 8", "steps = 4")
+                .replace("strike = 45 50 55", "strike = 50")
+                .replace("mc, la", "mc, la, lt"))
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text.replace("alloc = opt", "alloc = const"))
+        out = tmp_path / "table.csv"
+        assert main(["experiment", "--config", str(ini), "--out", str(out),
+                     "--format", "csv"]) == 0
+        rows = parse_csv(out.read_text())
+        assert [r.method for r in rows] == ["mc", "la", "lt"]
+        assert all(r.price == 0.0 and r.variance == 0.0 for r in rows)
+        # under opt every pilot stratum std is zero, a numeric failure
+        capsys.readouterr()
+        ini.write_text(text)
+        assert main(["experiment", "--config", str(ini)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: every stratum std estimate is zero")
 
     def test_missing_config_exit_code(self):
         assert main(["experiment", "--config", "/nonexistent.ini"]) == 2

@@ -2,12 +2,16 @@
 
 Hand-computed examples plus the pathwise dominance ordering
 complete-barrier <= expiry-barrier <= plain, and the strict-comparison
-knock-out convention (S == B kills the contract, S < B survives).
+knock-out convention (S == B kills the contract, S < B survives).  The
+model supplies the averaging weights and the discount e^{-rT}.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
 from stratmc import (
+    BsParams,
     CirParams,
     PayoffSpec,
     RandomStream,
@@ -19,132 +23,128 @@ from stratmc import (
     cir_euler_path,
     evaluate,
     payoff_evaluator,
-    payoff_for,
+    uniform_weights,
 )
 from stratmc.models import PathMatrix
 
 
-def spec_for(kind="asian-basket", strike=45.0, barrier=None, m=1, n=2,
-             discount=1.0):
-    return PayoffSpec(kind=kind, strike=strike, barrier=barrier,
-                      weights=np.full((m, n), 1.0 / (m * n)),
-                      discount=discount)
+def model(m=1, n=2, rate=0.0, weights=None):
+    """m assets on n dates up to maturity 1, discounting at rate."""
+    return BsParams(s0=[50.0] * m, sigma=[0.3] * m, corr=np.eye(m), rate=rate,
+                    grid=np.arange(1, n + 1) / n,
+                    weights=uniform_weights(m, n) if weights is None else weights)
 
 
 class TestAsianBasket:
     def test_hand_example(self):
         s = np.array([[[60.0, 40.0]]])  # one path, avg 50
-        assert evaluate(s, spec_for(strike=45.0))[0] == 5.0
-        assert evaluate(s, spec_for(strike=55.0))[0] == 0.0
+        assert evaluate(s, PayoffSpec(45.0), model())[0] == 5.0
+        assert evaluate(s, PayoffSpec(55.0), model())[0] == 0.0
 
     def test_discounting(self):
         s = np.array([[[60.0, 40.0]]])
-        spec = spec_for(strike=45.0, discount=0.9)
-        assert evaluate(s, spec)[0] == pytest.approx(4.5)
+        # e^{-rT} = 0.9
+        assert evaluate(s, PayoffSpec(45.0),
+                        model(rate=-np.log(0.9)))[0] == pytest.approx(4.5)
 
     def test_accepts_path_matrix(self):
         s = np.array([[[60.0, 40.0]]])
-        spec = spec_for()
-        np.testing.assert_array_equal(evaluate(PathMatrix(s), spec),
-                                      evaluate(s, spec))
+        spec = PayoffSpec(45.0)
+        np.testing.assert_array_equal(evaluate(PathMatrix(s), spec, model()),
+                                      evaluate(s, spec, model()))
 
     def test_multi_asset_weights(self):
-        spec = PayoffSpec(kind="asian-basket", strike=10.0,
-                          weights=np.array([[0.75], [0.25]]), discount=1.0)
+        params = model(m=2, n=1, weights=np.array([[0.75], [0.25]]))
         s = np.array([[[100.0], [20.0]]])
-        assert evaluate(s, spec)[0] == pytest.approx(70.0)  # avg 80
+        # avg 80
+        assert evaluate(s, PayoffSpec(10.0), params)[0] == pytest.approx(70.0)
 
 
 class TestBarriers:
     def test_expiry_knockout_strict(self):
-        spec = spec_for("asian-barrier-expiry", strike=45.0, barrier=60.0)
+        spec = PayoffSpec(45.0, "asian-barrier-expiry", 60.0)
         alive = np.array([[[70.0, 59.999]]])  # terminal below the barrier
         dead = np.array([[[40.0, 60.0]]])     # terminal exactly at the barrier
-        assert evaluate(alive, spec)[0] > 0.0
-        assert evaluate(dead, spec)[0] == 0.0
+        assert evaluate(alive, spec, model())[0] > 0.0
+        assert evaluate(dead, spec, model())[0] == 0.0
 
     def test_expiry_ignores_intermediate_breaches(self):
-        spec = spec_for("asian-barrier-expiry", strike=45.0, barrier=60.0)
+        spec = PayoffSpec(45.0, "asian-barrier-expiry", 60.0)
         s = np.array([[[95.0, 50.0]]])  # breached early, back below at T
-        assert evaluate(s, spec)[0] == pytest.approx(27.5)
+        assert evaluate(s, spec, model())[0] == pytest.approx(27.5)
 
     def test_complete_knockout_any_date(self):
-        spec = spec_for("asian-barrier-complete", strike=45.0, barrier=60.0)
+        spec = PayoffSpec(45.0, "asian-barrier-complete", 60.0)
         s = np.array([[[95.0, 50.0]]])
-        assert evaluate(s, spec)[0] == 0.0
+        assert evaluate(s, spec, model())[0] == 0.0
         s = np.array([[[59.0, 50.0]]])
-        assert evaluate(s, spec)[0] == pytest.approx(9.5)
+        assert evaluate(s, spec, model())[0] == pytest.approx(9.5)
 
     def test_infinite_barrier_equals_plain(self):
         rng = np.random.default_rng(7)
         s = rng.lognormal(mean=4.0, sigma=0.3, size=(500, 1, 8))
-        plain = spec_for(strike=50.0, n=8)
-        huge = spec_for("asian-barrier-complete", strike=50.0, barrier=1e12,
-                        n=8)
+        plain = PayoffSpec(50.0)
+        huge = PayoffSpec(50.0, "asian-barrier-complete", 1e12)
         np.testing.assert_array_equal(
-            evaluate(s, huge), evaluate(s, plain))
+            evaluate(s, huge, model(n=8)), evaluate(s, plain, model(n=8)))
 
     def test_pathwise_dominance(self):
         rng = np.random.default_rng(8)
         s = rng.lognormal(mean=4.0, sigma=0.4, size=(5_000, 1, 16))
-        plain = evaluate(s, spec_for(strike=50.0, n=16))
-        expiry = evaluate(s, spec_for("asian-barrier-expiry", 50.0, 70.0, n=16))
-        complete = evaluate(s, spec_for("asian-barrier-complete", 50.0, 70.0,
-                                        n=16))
+        plain, expiry, complete = (
+            evaluate(s, PayoffSpec(50.0, kind, barrier), model(n=16))
+            for kind, barrier in (("asian-basket", None),
+                                  ("asian-barrier-expiry", 70.0),
+                                  ("asian-barrier-complete", 70.0)))
         assert np.all(complete <= expiry)
         assert np.all(expiry <= plain)
 
     def test_barrier_contracts_are_single_asset(self):
+        # the evaluator is the one place that pairs contracts with a model
         with pytest.raises(ValueError, match="single-asset"):
-            spec_for("asian-barrier-expiry", 45.0, 60.0, m=2)
+            payoff_evaluator(model(m=2),
+                             PayoffSpec(45.0, "asian-barrier-expiry", 60.0))
 
 
 class TestValidation:
     def test_barrier_must_exceed_strike(self):
         with pytest.raises(ValueError):
-            spec_for("asian-barrier-expiry", strike=50.0, barrier=50.0)
+            PayoffSpec(50.0, "asian-barrier-expiry", 50.0)
 
     def test_barrier_required_for_barrier_kinds(self):
         with pytest.raises(ValueError):
-            spec_for("asian-barrier-complete", strike=50.0, barrier=None)
+            PayoffSpec(50.0, "asian-barrier-complete")
 
     def test_no_barrier_on_a_plain_basket(self):
         with pytest.raises(ValueError, match="takes no barrier"):
-            spec_for("asian-basket", strike=50.0, barrier=60.0)
+            PayoffSpec(50.0, "asian-basket", 60.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            spec_for("lookback")
+            PayoffSpec(45.0, "lookback")
 
     def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            PayoffSpec(kind="asian-basket", strike=1.0,
-                       weights=np.ones((1, 2)), discount=1.0)
-
-    def test_discount_domain(self):
-        with pytest.raises(ValueError):
-            spec_for(discount=0.0)
-        with pytest.raises(ValueError):
-            spec_for(discount=1.5)
+        # a contract averages with its model's weights, which sum to 1
+        with pytest.raises(ValueError, match="sum to 1"):
+            model(weights=np.ones((1, 2)))
 
 
-def _terminal_call(params):
-    # averaging weights unlike the model's own: all weight on the last date
-    weights = np.zeros((1, params.n_dates))
+def _terminal_model():
+    # non-uniform averaging: all weight on the last date
+    weights = np.zeros((1, 64))
     weights[0, -1] = 1.0
-    return PayoffSpec(kind="asian-basket", strike=50.0, weights=weights,
-                      discount=payoff_for(params, 50.0).discount)
+    return dataclasses.replace(bs_asian_params(), weights=weights)
 
 
 @pytest.mark.parametrize("params, spec, paths", [
-    (bs_asian_params(), payoff_for(bs_asian_params(), 50.0), bs_paths),
-    (basket_params(), payoff_for(basket_params(), 40.0), bs_paths),
-    (bs_barrier_params(), payoff_for(bs_barrier_params(), 50.0,
-                                     "asian-barrier-expiry", 60.0), bs_paths),
-    (bs_barrier_params(), payoff_for(bs_barrier_params(), 50.0,
-                                     "asian-barrier-complete", 60.0), bs_paths),
-    (bs_asian_params(), _terminal_call(bs_asian_params()), bs_paths),
-    (cir_asian_params(), payoff_for(cir_asian_params(), 100.0), cir_euler_path),
+    (bs_asian_params(), PayoffSpec(50.0), bs_paths),
+    (basket_params(), PayoffSpec(40.0), bs_paths),
+    (bs_barrier_params(), PayoffSpec(50.0, "asian-barrier-expiry", 60.0),
+     bs_paths),
+    (bs_barrier_params(), PayoffSpec(50.0, "asian-barrier-complete", 60.0),
+     bs_paths),
+    (_terminal_model(), PayoffSpec(50.0), bs_paths),
+    (cir_asian_params(), PayoffSpec(100.0), cir_euler_path),
 ], ids=["bs-asian", "basket-fast-path", "barrier-expiry", "barrier-complete",
         "bs-terminal-weights", "cir-asian"])
 def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
@@ -152,16 +152,15 @@ def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
     z = RandomStream(12).normal((400, dim))
     f = payoff_evaluator(params, spec)(z)
     assert np.count_nonzero(f) > 0
-    np.testing.assert_allclose(f, evaluate(paths(z, params), spec),
+    np.testing.assert_allclose(f, evaluate(paths(z, params), spec, params),
                                rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("params, specs", [
-    (bs_asian_params(), [payoff_for(bs_asian_params(), k) for k in (45.0, 50.0, 55.0)]),
-    (bs_barrier_params(), [payoff_for(bs_barrier_params(), k,
-                                      "asian-barrier-complete", 60.0)
+    (bs_asian_params(), [PayoffSpec(k) for k in (45.0, 50.0, 55.0)]),
+    (bs_barrier_params(), [PayoffSpec(k, "asian-barrier-complete", 60.0)
                            for k in (45.0, 50.0)]),
-    (cir_asian_params(), [payoff_for(cir_asian_params(), k) for k in (95.0, 100.0)]),
+    (cir_asian_params(), [PayoffSpec(k) for k in (95.0, 100.0)]),
 ], ids=["bs-asian", "barrier-complete", "cir-asian"])
 def test_payoff_evaluator_rows_are_the_single_contract_values(params, specs):
     # a table's evaluator gives one contiguous row per contract, each the

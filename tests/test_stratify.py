@@ -70,37 +70,24 @@ class TestDirectionSet:
 
 
 class TestStratumSpec:
-    def test_indices_lexicographic_one_based(self):
-        spec = StratumSpec((2, 3))
-        assert spec.total == 6
-        assert list(spec.indices()) == [(1, 1), (1, 2), (1, 3),
-                                        (2, 1), (2, 2), (2, 3)]
-
     def test_marginal_bounds(self):
-        spec = StratumSpec((4,))
-        lo, hi = spec.marginal_bounds(0, 1)
-        assert lo == -np.inf
-        assert hi == pytest.approx(ndtri(0.25))
-        lo, hi = spec.marginal_bounds(0, 4)
-        assert lo == pytest.approx(ndtri(0.75))
-        assert hi == np.inf
+        edges = StratumSpec((4,)).edges(0)
+        assert edges[0] == -np.inf
+        assert edges[1] == pytest.approx(ndtri(0.25))
+        assert edges[3] == pytest.approx(ndtri(0.75))
+        assert edges[4] == np.inf
 
     def test_edges_match_marginal_bounds(self):
+        # stratum k (0-based) along direction j spans edges[k] to edges[k + 1]
         spec = StratumSpec((3, 5))
+        assert spec.total == 15
         for j, count in enumerate(spec.counts):
             edges = spec.edges(j)
             assert edges.shape == (count + 1,)
             assert edges[0] == -np.inf and edges[-1] == np.inf
             assert np.all(np.diff(edges) > 0)
-            for k in range(1, count + 1):
-                assert spec.marginal_bounds(j, k) == (edges[k - 1], edges[k])
-
-    def test_bad_index(self):
-        spec = StratumSpec((4,))
-        with pytest.raises(StratMcError, match="outside 1..4"):
-            spec.marginal_bounds(0, 0)
-        with pytest.raises(StratMcError, match="outside 1..4"):
-            spec.marginal_bounds(0, 5)
+            np.testing.assert_array_equal(edges[1:-1],
+                                          ndtri(np.arange(1, count) / count))
 
 
 def stratum_draws(dirs, spec, per, stream):
@@ -133,10 +120,11 @@ class TestSample1d:
         z, _, _ = stratum_draws(DirectionSet(v[:, None]), spec,
                                 n, RandomStream(51))
         proj = (z @ v).reshape(4, n)
-        for k in range(1, 5):
-            target = truncated_mean(*spec.marginal_bounds(0, k))
-            se = proj[k - 1].std(ddof=1) / np.sqrt(n)
-            assert abs(proj[k - 1].mean() - target) < 3.5 * se
+        edges = spec.edges(0)
+        for k in range(4):
+            target = truncated_mean(edges[k], edges[k + 1])
+            se = proj[k].std(ddof=1) / np.sqrt(n)
+            assert abs(proj[k].mean() - target) < 3.5 * se
 
     def test_unstratified_coordinates_stay_standard_normal(self):
         dirs = DirectionSet(np.array([[1.0], [0.0]]))
@@ -364,11 +352,11 @@ class TestEstimators:
         plan = equal_allocation(np.full(8, 1 / 8), 64_000)
         rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan,
                                   RandomStream(66))
-        for k in range(1, 9):
-            target = truncated_mean(*spec.marginal_bounds(0, k)) / 8
-            n_k = rep.stratum_counts[k - 1]
-            se = rep.stratum_sigmas[k - 1] / np.sqrt(n_k)
-            assert abs(rep.stratum_means[k - 1] - target) < 4 * se
+        edges = spec.edges(0)
+        for k in range(8):
+            target = truncated_mean(edges[k], edges[k + 1]) / 8
+            se = rep.stratum_sigmas[k] / np.sqrt(rep.stratum_counts[k])
+            assert abs(rep.stratum_means[k] - target) < 4 * se
 
     def test_two_stage_opt_concentrates_on_high_sigma_strata(self):
         # relu payoff: deep-negative strata are constant zero, so the
