@@ -2,9 +2,9 @@
 
 The package prices path-dependent options by stratifying the Gaussian
 driver along one or two directions (gradient-based, expansion-based or
-eigenvector-based), allocating draws across strata either equally or
-proportionally to the estimated stratum stds, and comparing against plain
-Monte Carlo and Latin hypercube baselines.
+eigenvector-based), allocating draws across strata proportionally to
+their probabilities or to probability times estimated std, and comparing
+against plain Monte Carlo and Latin hypercube baselines.
 
 The package exports the names in each library module's __all__.
 """

@@ -94,7 +94,7 @@ def _criterion_1():
     spec1 = StratumSpec((n_strata,))
     per = 12_500
     strata = np.repeat(np.arange(n_strata), per)
-    z, _ = sample_strata(DirectionSet(v[:, None]), spec1,
+    z, _ = sample_strata(DirectionSet(v), spec1,
                          strata, stream.child(1))
     member_1d = _in_boxes(z, v[:, None], spec1, strata)
     residuals = z - np.outer(z @ v, v)

@@ -27,14 +27,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "projection directions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config_required=True):
-        p.add_argument("--config", required=config_required,
-                       help="experiment INI file")
+    def add_common(p):
+        p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output table format")
 
     p_dir = sub.add_parser(
         "directions",
@@ -51,6 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser(
         "experiment", help="run the full method/allocation/payoff table")
     add_common(p_exp)
+    for p in (p_price, p_exp):
+        p.add_argument("--format", choices=("csv", "json"), default=None,
+                       help="output table format")
 
     p_self = sub.add_parser(
         "selftest", help="run the built-in acceptance checks")
@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args):
     config = load_config(args.config)
     for name in ("seed", "out", "format"):
-        if getattr(args, name) is not None:
+        if getattr(args, name, None) is not None:
             setattr(config, name, getattr(args, name))
     return config
 

@@ -227,12 +227,16 @@ def engines(params: BsParams | CirParams,
             "lt": lambda k: lt_directions_bs(params, k),
             "pca": lambda k: pca_directions(path_covariance(params), k)[0],
         }
+
+    def pilot_pca(k):
+        if stream is None:
+            raise ValueError("the pilot-pca engine needs a stream")
+        return DirectionSet(pilot_pca_cir(params, stream.child(1)))
     return {
         "la": lambda k: la_directions_multi(
             lambda z: cir_workspace(params, z).t, params.n_steps, k),
         "lt": lambda k: lt_directions_cir(params, k),
-        "pilot-pca": lambda k: DirectionSet(
-            pilot_pca_cir(params, stream.child(1))[:, None]),
+        "pilot-pca": pilot_pca,
     }
 
 

@@ -25,9 +25,10 @@ import numpy as np
 from .directions import engines
 from .errors import ConfigInvalid, StratMcError
 from .gaussian import RandomStream
-from .models import BsParams, CirParams, uniform_weights
+from .models import BsParams, CirParams, bs_model
 from .payoffs import KINDS, PayoffSpec, payoff_evaluator
 from .stratify import (
+    ALLOCS,
     DirectionSet,
     StratumSpec,
     lhs_estimate,
@@ -38,7 +39,6 @@ from .stratify import (
 
 __all__ = [
     "METHODS",
-    "ALLOCS",
     "ExperimentConfig",
     "ResultRow",
     "load_config",
@@ -50,7 +50,6 @@ __all__ = [
 
 METHODS = ("mc", "lhs", "la", "lt", "pca", "pilot-pca",
            "la+pca", "lt+pca", "two-dir-la", "two-dir-lt", "two-dir-pca")
-ALLOCS = ("const", "opt")
 COLUMNS = ("method", "alloc", "payoff", "strike", "barrier", "price",
            "variance", "time_ratio", "n_samples", "strata", "seed")
 
@@ -212,38 +211,19 @@ def _parse_model(section) -> BsParams | CirParams:
     steps = _get(section, "steps", int, name="model")
     maturity = _get(section, "maturity", _number, default=1.0, name="model")
     rate = _get(section, "rate", _number, default=0.0, name="model")
-    if steps < 1:
-        raise ConfigInvalid("model.steps must be >= 1")
     if kind == "cir":
-        try:
-            return CirParams(
-                s0=_get(section, "s0", _number, name="model"),
-                alpha=_get(section, "alpha", _number, name="model"),
-                mu=_get(section, "mu", _number, name="model"),
-                sigma=_get(section, "sigma", _number, name="model"),
-                rate=rate, n_steps=steps, maturity=maturity)
-        except (ValueError, StratMcError) as exc:
-            raise ConfigInvalid(f"model: {exc}") from exc
-    s0 = _floats(_get(section, "s0", str, name="model"))
-    sigma = _floats(_get(section, "sigma", str, name="model"))
-    m = len(s0)
-    if m == 0:
-        raise ConfigInvalid("model.s0 needs at least one value")
-    if len(sigma) == 1 and m > 1:
-        sigma = sigma * m
-    rho = _get(section, "rho", _number, default=0.0, name="model")
-    # a common correlation rho gives a positive-definite matrix exactly
-    # for -1/(m-1) < rho < 1
-    if m > 1 and not -1.0 / (m - 1) < rho < 1.0:
-        raise ConfigInvalid(
-            f"model.rho = {rho} must lie in ({-1.0 / (m - 1):g}, 1) "
-            f"for {m} assets")
-    corr = np.full((m, m), rho)
-    np.fill_diagonal(corr, 1.0)
-    grid = np.arange(1, steps + 1) * (maturity / steps)
+        build = CirParams
+        args = {key: _get(section, key, _number, name="model")
+                for key in ("s0", "alpha", "mu", "sigma")}
+        args["n_steps"] = steps
+    else:
+        build = bs_model
+        args = {"s0": _floats(_get(section, "s0", str, name="model")),
+                "sigma": _floats(_get(section, "sigma", str, name="model")),
+                "rho": _get(section, "rho", _number, default=0.0, name="model"),
+                "steps": steps}
     try:
-        return BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate, grid=grid,
-                        weights=uniform_weights(m, steps))
+        return build(rate=rate, maturity=maturity, **args)
     except (ValueError, StratMcError) as exc:
         raise ConfigInvalid(f"model: {exc}") from exc
 

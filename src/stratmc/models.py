@@ -18,6 +18,7 @@ from .linalg import bm_covariance, cholesky
 
 __all__ = [
     "BsParams",
+    "bs_model",
     "CirParams",
     "PathMatrix",
     "asset_covariance",
@@ -107,6 +108,30 @@ class BsParams:
     @property
     def maturity(self) -> float:
         return float(self.grid[-1])
+
+
+def bs_model(*, s0, sigma, rho, rate, steps, maturity) -> BsParams:
+    """The lognormal family of the benchmarks and the INI files: one spot
+    and one volatility per asset (a single sigma serves every asset), a
+    common correlation rho, `steps` equally spaced dates up to `maturity`
+    and the uniform average.  A common rho gives a positive-definite
+    correlation exactly for -1/(m-1) < rho < 1 over m assets."""
+    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    m = s0.size
+    if m == 0:
+        raise ValueError("s0 needs at least one value")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
+    sigma = np.full(m, sigma[0]) if sigma.size == 1 else sigma
+    if m > 1 and not -1.0 / (m - 1) < rho < 1.0:
+        raise ValueError(f"rho = {rho} must lie in ({-1.0 / (m - 1):g}, 1) "
+                         f"for {m} assets")
+    corr = np.full((m, m), rho)
+    np.fill_diagonal(corr, 1.0)
+    return BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate,
+                    grid=np.arange(1, steps + 1) * (maturity / steps),
+                    weights=uniform_weights(m, steps))
 
 
 @dataclass(frozen=True)

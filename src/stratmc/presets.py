@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import BsParams, CirParams, uniform_weights
+from .models import BsParams, CirParams, bs_model
 
 __all__ = [
     "bs_asian_params",
@@ -16,43 +16,22 @@ __all__ = [
 
 def bs_asian_params() -> BsParams:
     """Single-asset Asian benchmark: S0=50, sigma=0.3, r=0.05, 64 dates."""
-    n = 64
-    return BsParams(
-        s0=[50.0],
-        sigma=[0.3],
-        corr=[[1.0]],
-        rate=0.05,
-        grid=np.arange(1, n + 1) / n,
-        weights=uniform_weights(1, n),
-    )
+    return bs_model(s0=50.0, sigma=0.3, rho=0.0, rate=0.05, steps=64,
+                    maturity=1.0)
 
 
 def bs_barrier_params() -> BsParams:
     """Single-asset barrier benchmark: S0=50, sigma=0.1, r=0.05, 16 dates."""
-    n = 16
-    return BsParams(
-        s0=[50.0],
-        sigma=[0.1],
-        corr=[[1.0]],
-        rate=0.05,
-        grid=np.arange(1, n + 1) / n,
-        weights=uniform_weights(1, n),
-    )
+    return bs_model(s0=50.0, sigma=0.1, rho=0.0, rate=0.05, steps=16,
+                    maturity=1.0)
 
 
 def basket_params() -> BsParams:
     """40-asset terminal basket: spots 20..60, vols 0.1..0.4, rho=0.5."""
     m = 40
-    corr = np.full((m, m), 0.5)
-    np.fill_diagonal(corr, 1.0)
-    return BsParams(
-        s0=np.linspace(20.0, 60.0, m),
-        sigma=np.linspace(0.1, 0.4, m),
-        corr=corr,
-        rate=0.05,
-        grid=[1.0],
-        weights=uniform_weights(m, 1),
-    )
+    return bs_model(s0=np.linspace(20.0, 60.0, m),
+                    sigma=np.linspace(0.1, 0.4, m), rho=0.5, rate=0.05,
+                    steps=1, maturity=1.0)
 
 
 def cir_asian_params() -> CirParams:
@@ -67,4 +46,3 @@ def cir_asian_params() -> CirParams:
         n_steps=64,
         maturity=1.0,
     )
-

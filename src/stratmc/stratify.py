@@ -33,9 +33,9 @@ __all__ = [
     "StrataDraw",
     "sample_strata",
     "optimal_allocation",
-    "equal_allocation",
     "stratified_estimate",
     "two_stage_estimate",
+    "ALLOCS",
     "min_budget",
     "plain_mc_estimate",
     "lhs_estimate",
@@ -54,11 +54,16 @@ _MC_CHUNK = 200_000
 _N_MIN = 2
 # share of an opt cell's budget spent on its pilot stage
 _PILOT_FRACTION = 0.1
+# the allocation rules and their stage counts: "const" allocates in one
+# stage, "opt" in a pilot stage and a main stage
+_STAGES = {"const": 1, "opt": 2}
+ALLOCS = tuple(_STAGES)
 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """d' linearly independent unit direction columns E in R^d.
+    """d' linearly independent unit direction columns E in R^d; a 1-d
+    vector is one direction.
 
     frame holds the Gram-Schmidt frame F of the columns and m = E^T F, so
     that E = F m^T with m lower triangular; for orthonormal columns F = E
@@ -70,7 +75,9 @@ class DirectionSet:
     m: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        cols = np.atleast_2d(np.asarray(self.columns, dtype=float))
+        cols = np.asarray(self.columns, dtype=float)
+        if cols.ndim == 1:
+            cols = cols[:, None]
         if cols.ndim != 2:
             raise ValueError("columns must form a 2-d array")
         object.__setattr__(self, "columns", cols)
@@ -123,13 +130,10 @@ class AllocationPlan:
 
     q: np.ndarray
     n: np.ndarray
-    total: int
 
     def __post_init__(self):
         if abs(float(np.sum(self.q)) - 1.0) > 1e-12:
             raise ValueError("allocation fractions must sum to 1")
-        if int(np.sum(self.n)) != self.total:
-            raise ValueError("integer counts must sum to the total")
 
 
 @dataclass
@@ -262,7 +266,8 @@ def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
 
     Strata with p_k == 0 are treated as unreachable and get zero draws;
     strata with sigma_hat == 0 still get _N_MIN so stage two can correct a
-    lucky pilot.
+    lucky pilot.  Unit sigma_hat gives proportional allocation n_k ~ p_k,
+    the "const" rule.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma_hat, dtype=float)
@@ -276,20 +281,7 @@ def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
         raise StratMcError("every stratum std estimate is zero")
     q = w / w.sum()
     n = _largest_remainder(q, n_total, active)
-    return AllocationPlan(q=q, n=n, total=n_total)
-
-
-def equal_allocation(p, n_total: int) -> AllocationPlan:
-    """Equal counts across reachable strata (the constant allocation rule;
-    identical to proportional allocation when strata are equiprobable)."""
-    p = np.asarray(p, dtype=float)
-    active = p > 0.0
-    k_active = int(active.sum())
-    if k_active == 0:
-        raise ValueError("no reachable strata")
-    q = np.where(active, 1.0 / k_active, 0.0)
-    n = _largest_remainder(q, n_total, active)
-    return AllocationPlan(q=q, n=n, total=n_total)
+    return AllocationPlan(q=q, n=n)
 
 
 # --- estimators ---------------------------------------------------------------
@@ -378,7 +370,7 @@ def min_budget(n_strata: int, allocation: str) -> int:
     """Fewest draws two_stage_estimate accepts over n_strata strata: _N_MIN
     per stratum in each stage, one stage for "const" and two for "opt" (its
     pilot takes max(_PILOT_FRACTION n, _N_MIN n_strata) of the n draws)."""
-    return _N_MIN * n_strata * {"const": 1, "opt": 2}[allocation]
+    return _N_MIN * n_strata * _STAGES[allocation]
 
 
 def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
@@ -386,13 +378,14 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                        allocation: str = "opt") -> EstimateReport:
     """Stratified estimate under the constant or the two-stage optimal rule.
 
-    "const": every reachable stratum gets an equal share of n_total in one
-    stage.  "opt": a pilot stage (_PILOT_FRACTION of the budget, equal
-    allocation) estimates the per-stratum stds, the remaining budget is
-    allocated proportionally to p_k * sigma_hat_k, and the reported price
-    and variance come from the main stage alone.  n_samples counts the
-    draws that enter the estimate, the pilot's included.  A budget below
-    min_budget(spec.total, allocation) raises ValueError.
+    "const": proportional allocation n_k ~ p_k of n_total in one stage,
+    equal counts while the strata are equiprobable.  "opt": a pilot stage
+    allocated as "const" (_PILOT_FRACTION of the budget) estimates the
+    per-stratum stds, the remaining budget is allocated proportionally to
+    p_k * sigma_hat_k, and the reported price and variance come from the
+    main stage alone.  n_samples counts the draws that enter the estimate,
+    the pilot's included.  A budget below min_budget(spec.total,
+    allocation) raises ValueError.
 
     For an evaluator with S rows the pilot is shared and each row gets its
     own allocation from its own stds; the main stage draws one pool, of
@@ -401,7 +394,7 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     """
     t0 = time.perf_counter()
     n_strata = spec.total
-    if allocation not in ("const", "opt"):
+    if allocation not in _STAGES:
         raise ValueError(f"unknown allocation rule: {allocation!r}")
     if n_total < min_budget(n_strata, allocation):
         raise ValueError(f"budget too small for {allocation} over {n_strata} strata")
@@ -410,19 +403,17 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     # minimizes it; a uniform p makes the optimal rule exactly that, and
     # counts every stratum reachable until the pilot finds it empty
     p = np.full(n_strata, 1.0 / n_strata)
-
-    if allocation == "const":
-        plan = equal_allocation(p, n_total)
-        report = stratified_estimate(evaluator, directions, spec, plan,
-                                     stream.child(1))
-        report.wall_time = time.perf_counter() - t0
-        return report
-
-    n_pilot = max(int(round(_PILOT_FRACTION * n_total)), _N_MIN * n_strata)
-    n_main = n_total - n_pilot
-    pilot_plan = equal_allocation(p, n_pilot)
-    pilot = stratified_estimate(evaluator, directions, spec, pilot_plan,
+    # "const" is the pilot stage given the whole budget: the p * sigma
+    # rule at unit stds
+    n_pilot = n_total if allocation == "const" else \
+        max(int(round(_PILOT_FRACTION * n_total)), _N_MIN * n_strata)
+    pilot = stratified_estimate(evaluator, directions, spec,
+                                optimal_allocation(p, np.ones(n_strata), n_pilot),
                                 stream.child(1))
+    if allocation == "const":
+        pilot.wall_time = time.perf_counter() - t0
+        return pilot
+    n_main = n_total - n_pilot
     p_eff = np.where(pilot.stratum_empty, 0.0, p)
     one_row = pilot.stratum_sigmas.ndim == 1
     plans = [optimal_allocation(p_eff, sigmas, n_main)

@@ -3,14 +3,16 @@ the library's public API, run to completion; every demo config reproduces
 its recorded table byte for byte, and three of them their direction
 columns; the README's config grammar lists the keys the parser accepts."""
 import configparser
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stratmc import parse_csv
+from stratmc import bs_asian_params, cir_asian_params, load_config, parse_csv
 from stratmc.experiment import _MODEL_KEYS, _PAYOFF_KEYS, _SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +58,19 @@ def test_demo_config_reproduces_its_directions(name, tmp_path):
     assert out.read_text(encoding="utf-8") == (
         ROOT / "tests" / "data" / f"directions_{name}.txt").read_text(
         encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, preset", [("bs_asian", bs_asian_params),
+                                          ("cir_asian", cir_asian_params)])
+def test_demo_config_is_its_preset(name, preset):
+    # two setups are stated both as a config file and as a preset; field by
+    # field, because BsParams' array fields make == raise
+    params = load_config(str(ROOT / "demos" / "configs" / f"{name}.ini")).params
+    expected = preset()
+    assert type(params) is type(expected)
+    for f in dataclasses.fields(expected):
+        assert np.array_equal(getattr(params, f.name),
+                              getattr(expected, f.name)), f.name
 
 
 def test_readme_quick_start(capsys):

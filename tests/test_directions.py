@@ -248,6 +248,10 @@ class TestPilotPca:
         ang = angle_degrees(v, la_of(p))
         assert ang == pytest.approx(43.7, abs=3.0)
 
+    def test_engine_needs_a_stream(self):
+        with pytest.raises(ValueError, match="pilot-pca engine needs a stream"):
+            engines(cir_asian_params())["pilot-pca"](1)
+
     def test_degenerate_covariance(self):
         p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=1e-8, rate=0.05,
                       n_steps=16, maturity=1.0)

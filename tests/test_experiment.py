@@ -440,6 +440,10 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match=re.escape(name)):
             load_text(text)
 
+    def test_missing_cir_key_is_named_once(self):
+        with pytest.raises(ConfigInvalid, match=r"^model\.alpha is required$"):
+            load_text(CIR_INI.replace("alpha = 1.5\n", ""))
+
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[model]\nkind = bs\ns0 = 50\nsigma = 0.3\nsteps = 4\n")
@@ -588,6 +592,14 @@ class TestCli:
         assert list(sets) == ["la", "pilot-pca", "two-dir-lt"]
         np.testing.assert_array_equal(
             exported, np.column_stack([ds.columns for ds in sets.values()]))
+
+    def test_directions_takes_no_format(self, tmp_path):
+        # directions prints no table, so --format is not one of its flags
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI)
+        with pytest.raises(SystemExit) as exc:
+            main(["directions", "--config", str(ini), "--format", "json"])
+        assert exc.value.code == 2
 
     def test_config_error_exit_code(self, tmp_path):
         ini = tmp_path / "exp.ini"

@@ -15,6 +15,7 @@ from stratmc import (
     asset_covariance,
     bm_covariance,
     bs_basket_g,
+    bs_model,
     bs_paths,
     cir_euler_path,
     cir_zero_noise_path,
@@ -56,6 +57,32 @@ class TestBsParams:
         with pytest.raises(ValueError):
             BsParams(s0=[1.0], sigma=[0.1], corr=[[1.0]], rate=0.0,
                      grid=[0.5, 0.5], weights=uniform_weights(1, 2))
+
+
+class TestBsModel:
+    def test_common_rho_equally_spaced_uniform_average(self):
+        p = bs_model(s0=[100.0, 50.0], sigma=0.2, rho=0.3, rate=0.05,
+                     steps=4, maturity=2.0)
+        np.testing.assert_array_equal(p.sigma, [0.2, 0.2])
+        np.testing.assert_array_equal(p.corr, [[1.0, 0.3], [0.3, 1.0]])
+        np.testing.assert_array_equal(p.grid, [0.5, 1.0, 1.5, 2.0])
+        np.testing.assert_array_equal(p.weights, uniform_weights(2, 4))
+
+    @pytest.mark.parametrize("m, rho", [(2, 1.0), (2, -1.0), (3, -0.5)])
+    def test_rho_outside_positive_definite_range(self, m, rho):
+        with pytest.raises(ValueError, match="rho"):
+            bs_model(s0=[50.0] * m, sigma=0.3, rho=rho, rate=0.0, steps=2,
+                     maturity=1.0)
+
+    def test_needs_an_asset(self):
+        with pytest.raises(ValueError, match="at least one value"):
+            bs_model(s0=[], sigma=0.3, rho=0.0, rate=0.0, steps=2,
+                     maturity=1.0)
+
+    def test_needs_a_date(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            bs_model(s0=50.0, sigma=0.3, rho=0.0, rate=0.0, steps=0,
+                     maturity=1.0)
 
 
 class TestFlattenedLayout:

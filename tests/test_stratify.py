@@ -19,7 +19,6 @@ from stratmc import (
     RandomStream,
     StratMcError,
     StratumSpec,
-    equal_allocation,
     lhs_estimate,
     min_budget,
     optimal_allocation,
@@ -29,6 +28,11 @@ from stratmc import (
     two_stage_estimate,
 )
 from stratmc.stratify import _CHUNK
+
+
+def const_allocation(p, n_total):
+    """The "const" rule: the p * sigma rule at unit stds."""
+    return optimal_allocation(p, np.ones(len(p)), n_total)
 
 
 def phi(x):
@@ -67,6 +71,12 @@ class TestDirectionSet:
         cols = np.column_stack([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(StratMcError, match="dependent on its predecessors"):
             DirectionSet(cols)
+
+    def test_vector_is_one_direction(self):
+        v = np.array([0.6, 0.8, 0.0])
+        ds = DirectionSet(v)
+        assert (ds.dim, ds.count) == (3, 1)
+        np.testing.assert_array_equal(ds.columns[:, 0], v)
 
 
 class TestStratumSpec:
@@ -194,7 +204,7 @@ class TestSampleNonOrthogonal:
         spec = StratumSpec((50, 50))
         _, weight = sample_strata(dirs, spec, np.full(100, 49), RandomStream(58))
         assert np.all(weight == 0.0)
-        plan = equal_allocation(np.full(spec.total, 1 / spec.total), 10 * spec.total)
+        plan = const_allocation(np.full(spec.total, 1 / spec.total), 10 * spec.total)
         rep = stratified_estimate(lambda z: np.exp(z[:, 0]), dirs, spec, plan,
                                   RandomStream(58))
         assert rep.stratum_empty[49]
@@ -270,13 +280,13 @@ class TestAllocation:
         plan = optimal_allocation([0.5, 0.5], [1.0, 3.0], 400)
         np.testing.assert_array_equal(plan.n, [100, 300])
         np.testing.assert_allclose(plan.q, [0.25, 0.75])
-        assert plan.total == 400
+        assert plan.n.sum() == 400
 
     def test_equal_allocation_largest_remainder(self):
-        plan = equal_allocation([1 / 3, 1 / 3, 1 / 3], 10)
+        plan = const_allocation([1 / 3, 1 / 3, 1 / 3], 10)
         assert plan.n.sum() == 10
         assert sorted(plan.n) == [3, 3, 4]
-        plan = equal_allocation([1 / 3, 1 / 3, 1 / 3], 100)
+        plan = const_allocation([1 / 3, 1 / 3, 1 / 3], 100)
         assert sorted(plan.n) == [33, 33, 34]
 
     def test_zero_probability_stratum_gets_nothing(self):
@@ -318,6 +328,57 @@ class TestAllocation:
             assert np.all(plan.n[p > 0] >= 2)
 
 
+def _one_dir(d=3):
+    return DirectionSet(np.eye(d)[:, :1])
+
+
+def _mean_z(z):
+    return z.mean(axis=1)
+
+
+# the input checks of the module that no other test reaches, with the
+# error each raises
+BAD_INPUTS = {
+    "columns-not-2d": (lambda: DirectionSet(np.ones((2, 1, 1))),
+                       ValueError, "2-d array"),
+    "interval-count-below-one": (lambda: StratumSpec((4, 0)),
+                                 ValueError, ">= 1"),
+    "sampler-arity": (lambda: sample_strata(
+        DirectionSet(np.eye(3)[:, :2]), StratumSpec((4,)), [0], RandomStream(1)),
+        StratMcError, "arity"),
+    "total-below-n-min": (lambda: optimal_allocation([0.5, 0.5], [1.0, 1.0], 3),
+                          ValueError, "total too small"),
+    "negative-p": (lambda: optimal_allocation([-0.1, 1.1], [1.0, 1.0], 10),
+                   ValueError, "probabilities"),
+    "p-above-one": (lambda: optimal_allocation([0.6, 0.6], [1.0, 1.0], 10),
+                    ValueError, "probabilities"),
+    "negative-sigma": (lambda: optimal_allocation([0.5, 0.5], [1.0, -1.0], 10),
+                       ValueError, "sigma estimates"),
+    "plan-spec-mismatch": (lambda: stratified_estimate(
+        _mean_z, _one_dir(), StratumSpec((4,)),
+        const_allocation(np.full(3, 1 / 3), 30), RandomStream(2)),
+        ValueError, "does not match"),
+    "unknown-rule": (lambda: two_stage_estimate(
+        _mean_z, _one_dir(), StratumSpec((4,)), 100, RandomStream(3), "equal"),
+        ValueError, "unknown allocation rule"),
+    "mc-one-draw": (lambda: plain_mc_estimate(_mean_z, 3, 1, RandomStream(4)),
+                    ValueError, "two draws"),
+    "lhs-one-replication": (lambda: lhs_estimate(
+        _mean_z, np.eye(3), 100, 1, RandomStream(5)),
+        ValueError, "two replications"),
+    "lhs-one-draw-per-replication": (lambda: lhs_estimate(
+        _mean_z, np.eye(3), 10, 6, RandomStream(6)),
+        ValueError, "budget too small"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_input_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestEstimators:
     def v_first(self, d):
         v = np.zeros(d)
@@ -327,7 +388,7 @@ class TestEstimators:
     def test_constant_payoff_is_exact(self):
         dirs = self.v_first(3)
         spec = StratumSpec((8,))
-        plan = equal_allocation(np.full(8, 1 / 8), 800)
+        plan = const_allocation(np.full(8, 1 / 8), 800)
         rep = stratified_estimate(lambda z: np.full(z.shape[0], 7.25), dirs,
                                   spec, plan, RandomStream(63))
         assert rep.price == pytest.approx(7.25, abs=1e-14)
@@ -349,7 +410,7 @@ class TestEstimators:
         # stratum means are of weight * g, and every weight is p_k = 1/8
         dirs = self.v_first(2)
         spec = StratumSpec((8,))
-        plan = equal_allocation(np.full(8, 1 / 8), 64_000)
+        plan = const_allocation(np.full(8, 1 / 8), 64_000)
         rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan,
                                   RandomStream(66))
         edges = spec.edges(0)
@@ -413,7 +474,7 @@ class TestEstimators:
         dirs = DirectionSet(np.column_stack([e1, e2]))
         spec = StratumSpec((5, 5))
         ev = lambda z: np.exp(z[:, 0])
-        plan = equal_allocation(np.full(25, 1 / 25), 50_000)
+        plan = const_allocation(np.full(25, 1 / 25), 50_000)
         rep = stratified_estimate(ev, dirs, spec, plan, RandomStream(72))
         mc = plain_mc_estimate(ev, 3, 200_000, RandomStream(73))
         se = np.sqrt(rep.est_variance + mc.est_variance)
@@ -456,7 +517,7 @@ class TestEstimators:
     def test_report_bookkeeping(self):
         dirs = self.v_first(2)
         spec = StratumSpec((4,))
-        plan = equal_allocation(np.full(4, 0.25), 400)
+        plan = const_allocation(np.full(4, 0.25), 400)
         rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan,
                                   RandomStream(75))
         assert rep.n_strata == 4
@@ -524,7 +585,7 @@ class TestSharedRows:
         plans = []
         for s in range(len(self.STRIKES)):
             pilot = stratified_estimate(lambda z: self.rows(z)[s], dirs, spec,
-                                        equal_allocation(p, n_pilot),
+                                        const_allocation(p, n_pilot),
                                         stream.child(1))
             plans.append(optimal_allocation(p, pilot.stratum_sigmas,
                                             n_total - n_pilot).n)
@@ -548,8 +609,8 @@ class TestSharedRows:
                                              [np.cos(theta), np.sin(theta), 0.0]]))
         spec = StratumSpec((6, 6))
         p = np.full(spec.total, 1 / spec.total)
-        small = equal_allocation(p, 3 * spec.total)
-        large = equal_allocation(p, 60 * spec.total)
+        small = const_allocation(p, 3 * spec.total)
+        large = const_allocation(p, 60 * spec.total)
         ev = lambda z: np.stack([np.exp(z[:, 0]), np.exp(0.5 * z[:, 1])])
         rep = stratified_estimate(ev, dirs, spec, [small, large], RandomStream(95))
 
