@@ -102,7 +102,7 @@ def _criterion_1():
     cov_err = float(np.max(np.abs(cov - (np.eye(d) - np.outer(v, v)))))
 
     base = stream.normal((d, 2))
-    f, _ = gram_schmidt(base.T)
+    f = gram_schmidt(base.T)
     ospec = StratumSpec((4, 4))
     ostrata = np.repeat(np.arange(ospec.total), 500)
     z, _ = sample_strata(DirectionSet(f), ospec, ostrata,

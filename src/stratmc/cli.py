@@ -3,8 +3,8 @@
 Subcommands: `directions` (print or export direction vectors and their
 pairwise angles), `price` (one estimator cell), `experiment` (full result
 table), `selftest` (the built-in acceptance checks).  Exit codes: 0 on
-success, 2 for configuration errors, 3 for numeric or I/O failures and
-failed self-tests.
+success, 2 for configuration errors, 3 for numeric, memory or I/O
+failures and failed self-tests.
 """
 from __future__ import annotations
 
@@ -158,8 +158,8 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StratMcError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StratMcError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

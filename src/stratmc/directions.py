@@ -50,15 +50,12 @@ def _project_out(b: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
     return b
 
 
-def pca_directions(sigma: np.ndarray, m: int) -> tuple[DirectionSet, float]:
-    """Top-m covariance eigenvectors plus their explained-variance ratio."""
-    eig = symmetric_eigen(sigma)
-    if m > eig.eigenvalues.size:
+def pca_directions(sigma: np.ndarray, m: int) -> DirectionSet:
+    """The top-m covariance eigenvectors."""
+    w, v = symmetric_eigen(sigma)
+    if m > w.size:
         raise ValueError("cannot request more directions than dimensions")
-    total = float(eig.eigenvalues.sum())
-    ratio = float(eig.eigenvalues[:m].sum()) / total
-    cols = eig.eigenvectors[:, :m]
-    return DirectionSet(columns=cols), ratio
+    return DirectionSet(columns=v[:, :m])
 
 
 def _lt_columns(expansion, count: int, dim: int) -> DirectionSet:
@@ -203,14 +200,13 @@ def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:
     """
     z = stream.normal((_PILOT_N, params.n_steps))
     paths = cir_euler_path(z, params).values[:, 0, :]
-    cov = np.cov(paths, rowvar=False)
+    # np.cov of a single column (one step) is 0-d
+    cov = np.atleast_2d(np.cov(paths, rowvar=False))
     cov = 0.5 * (cov + cov.T)
-    eig = symmetric_eigen(cov)
-    lead = float(eig.eigenvalues[0])
-    if lead <= 1e-12 * max(1.0, abs(float(np.trace(cov)))):
+    w, v = symmetric_eigen(cov)
+    if w[0] <= 1e-12 * max(1.0, abs(float(np.trace(cov)))):
         raise StratMcError("pilot paths carry no variance")
-    v = eig.eigenvectors[:, 0]
-    return normalize_sign(v / np.linalg.norm(v))
+    return normalize_sign(v[:, 0] / np.linalg.norm(v[:, 0]))
 
 
 def engines(params: BsParams | CirParams,
@@ -225,7 +221,7 @@ def engines(params: BsParams | CirParams,
             "la": lambda k: la_directions_multi(
                 lambda e: bs_gradient(params, e), params.dim, k),
             "lt": lambda k: lt_directions_bs(params, k),
-            "pca": lambda k: pca_directions(path_covariance(params), k)[0],
+            "pca": lambda k: pca_directions(path_covariance(params), k),
         }
 
     def pilot_pca(k):
@@ -244,8 +240,6 @@ def export_directions(columns: np.ndarray, path: str) -> None:
     """Write direction columns as plain text, one component per line with
     17 significant digits; columns are separated by '# column j' headers."""
     cols = np.asarray(columns, dtype=float)
-    if cols.ndim == 1:
-        cols = cols[:, None]
     with open(path, "w", encoding="utf-8") as fh:
         for j in range(cols.shape[1]):
             fh.write(f"# column {j + 1}\n")

@@ -45,11 +45,18 @@ __all__ = [
     "run_experiment",
     "direction_sets",
     "format_rows",
-    "parse_csv",
 ]
 
-METHODS = ("mc", "lhs", "la", "lt", "pca", "pilot-pca",
-           "la+pca", "lt+pca", "two-dir-la", "two-dir-lt", "two-dir-pca")
+# method: (engines, directions taken from each); a method's position in the
+# table numbers its cells' substreams
+METHODS = {
+    "mc": ((), 0), "lhs": ((), 0),
+    "la": (("la",), 1), "lt": (("lt",), 1), "pca": (("pca",), 1),
+    "pilot-pca": (("pilot-pca",), 1),
+    "la+pca": (("la", "pca"), 1), "lt+pca": (("lt", "pca"), 1),
+    "two-dir-la": (("la",), 2), "two-dir-lt": (("lt",), 2),
+    "two-dir-pca": (("pca",), 2),
+}
 COLUMNS = ("method", "alloc", "payoff", "strike", "barrier", "price",
            "variance", "time_ratio", "n_samples", "strata", "seed")
 
@@ -99,7 +106,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigInvalid(f"run.methods: unknown method {m!r}")
-            names, count = _method_parts(m)
+            names, count = METHODS[m]
             missing = sorted(set(names) - model_engines.keys())
             if missing:
                 raise ConfigInvalid(
@@ -113,6 +120,10 @@ class ExperimentConfig:
                     "run.n_samples too small for the LHS replications")
             if not names:
                 continue
+            if len(names) * count > self.params.dim:
+                raise ConfigInvalid(
+                    f"run.methods: {m} needs {len(names) * count} directions, "
+                    f"more than the model's dimension {self.params.dim}")
             grid = _stratum_spec(self, len(names) * count)
             if len(grid.counts) == 2 and grid.total < 4:
                 raise ConfigInvalid(
@@ -279,18 +290,6 @@ def load_config(path: str) -> ExperimentConfig:
 # --- direction assembly ---------------------------------------------------------
 
 
-def _method_parts(method: str) -> tuple[tuple[str, ...], int]:
-    """The engines a method draws on and the direction count taken from
-    each: "<e>" is one direction of engine e, "two-dir-<e>" two directions
-    of e, and "<a>+<b>" the first direction of a and of b; the mc and lhs
-    baselines use none."""
-    if method in ("mc", "lhs"):
-        return (), 0
-    if method.startswith("two-dir-"):
-        return (method[len("two-dir-"):],), 2
-    return tuple(method.split("+")), 1
-
-
 def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
     """{method: DirectionSet} for every direction-based method of a valid
     config, drawn from the substream reserved for direction engines."""
@@ -299,7 +298,7 @@ def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
         config.params, RandomStream(config.seed).child(_DIR_STREAM_INDEX))
     sets = {}
     for method in config.methods:
-        names, count = _method_parts(method)
+        names, count = METHODS[method]
         if names:
             sets[method] = DirectionSet(np.column_stack(
                 [model_engines[name](count).columns for name in names]))
@@ -365,7 +364,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     for method in config.methods:
         if method == "mc":
             continue
-        cell_base = table_stream.child(2 + 2 * METHODS.index(method))
+        cell_base = table_stream.child(2 + 2 * list(METHODS).index(method))
         if method == "lhs":
             rep = lhs_estimate(evaluator, rotation, config.n_samples,
                                config.lhs_replications, cell_base)
@@ -410,22 +409,3 @@ def format_rows(rows, fmt: str = "csv") -> str:
         return json.dumps(payload, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
-
-def parse_csv(text: str) -> list[ResultRow]:
-    """Inverse of format_rows(fmt="csv") (17-digit floats round-trip)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(COLUMNS):
-        raise ValueError("unrecognized table header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        vals = dict(zip(COLUMNS, parts))
-        rows.append(ResultRow(
-            method=vals["method"], alloc=vals["alloc"], payoff=vals["payoff"],
-            strike=float(vals["strike"]),
-            barrier=None if vals["barrier"] == "" else float(vals["barrier"]),
-            price=float(vals["price"]), variance=float(vals["variance"]),
-            time_ratio=float(vals["time_ratio"]),
-            n_samples=int(vals["n_samples"]), strata=int(vals["strata"]),
-            seed=int(vals["seed"])))
-    return rows

@@ -70,9 +70,6 @@ class RandomStream:
     def normal(self, size=None):
         return self.generator.standard_normal(size=size)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
-
 
 def stratum_uniform(k: int, n_strata: int, stream: RandomStream, size=None):
     """Uniform draw(s) V on the k-th of n_strata equal slices of (0, 1).
@@ -97,7 +94,7 @@ def lhs_normals(n: int, d: int, stream: RandomStream) -> np.ndarray:
         raise ValueError("n and d must be positive")
     cells = np.empty((n, d))
     for j in range(d):
-        perm = stream.permutation(n)
+        perm = stream.generator.permutation(n)
         u = stream.uniform_open(size=n)
         cells[:, j] = (perm + u) / n
     return ndtri(cells)

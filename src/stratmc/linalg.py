@@ -9,14 +9,11 @@ against a relative tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import StratMcError
 
 __all__ = [
-    "EigenDecomposition",
     "cholesky",
     "bm_covariance",
     "gram_schmidt",
@@ -24,14 +21,6 @@ __all__ = [
     "normalize_sign",
     "angle_degrees",
 ]
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues sorted descending with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column i pairs with eigenvalues[i]
 
 
 def _require_symmetric(m: np.ndarray) -> np.ndarray:
@@ -70,32 +59,30 @@ def bm_covariance(grid) -> np.ndarray:
     return np.minimum.outer(t, t)
 
 
-def gram_schmidt(vectors) -> tuple[np.ndarray, np.ndarray]:
+def gram_schmidt(vectors) -> np.ndarray:
     """Orthonormalize a sequence of vectors (columns of the result).
 
-    Returns (F, norms) where F has orthonormal columns spanning the input
-    and norms[i] is the length of the i-th residual f'_i before
-    normalization.  The first column equals the first input vector, so for
-    unit inputs norms[0] == 1.  Raises StratMcError when a residual norm
-    drops below 1e-10.
+    Returns F with orthonormal columns spanning the input; the first column
+    is the first input vector, normalized.  Raises StratMcError when the
+    residual of a vector against its predecessors has norm below 1e-10.
     """
     e = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
     d, k = e.shape
     f = np.zeros((d, k))
-    norms = np.zeros(k)
     for i in range(k):
         resid = e[:, i].copy()
         for j in range(i):  # modified Gram-Schmidt
             resid -= (f[:, j] @ resid) * f[:, j]
-        norms[i] = np.linalg.norm(resid)
-        if norms[i] < 1e-10:
+        norm = np.linalg.norm(resid)
+        if norm < 1e-10:
             raise StratMcError(f"vector {i} is dependent on its predecessors")
-        f[:, i] = resid / norms[i]
-    return f, norms
+        f[:, i] = resid / norm
+    return f
 
 
-def symmetric_eigen(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition (w, v) of a symmetric matrix, as
+    np.linalg.eigh returns it: column v[:, i] pairs with w[i].
 
     Eigenvalues come back sorted descending; each eigenvector is flipped so
     its largest-magnitude component is positive (directions are defined up
@@ -111,7 +98,7 @@ def symmetric_eigen(m: np.ndarray) -> EigenDecomposition:
     v = v[:, order]
     for i in range(v.shape[1]):
         v[:, i] = normalize_sign(v[:, i])
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def normalize_sign(v: np.ndarray) -> np.ndarray:

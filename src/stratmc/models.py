@@ -48,7 +48,10 @@ class BsParams:
     factor is the lower-triangular C with C C^T = Sigma_MN, drift the
     exponents (r - sigma_{k1}^2 / 2) t_{k2} and coef the prefactors
     w_{k1 k2} S0_{k1}, so that exp(mu_k) = coef_k e^{drift_k}.  A covariance
-    that is numerically singular raises StratMcError.
+    that is numerically singular raises StratMcError.  Paths must stay in
+    the float64 range, or payoffs overflow and prices read nan: ValueError
+    unless ln S0_{k1} + drift_k + 10 sigma_{k1} sqrt(t_{k2}) is below
+    ln(float64 max) for every k.
     """
 
     s0: np.ndarray
@@ -83,14 +86,18 @@ class BsParams:
             raise ValueError("weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValueError("averaging weights must sum to 1")
+        k1 = np.arange(m * grid.size) % m
+        k2 = np.arange(m * grid.size) // m
+        drift = (self.rate - 0.5 * sigma[k1] ** 2) * grid[k2]
+        top = np.max(np.log(s0[k1]) + drift + 10.0 * sigma[k1] * np.sqrt(grid[k2]))
+        if not top < np.log(np.finfo(float).max):
+            raise ValueError(f"paths leave the float64 range: ln s0 + drift + "
+                             f"10 sigma sqrt(t) reaches {top:.6g} > 709.78")
         for name, val in (("s0", s0), ("sigma", sigma), ("corr", corr),
                           ("grid", grid), ("weights", weights)):
             object.__setattr__(self, name, val)
-        k1 = np.arange(self.dim) % m
-        k2 = np.arange(self.dim) // m
         object.__setattr__(self, "factor", cholesky(path_covariance(self)))
-        object.__setattr__(self, "drift",
-                           (self.rate - 0.5 * sigma[k1] ** 2) * grid[k2])
+        object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "coef", weights[k1, k2] * s0[k1])
 
     @property
@@ -157,10 +164,11 @@ class CirParams:
             raise ValueError("alpha, sigma and rate must be nonnegative")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
-        if not 2.0 * self.alpha * self.mu > self.sigma ** 2:
+        # sigma * sigma: a float ** raises OverflowError where * gives inf
+        if not 2.0 * self.alpha * self.mu > self.sigma * self.sigma:
             raise StratMcError(
                 f"2*alpha*mu = {2 * self.alpha * self.mu} must exceed "
-                f"sigma^2 = {self.sigma ** 2}")
+                f"sigma^2 = {self.sigma * self.sigma}")
 
     @property
     def dt(self) -> float:

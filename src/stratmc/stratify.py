@@ -84,7 +84,7 @@ class DirectionSet:
         norms = np.linalg.norm(cols, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("direction columns must have unit norm")
-        frame, _ = gram_schmidt(cols.T)  # raises StratMcError on dependence
+        frame = gram_schmidt(cols.T)  # raises StratMcError on dependence
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "m", cols.T @ frame)
 
@@ -162,10 +162,6 @@ class EstimateReport:
     stratum_sigmas: np.ndarray | None = None
     stratum_counts: np.ndarray | None = None
     stratum_empty: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def std_error(self):
-        return np.sqrt(np.maximum(self.est_variance, 0.0))
 
 
 def _rows_as(values: np.ndarray, shape: tuple):
@@ -324,6 +320,9 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     for c, start in enumerate(range(0, strata.size, _CHUNK)):
         z, weight = sample_strata(directions, spec, strata[start:start + _CHUNK],
                                   stream.child(c))
+        # an unreachable draw enters no estimate, and it may sit far out on
+        # its box's boundary, where the payoff overflows: evaluate it at 0
+        z[weight == 0.0] = 0.0
         parts.append(evaluator(z) * weight)
         weights.append(weight)
     vals = np.concatenate(parts, axis=-1)

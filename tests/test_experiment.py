@@ -5,7 +5,9 @@ stratified row must agree with it within combined standard errors, and the
 deterministic time_ratio column follows directly from the operation counts
 (mc 1.0, lhs 2.0, one extra projection per direction otherwise).
 """
+import csv
 import dataclasses
+import io
 import json
 import re
 import tempfile
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import f as f_dist
 
@@ -33,13 +35,17 @@ from stratmc import (
     format_rows,
     load_config,
     normalize_sign,
-    parse_csv,
     run_experiment,
 )
 from stratmc.cli import main
 from stratmc.payoffs import KINDS, PayoffSpec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def read_table(text: str) -> list[dict]:
+    """A CSV table's rows, each a {column: field text} dict."""
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def small_bs_config(**overrides) -> ExperimentConfig:
@@ -203,12 +209,13 @@ class TestBuildDirections:
         def build(method):
             sets = direction_sets(dataclasses.replace(config, methods=[method]))
             return sets[method]
-        for method in METHODS[2:]:
+        for method in list(METHODS)[2:]:
             if method.startswith("two-dir-"):
-                names, count = {method[len("two-dir-"):]}, 2
+                names, count = (method[len("two-dir-"):],), 2
             else:
-                names, count = set(method.split("+")), 1
-            if not names <= self.ENGINES[config.model]:
+                names, count = tuple(method.split("+")), 1
+            assert METHODS[method] == (names, count), method
+            if not set(names) <= self.ENGINES[config.model]:
                 with pytest.raises(ConfigInvalid):
                     build(method)
                 continue
@@ -290,8 +297,17 @@ class TestValidation:
 
 class TestTables:
     def test_csv_round_trip(self):
+        # every float column reads back bit for bit from its 17 digits
         rows = run_experiment(small_bs_config(methods=["la", "lhs"]))
-        assert parse_csv(format_rows(rows, "csv")) == rows
+        records = read_table(format_rows(rows, "csv"))
+        assert len(records) == len(rows)
+        for rec, row in zip(records, rows):
+            assert (rec["method"], rec["alloc"], rec["payoff"], rec["barrier"]) \
+                == (row.method, row.alloc, row.payoff, "")
+            for col in ("strike", "price", "variance", "time_ratio"):
+                assert float(rec[col]) == getattr(row, col), col
+            for col in ("n_samples", "strata", "seed"):
+                assert int(rec[col]) == getattr(row, col), col
 
     def test_csv_empty_barrier_field(self):
         rows = run_experiment(small_bs_config(methods=[]))
@@ -366,6 +382,11 @@ UNKNOWN_NAMES = {
                    "model.rho"),
     "default-section": ("[DEFAULT]\nseed = 3\n" + BS_INI, "[DEFAULT]"),
 }
+
+
+# methods that need two directions, more than a one-asset, one-step model has
+ONE_STEP_METHODS = ("two-dir-la", "two-dir-lt", "two-dir-pca", "la+pca",
+                    "lt+pca")
 
 
 class TestLoadConfig:
@@ -493,13 +514,31 @@ BASE_REST = {
 }
 
 
+def base_sections(model: str) -> dict:
+    return {"model": dict(BASE_MODEL[model]),
+            **{name: dict(keys) for name, keys in BASE_REST.items()}}
+
+
+def render(sections: dict) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def bs_basket_text(**model) -> str:
+    """The base lognormal config on an average-price contract, with some
+    [model] values replaced."""
+    sections = base_sections("bs")
+    sections["model"].update(model)
+    del sections["payoff"]["barrier"]
+    return render(sections)
+
+
 @st.composite
 def ini_texts(draw):
     """A valid config of any model and payoff kind with up to four numeric
     values replaced or removed."""
     model = draw(st.sampled_from(sorted(BASE_MODEL)))
-    sections = {"model": dict(BASE_MODEL[model]),
-                **{name: dict(keys) for name, keys in BASE_REST.items()}}
+    sections = base_sections(model)
     if model == "bs":
         sections["model"]["s0"] = draw(st.sampled_from(["50", "50 60",
                                                         "40 50 60"]))
@@ -515,8 +554,7 @@ def ini_texts(draw):
             del sections[name][key]
         else:
             sections[name][key] = value
-    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                   for name, keys in sections.items())
+    return render(sections)
 
 
 @settings(max_examples=300, deadline=None)
@@ -535,6 +573,11 @@ def test_load_config_accepts_or_rejects_as_config_error(text):
 
 @settings(max_examples=100, deadline=None)
 @given(ini_texts())
+# a nearly parallel two-dir-la pair puts unreachable draws thousands of
+# standard deviations out, where the payoff overflows
+@example(bs_basket_text(rate="4", maturity="4"))
+# paths beyond the float64 range
+@example(bs_basket_text(rate="50", maturity="50"))
 def test_run_experiment_prices_or_raises_stratmc_error(text):
     # every cell of a tiny table prices to finite numbers, or the run fails
     # as a StratMcError (exit 2 or 3); any other exception is a defect
@@ -553,9 +596,9 @@ class TestCli:
         code = main(["experiment", "--config", str(ini), "--out", str(out),
                      "--format", "csv", "--seed", "3"])
         assert code == 0
-        rows = parse_csv(out.read_text())
+        rows = read_table(out.read_text())
         assert len(rows) == 6
-        assert all(r.seed == 3 for r in rows)  # CLI override wins
+        assert all(r["seed"] == "3" for r in rows)  # CLI override wins
 
     def test_price_command(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"
@@ -620,15 +663,49 @@ class TestCli:
         BS_INI.replace("strike = 45 50 55", "strike = 45%"),
         BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60"),
         *(text for text, _ in UNKNOWN_NAMES.values()),
+        *(BS_INI.replace("steps = 8", "steps = 1").replace("mc, la", method)
+          for method in ONE_STEP_METHODS),
+        CIR_INI.replace("sigma = 8", "sigma = 1e300"),
+        BS_INI.replace("rate = 0.05", "rate = 50")
+        .replace("maturity = 1.0", "maturity = 50").replace("mc, la", "mc"),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
             "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite",
             "rho-numerically-singular", "sigma-numerically-singular",
             "opt-pilot-takes-the-budget", "percent-in-value", "barrier-on-basket",
-            *UNKNOWN_NAMES])
-    def test_malformed_config_exit_code(self, tmp_path, text):
+            *UNKNOWN_NAMES,
+            *(f"one-step-{method}" for method in ONE_STEP_METHODS),
+            "cir-sigma-overflows", "paths-overflow"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--config", str(ini)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_one_step_pilot_pca(self, tmp_path, capsys):
+        # one step gives a 1 x 1 pilot covariance
+        ini = tmp_path / "exp.ini"
+        ini.write_text(CIR_INI.replace("steps = 8", "steps = 1")
+                       .replace("mc, la", "mc, pilot-pca"))
+        assert main(["experiment", "--config", str(ini)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert {r["method"] for r in rows} == {"mc", "pilot-pca"}
+        assert np.all(np.isfinite([(r["price"], r["variance"]) for r in rows]))
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 74.5 GiB for an array"),
+         "Unable to allocate 74.5 GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch,
+                                     exc, message):
+        def run_experiment(config):
+            raise exc
+        monkeypatch.setattr("stratmc.cli.run_experiment", run_experiment)
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI)
+        assert main(["experiment", "--config", str(ini)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # far out of the money every pilot stratum std is zero, so the
@@ -653,9 +730,10 @@ class TestCli:
         out = tmp_path / "table.csv"
         assert main(["experiment", "--config", str(ini), "--out", str(out),
                      "--format", "csv"]) == 0
-        rows = parse_csv(out.read_text())
-        assert [r.method for r in rows] == ["mc", "la", "lt"]
-        assert all(r.price == 0.0 and r.variance == 0.0 for r in rows)
+        rows = read_table(out.read_text())
+        assert [r["method"] for r in rows] == ["mc", "la", "lt"]
+        assert all(float(r["price"]) == 0.0 and float(r["variance"]) == 0.0
+                   for r in rows)
         # under opt every pilot stratum std is zero, a numeric failure
         capsys.readouterr()
         ini.write_text(text)

@@ -523,7 +523,6 @@ class TestEstimators:
         assert rep.n_strata == 4
         assert rep.n_samples == 400
         np.testing.assert_array_equal(rep.stratum_counts, plan.n)
-        assert rep.std_error == pytest.approx(np.sqrt(rep.est_variance))
         assert rep.variance == pytest.approx(rep.est_variance * 400)
 
 
