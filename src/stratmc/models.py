@@ -9,6 +9,8 @@ asset-fastest: k = k2*M + k1 (0-based asset k1, date k2).
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,7 +148,10 @@ class CirParams:
     """CIR square-root diffusion dS = alpha (mu - S) dt + sigma sqrt(S) dW.
 
     The parameters must satisfy the Feller condition 2*alpha*mu > sigma^2.
-    Contracts average the N Euler values with the uniform weights.
+    Contracts average the N Euler values with the uniform weights.  Path
+    covariances and payoff variances square the Euler values, so they must
+    stay below sqrt(float64 max): ValueError unless the scale bound
+    (s0 + mu + 10 sigma sqrt((s0 + mu) T)) max(1, |1 - alpha dt|)^N is.
     """
 
     s0: float
@@ -169,6 +174,13 @@ class CirParams:
             raise StratMcError(
                 f"2*alpha*mu = {2 * self.alpha * self.mu} must exceed "
                 f"sigma^2 = {self.sigma * self.sigma}")
+        # in logs and Python floats: an overflow reads inf, not a warning
+        scale = float(self.s0) + float(self.mu)
+        top = math.log(scale + 10.0 * self.sigma * math.sqrt(scale * self.maturity)) \
+            + self.n_steps * math.log(max(1.0, abs(1.0 - self.alpha * self.dt)))
+        if not top < 0.5 * math.log(sys.float_info.max):
+            raise ValueError(f"paths leave the float64 range: the Euler scale "
+                             f"bound reaches e^{top:.6g} > e^354.89")
 
     @property
     def dt(self) -> float:
@@ -209,22 +221,22 @@ def path_covariance(params: BsParams) -> np.ndarray:
 
 
 def bs_basket_g(eps: np.ndarray, params: BsParams) -> np.ndarray:
-    """Weighted sum of lognormal grid values, g(eps) = sum_k exp(mu_k + (C eps)_k).
-
-    eps has shape (..., M*N).
-    """
-    eps = np.asarray(eps, dtype=float)
-    return np.exp(params.drift + eps @ params.factor.T) @ params.coef
+    """Weighted sum of lognormal grid values, g(eps) = sum_k exp(mu_k + (C eps)_k),
+    for eps of shape (..., M*N); one work array of that shape holds the grid."""
+    y = np.asarray(eps, dtype=float) @ params.factor.T
+    y += params.drift
+    return np.exp(y, out=y) @ params.coef
 
 
 def bs_paths(eps: np.ndarray, params: BsParams) -> PathMatrix:
-    """Exact lognormal grid values S_{k1}(t_{k2}), shape (..., M, N)."""
-    eps = np.asarray(eps, dtype=float)
+    """Exact lognormal grid values S_{k1}(t_{k2}), shape (..., M, N), built
+    in place in one work array the size of the output."""
     m, n = params.n_assets, params.n_dates
-    k1 = np.arange(m * n) % m
-    flat = params.s0[k1] * np.exp(params.drift + eps @ params.factor.T)
-    shaped = flat.reshape(eps.shape[:-1] + (n, m))
-    return PathMatrix(values=np.swapaxes(shaped, -1, -2))
+    y = np.asarray(eps, dtype=float) @ params.factor.T
+    y += params.drift
+    np.exp(y, out=y)
+    y *= np.tile(params.s0, n)
+    return PathMatrix(values=np.swapaxes(y.reshape(y.shape[:-1] + (n, m)), -1, -2))
 
 
 # --- CIR ---------------------------------------------------------------------

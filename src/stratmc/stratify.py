@@ -186,10 +186,10 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
 
     `strata` holds flat 0-based stratum indices, last direction fastest
     (see StratumSpec).  The draws are made on the set's orthonormal frame F,
-    with E = F m^T (directions.frame and directions.m): coordinate i along
+    with E = F m^T (directions.frame and directions.m): coordinate x_i along
     f_i is drawn from the normal restricted to the sequential interval
-    (a_i^- - s_i, a_i^+ - s_i) / m[i, i], with s_i the shift contributed by
-    the already-drawn coordinates, and the residual is completed in O(d).
+    (a_i^- - s_i, a_i^+ - s_i) / m[i, i], with s_i the shift of x_1..x_{i-1},
+    and one in-place gemm completes a normal zp: z = zp + (x - zp F) F^T.
 
     Returns a StrataDraw (z, weight): z has shape (n, d) and weight[r] is
     the product of row r's conditional interval probabilities, which stands
@@ -219,8 +219,11 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
         p = np.clip(p_lo + u[:, i] * width, _P_FLOOR, _P_CEIL)
         x[:, i] = np.clip(ndtri(p), ta_lo, ta_hi)
         weight *= width
-    zp = stream.normal((n, d))
-    z = zp - (zp @ f) @ f.T + x @ f.T
+    z = stream.normal((n, d))
+    if n:  # gemm rejects an empty c
+        # imported here: scipy.linalg adds about 60 ms to `import stratmc`
+        from scipy.linalg.blas import dgemm
+        dgemm(1.0, f, (x - z @ f).T, beta=1.0, c=z.T, overwrite_c=True)
     return StrataDraw(z, weight)
 
 

@@ -666,6 +666,10 @@ class TestCli:
         *(BS_INI.replace("steps = 8", "steps = 1").replace("mc, la", method)
           for method in ONE_STEP_METHODS),
         CIR_INI.replace("sigma = 8", "sigma = 1e300"),
+        CIR_INI.replace("s0 = 100", "s0 = 1e300"),
+        CIR_INI.replace("alpha = 1.5", "alpha = 1e300"),
+        CIR_INI.replace("mu = 100", "mu = 1e300"),
+        CIR_INI.replace("steps = 8", "steps = 8\nmaturity = 1e300"),
         BS_INI.replace("rate = 0.05", "rate = 50")
         .replace("maturity = 1.0", "maturity = 50").replace("mc, la", "mc"),
     ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
@@ -674,7 +678,8 @@ class TestCli:
             "opt-pilot-takes-the-budget", "percent-in-value", "barrier-on-basket",
             *UNKNOWN_NAMES,
             *(f"one-step-{method}" for method in ONE_STEP_METHODS),
-            "cir-sigma-overflows", "paths-overflow"])
+            "cir-sigma-overflows", "cir-s0-overflows", "cir-alpha-overflows",
+            "cir-mu-overflows", "cir-maturity-overflows", "paths-overflow"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))

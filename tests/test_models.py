@@ -157,6 +157,32 @@ class TestBsPaths:
         assert bs_basket_g(eps, p).shape == (7, 3)
 
 
+def one_asset_params():
+    return bs_model(s0=50.0, sigma=0.3, rho=0.0, rate=0.05, steps=4,
+                    maturity=1.0)
+
+
+@pytest.mark.parametrize("p", [one_asset_params(), two_asset_params()],
+                         ids=["1-asset", "2-asset"])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 5)], ids=["d", "n-d", "2-n-d"])
+def test_in_place_maps_match_out_of_place(p, lead):
+    # the maps build their values in place; IEEE add and multiply commute,
+    # so they equal the out-of-place expressions bit for bit, and they leave
+    # a read-only eps as it was
+    eps = RandomStream(95).normal(lead + (p.dim,))
+    eps.setflags(write=False)
+    before = eps.copy()
+    grid = np.exp(p.drift + eps @ p.factor.T)
+    g = grid @ p.coef
+    flat = p.s0[np.arange(p.dim) % p.n_assets] * grid
+    paths = np.swapaxes(flat.reshape(lead + (p.n_dates, p.n_assets)), -1, -2)
+    got_g, got_paths = bs_basket_g(eps, p), bs_paths(eps, p).values
+    assert got_g.shape == g.shape and got_g.tobytes() == g.tobytes()
+    assert got_paths.shape == paths.shape
+    assert got_paths.tobytes() == paths.tobytes()
+    assert eps.tobytes() == before.tobytes()
+
+
 class TestCir:
     def params(self, **kw):
         base = dict(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, rate=0.05,
@@ -220,3 +246,9 @@ class TestCir:
             self.params(n_steps=0)
         with pytest.raises(StratMcError, match=r"must exceed sigma\^2"):
             self.params(sigma=20.0)  # 2*1.5*100 < 400
+
+    @pytest.mark.parametrize("key", ["s0", "alpha", "mu", "maturity"])
+    def test_rejects_paths_beyond_float64(self, key):
+        # Euler values near 1e300 square to inf in covariances and variances
+        with pytest.raises(ValueError, match="leave the float64 range"):
+            self.params(**{key: 1e300})

@@ -19,6 +19,8 @@ from stratmc import (
     RandomStream,
     StratMcError,
     StratumSpec,
+    bs_asian_params,
+    engines,
     lhs_estimate,
     min_budget,
     optimal_allocation,
@@ -247,6 +249,44 @@ class TestSampleNonOrthogonal:
         truth = np.exp(1.0)  # Var(z1 + z2) = 2
         assert abs(weighted - truth) < 3.5 * np.sqrt(weighted_var)
         assert abs(naive - truth) > 5.0 * np.sqrt(naive_var)
+
+
+def orthonormal_pair():
+    q, _ = np.linalg.qr(np.random.default_rng(62).normal(size=(6, 2)))
+    return DirectionSet(q)
+
+
+def la_pca_pair():
+    """The non-orthogonal la+pca pair of the bs Asian benchmark."""
+    model = engines(bs_asian_params())
+    return DirectionSet(np.column_stack([model["la"](1).columns,
+                                         model["pca"](1).columns]))
+
+
+class TestResidualCompletion:
+    """z = zp + (x - zp F) F^T puts each draw's frame coordinates at x and
+    leaves the rest of the stream's normal zp in place."""
+
+    @pytest.mark.parametrize("make", [orthonormal_pair, la_pca_pair],
+                             ids=["orthonormal", "la+pca"])
+    def test_boxes_and_residual(self, make):
+        dirs = make()
+        spec = StratumSpec((5, 4))
+        z, weight, strata = stratum_draws(dirs, spec, 200, RandomStream(63))
+        assert np.all(weight > 0.0)
+        assert_in_boxes(z, dirs, spec, strata)
+        # replay the stream: the sampler takes its uniforms, then zp
+        stream = RandomStream(63)
+        stream.uniform_open(size=(strata.size, dirs.count))
+        zp = stream.normal(z.shape)
+        f = dirs.frame
+        np.testing.assert_allclose(z - (z @ f) @ f.T, zp - (zp @ f) @ f.T,
+                                   rtol=0, atol=1e-12)
+
+    def test_no_strata_no_draws(self):
+        z, weight = sample_strata(la_pca_pair(), StratumSpec((5, 4)), [],
+                                  RandomStream(64))
+        assert z.shape == (0, 64) and weight.shape == (0,)
 
 
 # (dimension, seed, angle in degrees between the two unit directions)
