@@ -47,21 +47,21 @@ def main():
     print()
     print("2. Pricing E[max(exp(v.z) - 1, 0)] with a", BUDGET, "draw budget")
     mc = plain_mc_estimate(payoff, DIM, BUDGET, stream.child(100))
-    print(f"   plain MC      price {mc.price:.5f}   "
-          f"single-draw variance {mc.variance:.5f}")
+    print(f"   plain MC      price {mc.price[0]:.5f}   "
+          f"single-draw variance {mc.variance[0]:.5f}")
 
     for rule in ("const", "opt"):
         rep = two_stage_estimate(payoff, dirs, spec, BUDGET,
                                  stream.child(200), allocation=rule)
-        ratio = mc.variance / rep.variance
-        print(f"   stratified {rule:5s} price {rep.price:.5f}   "
-              f"variance {rep.variance:.5f}   ratio vs MC {ratio:7.1f}")
+        ratio = mc.variance[0] / rep.variance[0]
+        print(f"   stratified {rule:5s} price {rep.price[0]:.5f}   "
+              f"variance {rep.variance[0]:.5f}   ratio vs MC {ratio:7.1f}")
 
     print()
     print("3. Where the optimal rule spends the budget")
     rep = two_stage_estimate(payoff, dirs, spec, BUDGET, stream.child(200),
                              allocation="opt")
-    counts = rep.stratum_counts
+    counts = rep.stratum_counts[0]
     print(f"   left tail (payoff flat):  {counts[:5].tolist()} draws")
     print(f"   right tail (payoff steep): {counts[-5:].tolist()} draws")
     print("   flat strata get the minimum; steep strata soak up the rest.")

@@ -63,9 +63,12 @@ def main():
                              stream.child(1), allocation="opt")
     exact = float(np.exp(0.5))  # lognormal mean, |v| = 1
     print(f"   exact value        {exact:.5f}")
-    print(f"   plain MC           {mc.price:.5f}   variance {mc.variance:.4f}")
-    print(f"   stratified 10x10   {rep.price:.5f}   variance {rep.variance:.4f}"
-          f"   ratio {mc.variance / rep.variance:.1f}")
+    # a 1-d payoff is one evaluator row: the reports hold row 0
+    print(f"   plain MC           {mc.price[0]:.5f}"
+          f"   variance {mc.variance[0]:.4f}")
+    print(f"   stratified 10x10   {rep.price[0]:.5f}"
+          f"   variance {rep.variance[0]:.4f}"
+          f"   ratio {mc.variance[0] / rep.variance[0]:.1f}")
     print("   pinning two correlated projections still cuts variance by an")
     print("   order of magnitude, but the fluctuating per-draw weights add")
     print("   noise of their own -- the price of a non-orthogonal grid.")

@@ -40,9 +40,9 @@ def main():
     print(f"1. Additive payoff mean(z) in {DIM} dimensions")
     mc = plain_mc_estimate(additive, DIM, BUDGET, stream.child(0))
     lhs = lhs_estimate(additive, rot, BUDGET, REPS, stream.child(1))
-    print(f"   plain MC variance {mc.variance:.2e}")
-    print(f"   LHS variance      {lhs.variance:.2e}"
-          f"   ratio {mc.variance / lhs.variance:9.0f}")
+    print(f"   plain MC variance {mc.variance[0]:.2e}")
+    print(f"   LHS variance      {lhs.variance[0]:.2e}"
+          f"   ratio {mc.variance[0] / lhs.variance[0]:9.0f}")
     print("   marginal stratification removes additive variance almost")
     print("   completely.")
 
@@ -53,11 +53,11 @@ def main():
     dirs = DirectionSet(v[:, None])
     strat = two_stage_estimate(oblique, dirs, StratumSpec((100,)), BUDGET,
                                stream.child(4), allocation="opt")
-    print(f"   plain MC variance          {mc.variance:.5f}")
-    print(f"   LHS variance               {lhs.variance:.5f}"
-          f"   ratio {mc.variance / lhs.variance:7.1f}")
-    print(f"   projection-stratified var  {strat.variance:.5f}"
-          f"   ratio {mc.variance / strat.variance:7.1f}")
+    print(f"   plain MC variance          {mc.variance[0]:.5f}")
+    print(f"   LHS variance               {lhs.variance[0]:.5f}"
+          f"   ratio {mc.variance[0] / lhs.variance[0]:7.1f}")
+    print(f"   projection-stratified var  {strat.variance[0]:.5f}"
+          f"   ratio {mc.variance[0] / strat.variance[0]:7.1f}")
     print("   LHS only helps through each coordinate's small share of v.z;")
     print("   stratifying the projection itself is orders of magnitude ahead.")
 

@@ -5,8 +5,9 @@ supplies the averaging weights (params.weights) and the discount e^{-rT}.
 evaluate accepts a PathMatrix or a raw array shaped (..., M, N) and
 returns discounted payoffs with the leading batch shape.  Barrier knock-out
 uses strict comparison: S < B survives, S == B knocks out.
-payoff_evaluator composes a model's path map with one or more contracts
-into the driver-space function f(z) that the estimators sample.
+payoff_evaluator composes a model's path map with a sequence of S
+contracts into the driver-space function f(z) -> (S, n) that the
+estimators sample, one row per contract.
 """
 from __future__ import annotations
 
@@ -69,18 +70,17 @@ def evaluate(path, spec: PayoffSpec, params) -> np.ndarray:
 
 
 def payoff_evaluator(params, specs):
-    """The discounted payoff as a function of the driver z under BsParams or
-    CirParams: f(z), shape (..., dim) -> (...), for one PayoffSpec, and
-    (S, ...) for a sequence of S contracts, one contiguous row per
-    contract, all priced from one path map of the same z.
+    """The discounted payoffs of a sequence of S contracts as one function
+    of the driver z under BsParams or CirParams: f(z), shape (n, dim) ->
+    (S, n), one contiguous row per contract, all priced from one path map
+    of the same z.
 
     When every contract is a lognormal basket, the path map is the
     weighted lognormal sum bs_basket_g, which equals the payoff on the full
     path matrix without building it.  A barrier contract on a multi-asset
     model raises ValueError: the barrier watches a single asset.
     """
-    one = isinstance(specs, PayoffSpec)
-    specs = [specs] if one else list(specs)
+    specs = list(specs)
     m = params.weights.shape[0]
     if m > 1 and any(s.kind != "asian-basket" for s in specs):
         raise ValueError(f"barrier contracts are single-asset, not {m} assets")
@@ -92,8 +92,6 @@ def payoff_evaluator(params, specs):
         payoff = lambda g, spec: _call(g, spec, _discount(params))
     else:
         path = lambda z: bs_paths(z, params)
-    if one:
-        return lambda z: payoff(path(z), specs[0])
 
     def table(z):
         x = path(z)

@@ -138,36 +138,29 @@ class AllocationPlan:
 
 @dataclass
 class EstimateReport:
-    """Price estimate with variance bookkeeping.
+    """Price estimate with variance bookkeeping, one entry per evaluator row.
 
+    An evaluator prices S contracts from the same draws, f(z) -> (S, n), one
+    row per contract; a 1-d f(z) -> (n,) is one row.  price, variance and
+    est_variance have shape (S,), and stratum_means, stratum_sigmas,
+    stratum_counts and stratum_empty have shape (S, K) over K strata.
     `variance` is the single-draw-equivalent value n_used * Var(estimator),
     directly comparable with a plain-MC sample variance; `est_variance` is
-    the variance of the estimator itself.
-
-    An evaluator may price S contracts from the same draws, f(z) -> (S, n),
-    one row per contract.  price, variance and est_variance then hold one
-    value per row, shape (S,), as do the leading axes of stratum_means and
-    stratum_sigmas; a one-row evaluator f(z) -> (n,) gives scalars.
-    n_samples counts the draws in the estimate, one count per row where
-    rows differ (see two_stage_estimate).
+    the variance of the estimator itself.  n_samples counts the draws in
+    the estimate: an int shared by every row for one stage or a baseline,
+    one count per row from two_stage_estimate.
     """
 
-    price: float
-    variance: float
-    est_variance: float
+    price: np.ndarray
+    variance: np.ndarray
+    est_variance: np.ndarray
     wall_time: float
-    n_samples: int
+    n_samples: int | np.ndarray
     n_strata: int
     stratum_means: np.ndarray | None = None
     stratum_sigmas: np.ndarray | None = None
     stratum_counts: np.ndarray | None = None
     stratum_empty: np.ndarray | None = field(default=None, repr=False)
-
-
-def _rows_as(values: np.ndarray, shape: tuple):
-    """Per-row results in the evaluator's row shape: a Python scalar for a
-    one-row evaluator f(z) -> (n,), an array of shape (S,) for f(z) -> (S, n)."""
-    return values.reshape(shape) if shape else values.item()
 
 
 # --- sampler ------------------------------------------------------------------
@@ -287,7 +280,7 @@ def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
 
 
 def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
-                        plan, stream: RandomStream) -> EstimateReport:
+                        counts, stream: RandomStream) -> EstimateReport:
     """Single-stage stratified estimator over every stratum in spec.
 
     Every draw carries its weight (p_k for orthonormal directions): the
@@ -297,24 +290,22 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     values.  A stratum with an unreachable draw is reported empty, with no
     draws and no contribution.
 
-    `plan` is one AllocationPlan for every row of the evaluator, or a
-    sequence of S plans, one per row.  The stage draws max_s n_k^s rows in
-    stratum k and row s uses the first n_k^s of them, so each row sees an
-    iid sample of exactly its own size; its emptiness is decided on those
-    same draws.  With per-row plans, stratum_counts and stratum_empty have
-    one row per plan and n_samples counts the draws that enter at least one
-    row's estimate.
+    `counts` holds the draws n_k per stratum, shape (K,) for every row of
+    the evaluator or (S, K) with one row per evaluator row.  The stage
+    draws max_s n_k^s rows in stratum k and row s uses the first n_k^s of
+    them, so each row sees an iid sample of exactly its own size; its
+    emptiness is decided on those same draws.  n_samples counts the draws
+    that enter at least one row's estimate.
 
     The stage's draws are laid out stratum by stratum and sampled in chunks
     of _CHUNK rows, chunk c from substream stream.child(c), so the result is
-    a pure function of the stream and the plan.
+    a pure function of the stream and the counts.
     """
     t0 = time.perf_counter()
     n_strata = spec.total
-    per_row = not isinstance(plan, AllocationPlan)
-    n = np.array([p.n for p in plan] if per_row else [plan.n])
+    n = np.atleast_2d(counts)
     if n.shape[1] != n_strata:
-        raise ValueError("allocation plan does not match stratum spec")
+        raise ValueError("allocation does not match stratum spec")
     pool = n.max(axis=0)
     strata = np.repeat(np.arange(n_strata), pool)
     # position of each draw within its stratum
@@ -328,16 +319,14 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         z[weight == 0.0] = 0.0
         parts.append(evaluator(z) * weight)
         weights.append(weight)
-    vals = np.concatenate(parts, axis=-1)
+    rows = np.concatenate(parts, axis=-1).reshape(-1, strata.size)
     unreachable = np.concatenate(weights) == 0.0
 
     # a row's stratum is empty when an unreachable draw is among its own
     first_bad = np.full(n_strata, strata.size)
     np.minimum.at(first_bad, strata[unreachable], rank[unreachable])
-    empty = first_bad < n
-    counts = np.where(empty, 0, n)
-    rows = vals.reshape(-1, strata.size)
-    row_counts = np.broadcast_to(counts, (rows.shape[0], n_strata))
+    empty = np.broadcast_to(first_bad < n, (rows.shape[0], n_strata))
+    row_counts = np.where(empty, 0, n)
     means, sigmas = np.empty((2,) + row_counts.shape)
     price, est_var = np.empty((2, rows.shape[0]))
     for s, (row, c) in enumerate(zip(rows, row_counts)):
@@ -352,18 +341,16 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         price[s] = np.sum(means[s][used])
         est_var[s] = np.sum(sigmas[s][used] ** 2 / c[used])
 
-    shape = vals.shape[:-1]
-    counts, empty = (counts, empty) if per_row else (counts[0], empty[0])
     return EstimateReport(
-        price=_rows_as(price, shape),
-        variance=_rows_as(est_var * row_counts.sum(axis=1), shape),
-        est_variance=_rows_as(est_var, shape),
+        price=price,
+        variance=est_var * row_counts.sum(axis=1),
+        est_variance=est_var,
         wall_time=time.perf_counter() - t0,
         n_samples=int(row_counts.max(axis=0).sum()),
         n_strata=n_strata,
-        stratum_means=means.reshape(shape + (n_strata,)),
-        stratum_sigmas=sigmas.reshape(shape + (n_strata,)),
-        stratum_counts=counts,
+        stratum_means=means,
+        stratum_sigmas=sigmas,
+        stratum_counts=row_counts,
         stratum_empty=empty,
     )
 
@@ -385,14 +372,16 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     allocated as "const" (_PILOT_FRACTION of the budget) estimates the
     per-stratum stds, the remaining budget is allocated proportionally to
     p_k * sigma_hat_k, and the reported price and variance come from the
-    main stage alone.  n_samples counts the draws that enter the estimate,
-    the pilot's included.  A budget below min_budget(spec.total,
-    allocation) raises ValueError.
+    main stage alone.  A budget below min_budget(spec.total, allocation)
+    raises ValueError.
 
-    For an evaluator with S rows the pilot is shared and each row gets its
-    own allocation from its own stds; the main stage draws one pool, of
-    which row s uses the first n_k^s draws of stratum k (see
-    stratified_estimate).  n_samples then holds one count per row.
+    The pilot is shared by the evaluator's rows and each row gets its own
+    allocation from its own stds; a row whose pilot stds are all zero (a
+    contract worth the same on every pilot draw) keeps the proportional
+    rule.  The main stage draws one pool, of which row s uses the first
+    n_k^s draws of stratum k (see stratified_estimate).  n_samples holds
+    one count per row, shape (S,): the draws that enter the row's
+    estimate, the pilot's included.
     """
     t0 = time.perf_counter()
     n_strata = spec.total
@@ -409,22 +398,22 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     # rule at unit stds
     n_pilot = n_total if allocation == "const" else \
         max(int(round(_PILOT_FRACTION * n_total)), _N_MIN * n_strata)
-    pilot = stratified_estimate(evaluator, directions, spec,
-                                optimal_allocation(p, np.ones(n_strata), n_pilot),
-                                stream.child(1))
-    if allocation == "const":
-        pilot.wall_time = time.perf_counter() - t0
-        return pilot
-    n_main = n_total - n_pilot
-    p_eff = np.where(pilot.stratum_empty, 0.0, p)
-    one_row = pilot.stratum_sigmas.ndim == 1
-    plans = [optimal_allocation(p_eff, sigmas, n_main)
-             for sigmas in np.atleast_2d(pilot.stratum_sigmas)]
-    report = stratified_estimate(evaluator, directions, spec,
-                                 plans[0] if one_row else plans, stream.child(2))
-    n_used = pilot.n_samples + np.atleast_2d(report.stratum_counts).sum(axis=1)
-    report.n_samples = n_used.item() if one_row else n_used
-    report.variance = report.est_variance * report.n_samples
+    pilot = stratified_estimate(
+        evaluator, directions, spec,
+        optimal_allocation(p, np.ones(n_strata), n_pilot).n, stream.child(1))
+    report, n_used = pilot, pilot.stratum_counts.sum(axis=1)
+    if allocation == "opt":
+        p_eff = np.where(pilot.stratum_empty, 0.0, p)
+        sigmas = pilot.stratum_sigmas
+        # p * sigma has no mass on such a row: the const rule's unit stds
+        sigmas[~np.any(p_eff * sigmas > 0.0, axis=1)] = 1.0
+        counts = [optimal_allocation(pe, s, n_total - n_pilot).n
+                  for pe, s in zip(p_eff, sigmas)]
+        report = stratified_estimate(evaluator, directions, spec, counts,
+                                     stream.child(2))
+        n_used = pilot.n_samples + report.stratum_counts.sum(axis=1)
+    report.n_samples = n_used
+    report.variance = report.est_variance * n_used
     report.wall_time = time.perf_counter() - t0
     return report
 
@@ -437,13 +426,12 @@ def plain_mc_estimate(evaluator, dim: int, n_total: int,
         raise ValueError("need at least two draws")
     vals = np.concatenate([
         evaluator(stream.normal((min(_MC_CHUNK, n_total - done), dim)))
-        for done in range(0, n_total, _MC_CHUNK)], axis=-1)
-    var1 = vals.var(ddof=1, axis=-1)
-    shape = vals.shape[:-1]
+        for done in range(0, n_total, _MC_CHUNK)], axis=-1).reshape(-1, n_total)
+    var1 = vals.var(ddof=1, axis=1)
     return EstimateReport(
-        price=_rows_as(vals.mean(axis=-1), shape),
-        variance=_rows_as(var1, shape),
-        est_variance=_rows_as(var1 / n_total, shape),
+        price=vals.mean(axis=1),
+        variance=var1,
+        est_variance=var1 / n_total,
         wall_time=time.perf_counter() - t0,
         n_samples=n_total,
         n_strata=1,
@@ -473,17 +461,15 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
 
     # one row of replication means per evaluator row
     means = np.stack([
-        np.mean(evaluator(_lhs_normals(n_rep, d, stream.child(r)) @ rotation.T),
-                axis=-1)
-        for r in range(replications)], axis=-1)
-    var_rep = means.var(ddof=1, axis=-1)
-    shape = means.shape[:-1]
-    n_used = n_rep * replications
+        evaluator(_lhs_normals(n_rep, d, stream.child(r)) @ rotation.T)
+        .reshape(-1, n_rep).mean(axis=1)
+        for r in range(replications)], axis=1)
+    var_rep = means.var(ddof=1, axis=1)
     return EstimateReport(
-        price=_rows_as(means.mean(axis=-1), shape),
-        variance=_rows_as(var_rep * n_rep, shape),
-        est_variance=_rows_as(var_rep / replications, shape),
+        price=means.mean(axis=1),
+        variance=var_rep * n_rep,
+        est_variance=var_rep / replications,
         wall_time=time.perf_counter() - t0,
-        n_samples=n_used,
+        n_samples=n_rep * replications,
         n_strata=1,
     )

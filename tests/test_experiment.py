@@ -713,16 +713,33 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
-        # far out of the money every pilot stratum std is zero, so the
-        # optimal allocation is undefined: a numeric failure, not a config one
+        # a CIR path this far above mu drowns the noise term of the la/lt
+        # expansions: a numeric failure, not a config one
         ini = tmp_path / "exp.ini"
-        ini.write_text(BS_INI.replace("strike = 45 50 55", "strike = 100000"))
+        ini.write_text((DEMOS / "configs" / "cir_asian.ini").read_text()
+                       .replace("s0 = 100", "s0 = 1e20"))
         assert main(["experiment", "--config", str(ini)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: every stratum std estimate is zero")
-        assert "Traceback" not in err
+        assert err == "error: expansion column vanished after projection\n"
 
-    def test_vanishing_but_representable_gradient(self, tmp_path, capsys):
+    def test_worthless_strike_prices_at_zero(self, tmp_path, capsys):
+        # far out of the money every pilot stratum std of that row is zero;
+        # its main stage keeps proportional counts, and the other strikes
+        # of the table still price
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI.replace("strike = 45 50 55", "strike = 45 100000")
+                       .replace("alloc = opt", "alloc = const, opt"))
+        out = tmp_path / "table.csv"
+        assert main(["experiment", "--config", str(ini), "--out", str(out),
+                     "--format", "csv"]) == 0
+        rows = read_table(out.read_text())
+        assert len(rows) == 6
+        for r in rows:
+            worthless = float(r["strike"]) == 100000
+            assert (float(r["price"]) == 0.0) == worthless
+            assert (float(r["variance"]) == 0.0) == worthless
+
+    def test_vanishing_but_representable_gradient(self, tmp_path):
         # sigma = 40 drives every zero-noise value towards underflow: the
         # gradient's norm is tiny but not zero, so la and lt still have a
         # direction, and every row prices the worthless contract at 0
@@ -739,12 +756,15 @@ class TestCli:
         assert [r["method"] for r in rows] == ["mc", "la", "lt"]
         assert all(float(r["price"]) == 0.0 and float(r["variance"]) == 0.0
                    for r in rows)
-        # under opt every pilot stratum std is zero, a numeric failure
-        capsys.readouterr()
+        # under opt every pilot stratum std is zero, so the main stage keeps
+        # proportional counts and prices 0 as well
         ini.write_text(text)
-        assert main(["experiment", "--config", str(ini)]) == 3
-        assert capsys.readouterr().err.startswith(
-            "error: every stratum std estimate is zero")
+        assert main(["experiment", "--config", str(ini), "--out", str(out),
+                     "--format", "csv"]) == 0
+        rows = read_table(out.read_text())
+        assert [r["method"] for r in rows] == ["mc", "la", "lt"]
+        assert all(float(r["price"]) == 0.0 and float(r["variance"]) == 0.0
+                   for r in rows)
 
     def test_missing_config_exit_code(self):
         assert main(["experiment", "--config", "/nonexistent.ini"]) == 2

@@ -103,7 +103,7 @@ class TestBarriers:
         # the evaluator is the one place that pairs contracts with a model
         with pytest.raises(ValueError, match="single-asset"):
             payoff_evaluator(model(m=2),
-                             PayoffSpec(45.0, "asian-barrier-expiry", 60.0))
+                             [PayoffSpec(45.0, "asian-barrier-expiry", 60.0)])
 
 
 class TestValidation:
@@ -150,7 +150,7 @@ def _terminal_model():
 def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
     dim = params.n_steps if isinstance(params, CirParams) else params.dim
     z = RandomStream(12).normal((400, dim))
-    f = payoff_evaluator(params, spec)(z)
+    (f,) = payoff_evaluator(params, [spec])(z)
     assert np.count_nonzero(f) > 0
     np.testing.assert_allclose(f, evaluate(paths(z, params), spec, params),
                                rtol=1e-12, atol=0.0)
@@ -164,10 +164,19 @@ def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
 ], ids=["bs-asian", "barrier-complete", "cir-asian"])
 def test_payoff_evaluator_rows_are_the_single_contract_values(params, specs):
     # a table's evaluator gives one contiguous row per contract, each the
-    # single-contract evaluator's values bit for bit
+    # one-contract evaluator's row bit for bit
     dim = params.n_steps if isinstance(params, CirParams) else params.dim
     z = RandomStream(13).normal((300, dim))
     rows = payoff_evaluator(params, specs)(z)
     assert rows.shape == (len(specs), 300) and rows.flags.c_contiguous
     for row, spec in zip(rows, specs):
-        np.testing.assert_array_equal(row, payoff_evaluator(params, spec)(z))
+        np.testing.assert_array_equal(row, payoff_evaluator(params, [spec])(z)[0])
+
+
+def test_payoff_evaluator_takes_a_sequence_of_contracts():
+    # one row shape: a lone contract is a one-row table, not a bare spec
+    params = bs_asian_params()
+    z = RandomStream(14).normal((5, params.dim))
+    assert payoff_evaluator(params, [PayoffSpec(50.0)])(z).shape == (1, 5)
+    with pytest.raises(TypeError):
+        payoff_evaluator(params, PayoffSpec(50.0))

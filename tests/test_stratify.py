@@ -207,9 +207,9 @@ class TestSampleNonOrthogonal:
         _, weight = sample_strata(dirs, spec, np.full(100, 49), RandomStream(58))
         assert np.all(weight == 0.0)
         plan = const_allocation(np.full(spec.total, 1 / spec.total), 10 * spec.total)
-        rep = stratified_estimate(lambda z: np.exp(z[:, 0]), dirs, spec, plan,
+        rep = stratified_estimate(lambda z: np.exp(z[:, 0]), dirs, spec, plan.n,
                                   RandomStream(58))
-        assert rep.stratum_empty[49]
+        assert rep.stratum_empty[0, 49]
         # strata where only some draws are unreachable are empty too, and no
         # empty stratum reports a mean, a spread or draws
         empty = rep.stratum_empty
@@ -217,7 +217,7 @@ class TestSampleNonOrthogonal:
         assert np.all(rep.stratum_means[empty] == 0.0)
         assert np.all(rep.stratum_sigmas[empty] == 0.0)
         assert rep.n_samples == int(rep.stratum_counts.sum()) < 10 * spec.total
-        assert not rep.stratum_empty[0]
+        assert not rep.stratum_empty[0, 0]
 
     def test_weighted_full_space_consistency(self):
         # summing weighted stratum means over every stratum must reproduce
@@ -396,7 +396,7 @@ BAD_INPUTS = {
                        ValueError, "sigma estimates"),
     "plan-spec-mismatch": (lambda: stratified_estimate(
         _mean_z, _one_dir(), StratumSpec((4,)),
-        const_allocation(np.full(3, 1 / 3), 30), RandomStream(2)),
+        const_allocation(np.full(3, 1 / 3), 30).n, RandomStream(2)),
         ValueError, "does not match"),
     "unknown-rule": (lambda: two_stage_estimate(
         _mean_z, _one_dir(), StratumSpec((4,)), 100, RandomStream(3), "equal"),
@@ -430,7 +430,7 @@ class TestEstimators:
         spec = StratumSpec((8,))
         plan = const_allocation(np.full(8, 1 / 8), 800)
         rep = stratified_estimate(lambda z: np.full(z.shape[0], 7.25), dirs,
-                                  spec, plan, RandomStream(63))
+                                  spec, plan.n, RandomStream(63))
         assert rep.price == pytest.approx(7.25, abs=1e-14)
         assert rep.variance == pytest.approx(0.0, abs=1e-20)
 
@@ -451,13 +451,13 @@ class TestEstimators:
         dirs = self.v_first(2)
         spec = StratumSpec((8,))
         plan = const_allocation(np.full(8, 1 / 8), 64_000)
-        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan,
+        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan.n,
                                   RandomStream(66))
         edges = spec.edges(0)
         for k in range(8):
             target = truncated_mean(edges[k], edges[k + 1]) / 8
-            se = rep.stratum_sigmas[k] / np.sqrt(rep.stratum_counts[k])
-            assert abs(rep.stratum_means[k] - target) < 4 * se
+            se = rep.stratum_sigmas[0, k] / np.sqrt(rep.stratum_counts[0, k])
+            assert abs(rep.stratum_means[0, k] - target) < 4 * se
 
     def test_two_stage_opt_concentrates_on_high_sigma_strata(self):
         # relu payoff: deep-negative strata are constant zero, so the
@@ -466,7 +466,7 @@ class TestEstimators:
         spec = StratumSpec((10,))
         ev = lambda z: np.maximum(z[:, 0], 0.0)
         rep = two_stage_estimate(ev, dirs, spec, 40_000, RandomStream(67), "opt")
-        counts = rep.stratum_counts
+        (counts,) = rep.stratum_counts
         assert counts[0] == 2  # n_min floor in the main stage
         assert counts[-1] > counts[0] * 10
         assert rep.n_samples == 40_000
@@ -476,7 +476,7 @@ class TestEstimators:
         spec = StratumSpec((5,))
         rep = two_stage_estimate(lambda z: z[:, 0] ** 2, dirs, spec, 1_000,
                                  RandomStream(68), "const")
-        np.testing.assert_array_equal(rep.stratum_counts, np.full(5, 200))
+        np.testing.assert_array_equal(rep.stratum_counts, np.full((1, 5), 200))
 
     @pytest.mark.parametrize("allocation", ["const", "opt"])
     def test_min_budget_is_the_smallest_accepted(self, allocation):
@@ -515,7 +515,7 @@ class TestEstimators:
         spec = StratumSpec((5, 5))
         ev = lambda z: np.exp(z[:, 0])
         plan = const_allocation(np.full(25, 1 / 25), 50_000)
-        rep = stratified_estimate(ev, dirs, spec, plan, RandomStream(72))
+        rep = stratified_estimate(ev, dirs, spec, plan.n, RandomStream(72))
         mc = plain_mc_estimate(ev, 3, 200_000, RandomStream(73))
         se = np.sqrt(rep.est_variance + mc.est_variance)
         assert abs(rep.price - mc.price) < 3.5 * se
@@ -534,8 +534,8 @@ class TestEstimators:
         ev = lambda z: np.maximum(z[:, 0] + 0.1 * z[:, 1], 0.0)
         for dirs in (DirectionSet(q),
                      DirectionSet(np.column_stack([np.eye(4)[:, 0], e2]))):
-            rep = stratified_estimate(ev, dirs, spec, plan, RandomStream(74))
-            again = stratified_estimate(ev, dirs, spec, plan, RandomStream(74))
+            rep = stratified_estimate(ev, dirs, spec, plan.n, RandomStream(74))
+            again = stratified_estimate(ev, dirs, spec, plan.n, RandomStream(74))
             assert (rep.price, rep.variance) == (again.price, again.variance)
 
             strata = np.repeat(np.arange(spec.total), plan.n)
@@ -549,20 +549,21 @@ class TestEstimators:
                 vals[rows] = ev(z) * weight
             for k in range(spec.total):
                 mine = vals[strata == k]
-                assert rep.stratum_means[k] == pytest.approx(mine.mean(), rel=1e-12)
-                assert rep.stratum_sigmas[k] == pytest.approx(mine.std(ddof=1),
-                                                              rel=1e-10)
+                assert rep.stratum_means[0, k] == pytest.approx(mine.mean(),
+                                                                rel=1e-12)
+                assert rep.stratum_sigmas[0, k] == pytest.approx(
+                    mine.std(ddof=1), rel=1e-10)
             assert not rep.stratum_empty.any()
 
     def test_report_bookkeeping(self):
         dirs = self.v_first(2)
         spec = StratumSpec((4,))
         plan = const_allocation(np.full(4, 0.25), 400)
-        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan,
+        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan.n,
                                   RandomStream(75))
         assert rep.n_strata == 4
         assert rep.n_samples == 400
-        np.testing.assert_array_equal(rep.stratum_counts, plan.n)
+        np.testing.assert_array_equal(rep.stratum_counts, [plan.n])
         assert rep.variance == pytest.approx(rep.est_variance * 400)
 
 
@@ -589,25 +590,55 @@ class TestSharedRows:
             weights.append(weight)
         return strata, np.concatenate(vals, axis=-1), np.concatenate(weights)
 
-    def test_one_row_matches_the_single_evaluator(self):
-        # a (1, n) evaluator reports arrays whose entries are the scalar
-        # results of the (n,) evaluator, bit for bit
+    @staticmethod
+    def estimators(dirs, spec):
+        """The four estimators, each run from a fixed stream."""
+        return {
+            "mc": lambda ev: plain_mc_estimate(ev, 3, 5_000, RandomStream(90)),
+            "lhs": lambda ev: lhs_estimate(ev, np.eye(3), 5_000, 10,
+                                           RandomStream(91)),
+            "stratified": lambda ev: stratified_estimate(
+                ev, dirs, spec, np.full(spec.total, 500), RandomStream(92)),
+            "const": lambda ev: two_stage_estimate(ev, dirs, spec, 5_000,
+                                                   RandomStream(93), "const"),
+            "opt": lambda ev: two_stage_estimate(ev, dirs, spec, 5_000,
+                                                 RandomStream(94), "opt"),
+        }
+
+    def test_one_row_is_the_stacked_row(self):
+        # a 1-d evaluator f(z) -> (n,) is one row: its report equals the
+        # report of its (1, n) twin bit for bit, with (1,) and (1, K) shapes
         dirs = DirectionSet(np.eye(3)[:, :1])
         spec = StratumSpec((10,))
-        one = lambda z: self.rows(z)[1]
-        stacked = lambda z: self.rows(z)[1:2]
-        for run in (
-                lambda ev: plain_mc_estimate(ev, 3, 5_000, RandomStream(90)),
-                lambda ev: lhs_estimate(ev, np.eye(3), 5_000, 10, RandomStream(91)),
-                lambda ev: two_stage_estimate(ev, dirs, spec, 5_000,
-                                              RandomStream(92), "const"),
-                lambda ev: two_stage_estimate(ev, dirs, spec, 5_000,
-                                              RandomStream(93), "opt")):
-            a, b = run(one), run(stacked)
-            assert isinstance(a.price, float)
-            assert (a.price, a.variance, a.est_variance) == \
-                (b.price[0], b.variance[0], b.est_variance[0])
-            assert a.n_samples == int(np.broadcast_to(b.n_samples, 1)[0])
+        flat = lambda z: self.rows(z)[1]
+        stacked = lambda z: self.rows(z)[None, 1]
+        for name, run in self.estimators(dirs, spec).items():
+            a, b = run(flat), run(stacked)
+            for field in ("price", "variance", "est_variance"):
+                got = getattr(a, field)
+                assert isinstance(got, np.ndarray) and got.shape == (1,), name
+                np.testing.assert_array_equal(got, getattr(b, field))
+            np.testing.assert_array_equal(a.n_samples, b.n_samples)
+            for field in ("stratum_means", "stratum_sigmas", "stratum_counts",
+                          "stratum_empty"):
+                got = getattr(a, field)
+                if name not in ("mc", "lhs"):
+                    assert got.shape == (1, spec.total), (name, field)
+                np.testing.assert_array_equal(got, getattr(b, field))
+
+    def test_n_samples_is_one_count_or_one_per_row(self):
+        # single-stage estimators count the draws drawn, one Python int
+        # shared by every row; two_stage_estimate counts per row
+        dirs = DirectionSet(np.eye(3)[:, :1])
+        spec = StratumSpec((10,))
+        for name, run in self.estimators(dirs, spec).items():
+            rep = run(self.rows)
+            assert rep.price.shape == (3,), name
+            if name in ("const", "opt"):
+                assert rep.n_samples.shape == (3,)
+                assert rep.stratum_counts.shape == (3, spec.total)
+            else:
+                assert type(rep.n_samples) is int, name
 
     def test_opt_rows_use_their_own_allocation_from_one_pool(self):
         # one shared pilot; row s gets optimal_allocation of its own pilot
@@ -624,9 +655,9 @@ class TestSharedRows:
         plans = []
         for s in range(len(self.STRIKES)):
             pilot = stratified_estimate(lambda z: self.rows(z)[s], dirs, spec,
-                                        const_allocation(p, n_pilot),
+                                        const_allocation(p, n_pilot).n,
                                         stream.child(1))
-            plans.append(optimal_allocation(p, pilot.stratum_sigmas,
+            plans.append(optimal_allocation(p, pilot.stratum_sigmas[0],
                                             n_total - n_pilot).n)
         plans = np.array(plans)
         assert len({tuple(n) for n in plans}) == len(self.STRIKES)
@@ -651,7 +682,8 @@ class TestSharedRows:
         small = const_allocation(p, 3 * spec.total)
         large = const_allocation(p, 60 * spec.total)
         ev = lambda z: np.stack([np.exp(z[:, 0]), np.exp(0.5 * z[:, 1])])
-        rep = stratified_estimate(ev, dirs, spec, [small, large], RandomStream(95))
+        rep = stratified_estimate(ev, dirs, spec, [small.n, large.n],
+                                  RandomStream(95))
 
         strata, vals, weight = self.pool_values(ev, dirs, spec, large.n,
                                                 RandomStream(95))
