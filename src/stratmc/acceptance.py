@@ -264,7 +264,7 @@ def _criterion_5():
 
     cir = cir_asian_params()
     ev_c = payoff_evaluator(cir, [PayoffSpec(100.0)])
-    var_c, chk = _price_check("cir K=100", ev_c, cir.n_steps, stream.child(13),
+    var_c, chk = _price_check("cir K=100", ev_c, cir.dim, stream.child(13),
                               10.6, 0.05)
     checks.append(chk)
     checks.append((abs(var_c - 310.0) <= 31.0,
@@ -294,7 +294,7 @@ def _criterion_6():
 
     cir = cir_asian_params()
     ev_c = payoff_evaluator(cir, [PayoffSpec(100.0)])
-    mc_c = plain_mc_estimate(ev_c, cir.n_steps, n_samples,
+    mc_c = plain_mc_estimate(ev_c, cir.dim, n_samples,
                              stream.child(3)).variance[0]
     la_c_set = engines(cir)["la"](1)
     la_c = two_stage_estimate(ev_c, la_c_set, spec1, n_samples,

@@ -15,6 +15,7 @@ on the in-memory rows for interactive display.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import io
 import json
 import math
@@ -25,7 +26,7 @@ import numpy as np
 from .directions import engines
 from .errors import ConfigInvalid, StratMcError
 from .gaussian import RandomStream
-from .models import BsParams, CirParams, bs_model
+from .models import BsParams, CirParams
 from .payoffs import KINDS, PayoffSpec, payoff_evaluator
 from .stratify import (
     ALLOCS,
@@ -179,12 +180,18 @@ def _words(raw: str) -> list[str]:
     return [tok.strip().lower() for tok in raw.split(",") if tok.strip()]
 
 
-# the INI grammar: the keys of [model] (one set per kind) and [payoff], and
-# for [run] and [output] each key's ExperimentConfig field and parser; a key
-# the file leaves out keeps the field's default
-_MODEL_KEYS = {
-    "bs": ("kind", "s0", "sigma", "rho", "rate", "steps", "maturity"),
-    "cir": ("kind", "s0", "alpha", "mu", "sigma", "rate", "steps", "maturity"),
+# the INI grammar: the keys of [payoff], and for [model] (one table per
+# kind, with its class) and for [run] and [output] (ExperimentConfig) each
+# key's field and parser
+_MODELS = {
+    "bs": (BsParams, {"s0": ("s0", _floats), "sigma": ("sigma", _floats),
+                      "rho": ("rho", _number), "rate": ("rate", _number),
+                      "steps": ("steps", int),
+                      "maturity": ("maturity", _number)}),
+    "cir": (CirParams, {"s0": ("s0", _number), "alpha": ("alpha", _number),
+                        "mu": ("mu", _number), "sigma": ("sigma", _number),
+                        "rate": ("rate", _number), "steps": ("n_steps", int),
+                        "maturity": ("maturity", _number)}),
 }
 _PAYOFF_KEYS = ("kind", "strike", "barrier")
 _SETTINGS = {
@@ -203,10 +210,8 @@ def _check_keys(section, name: str, known) -> None:
                                 f"{', '.join(known)})")
 
 
-def _get(section, key, cast, default=None, name=""):
+def _get(section, key, cast, name):
     if key not in section:
-        if default is not None:
-            return default
         raise ConfigInvalid(f"{name}.{key} is required")
     try:
         return cast(section[key])
@@ -214,38 +219,36 @@ def _get(section, key, cast, default=None, name=""):
         raise ConfigInvalid(f"{name}.{key}: {exc}") from exc
 
 
+def _fields(section, name: str, keys: dict, cls) -> dict:
+    """{field: value} of cls for a section: a key the file leaves out keeps
+    the field's default, and a field without one is required."""
+    required = {f.name for f in dataclasses.fields(cls) if f.init
+                and f.default is f.default_factory is dataclasses.MISSING}
+    return {attr: _get(section, key, cast, name)
+            for key, (attr, cast) in keys.items()
+            if key in section or attr in required}
+
+
 def _parse_model(section) -> BsParams | CirParams:
-    kind = _get(section, "kind", str, name="model").strip().lower()
-    if kind not in _MODEL_KEYS:
+    kind = _get(section, "kind", str, "model").strip().lower()
+    if kind not in _MODELS:
         raise ConfigInvalid(f"model.kind: unknown model {kind!r}")
-    _check_keys(section, "model", _MODEL_KEYS[kind])
-    steps = _get(section, "steps", int, name="model")
-    maturity = _get(section, "maturity", _number, default=1.0, name="model")
-    rate = _get(section, "rate", _number, default=0.0, name="model")
-    if kind == "cir":
-        build = CirParams
-        args = {key: _get(section, key, _number, name="model")
-                for key in ("s0", "alpha", "mu", "sigma")}
-        args["n_steps"] = steps
-    else:
-        build = bs_model
-        args = {"s0": _floats(_get(section, "s0", str, name="model")),
-                "sigma": _floats(_get(section, "sigma", str, name="model")),
-                "rho": _get(section, "rho", _number, default=0.0, name="model"),
-                "steps": steps}
+    build, keys = _MODELS[kind]
+    _check_keys(section, "model", ("kind", *keys))
+    args = _fields(section, "model", keys, build)
     try:
-        return build(rate=rate, maturity=maturity, **args)
+        return build(**args)
     except (ValueError, StratMcError) as exc:
         raise ConfigInvalid(f"model: {exc}") from exc
 
 
 def _parse_payoffs(section) -> list[PayoffSpec]:
     _check_keys(section, "payoff", _PAYOFF_KEYS)
-    kind = _get(section, "kind", str, name="payoff").strip().lower()
+    kind = _get(section, "kind", str, "payoff").strip().lower()
     if kind not in KINDS:
         raise ConfigInvalid(f"payoff.kind: unknown kind {kind!r}")
-    strikes = _floats(_get(section, "strike", str, name="payoff"))
-    barrier = (_get(section, "barrier", _number, name="payoff")
+    strikes = _get(section, "strike", _floats, "payoff")
+    barrier = (_get(section, "barrier", _number, "payoff")
                if "barrier" in section else None)
     try:
         return [PayoffSpec(k, kind, barrier) for k in strikes]
@@ -280,8 +283,7 @@ def load_config(path: str) -> ExperimentConfig:
     for name, keys in _SETTINGS.items():
         section = parser[name] if name in parser else {}
         _check_keys(section, name, keys)
-        settings.update((attr, _get(section, key, cast, name=name))
-                        for key, (attr, cast) in keys.items() if key in section)
+        settings.update(_fields(section, name, keys, ExperimentConfig))
     config = ExperimentConfig(params=params, payoffs=payoffs, **settings)
     config.validate()
     return config

@@ -20,7 +20,6 @@ from .linalg import bm_covariance, cholesky
 
 __all__ = [
     "BsParams",
-    "bs_model",
     "CirParams",
     "PathMatrix",
     "asset_covariance",
@@ -40,61 +39,69 @@ def uniform_weights(m: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BsParams:
-    """Multi-asset Black-Scholes parameters on a monitoring grid.
+    """The lognormal family of the presets and the INI files.
 
-    weights is the (M, N) averaging matrix w_ij, summing to 1, of every
-    contract priced under the model, and of the drift construction
-    mu_k = ln(w S0) + (r - sigma^2/2) t; maturity is t_N.
+    One spot and one volatility per asset (a single sigma serves every
+    asset), a common correlation rho, `steps` equally spaced monitoring
+    dates up to `maturity` and the uniform average.  A common rho gives a
+    positive-definite correlation exactly for -1/(m-1) < rho < 1 over m
+    assets.
 
-    Derived on construction, over the flattened (asset, date) index k:
-    factor is the lower-triangular C with C C^T = Sigma_MN, drift the
-    exponents (r - sigma_{k1}^2 / 2) t_{k2} and coef the prefactors
-    w_{k1 k2} S0_{k1}, so that exp(mu_k) = coef_k e^{drift_k}.  A covariance
-    that is numerically singular raises StratMcError.  Paths must stay in
-    the float64 range, or payoffs overflow and prices read nan: ValueError
-    unless ln S0_{k1} + drift_k + 10 sigma_{k1} sqrt(t_{k2}) is below
+    Derived on construction: corr (1 on the diagonal, rho elsewhere), the
+    dates grid t_j = j T / steps, the uniform (M, N) averaging matrix
+    weights and, over the flattened (asset, date) index k: factor, the
+    lower-triangular C with C C^T = Sigma_MN; drift, the exponents
+    (r - sigma_{k1}^2 / 2) t_{k2}; and coef, the prefactors w_{k1 k2} S0_{k1},
+    so that exp(mu_k) = coef_k e^{drift_k} for the drift construction
+    mu_k = ln(w S0) + (r - sigma^2/2) t.  A covariance that is numerically
+    singular raises StratMcError.  Paths must stay in the float64 range, or
+    payoffs overflow and prices read nan: ValueError unless
+    ln S0_{k1} + drift_k + 10 sigma_{k1} sqrt(t_{k2}) is below
     ln(float64 max) for every k.
     """
 
     s0: np.ndarray
     sigma: np.ndarray
-    corr: np.ndarray
-    rate: float
-    grid: np.ndarray
-    weights: np.ndarray
+    steps: int
+    rho: float = 0.0
+    rate: float = 0.0
+    maturity: float = 1.0
+    corr: np.ndarray = field(init=False, repr=False, compare=False)
+    grid: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     drift: np.ndarray = field(init=False, repr=False, compare=False)
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s0 = np.atleast_1d(np.asarray(self.s0, dtype=float))
+        m, n = s0.size, self.steps
+        if m == 0:
+            raise ValueError("s0 needs at least one value")
+        if n < 1:
+            raise ValueError("steps must be >= 1")
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-        grid = np.atleast_1d(np.asarray(self.grid, dtype=float))
-        corr = np.atleast_2d(np.asarray(self.corr, dtype=float))
-        weights = np.atleast_2d(np.asarray(self.weights, dtype=float))
-        m = s0.size
-        if sigma.size != m or corr.shape != (m, m):
+        sigma = np.full(m, sigma[0]) if sigma.size == 1 else sigma
+        if m > 1 and not -1.0 / (m - 1) < self.rho < 1.0:
+            raise ValueError(f"rho = {self.rho} must lie in "
+                             f"({-1.0 / (m - 1):g}, 1) for {m} assets")
+        if sigma.size != m:
             raise ValueError("s0, sigma and corr sizes disagree")
         if np.any(s0 <= 0.0) or np.any(sigma <= 0.0):
             raise ValueError("s0 and sigma must be positive")
-        if not np.allclose(np.diag(corr), 1.0, atol=1e-12) or \
-                not np.allclose(corr, corr.T, atol=1e-12):
-            raise ValueError("corr must be symmetric with unit diagonal")
-        if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must satisfy 0 < t_1 < ... < t_N")
-        if weights.shape != (m, grid.size):
-            raise ValueError("weights must have shape (assets, dates)")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValueError("averaging weights must sum to 1")
-        k1 = np.arange(m * grid.size) % m
-        k2 = np.arange(m * grid.size) // m
+        if not self.maturity > 0.0:
+            raise ValueError("maturity must be positive")
+        corr = np.full((m, m), float(self.rho))
+        np.fill_diagonal(corr, 1.0)
+        grid = np.arange(1, n + 1) * (self.maturity / n)
+        k1 = np.arange(m * n) % m
+        k2 = np.arange(m * n) // m
         drift = (self.rate - 0.5 * sigma[k1] ** 2) * grid[k2]
         top = np.max(np.log(s0[k1]) + drift + 10.0 * sigma[k1] * np.sqrt(grid[k2]))
         if not top < np.log(np.finfo(float).max):
             raise ValueError(f"paths leave the float64 range: ln s0 + drift + "
                              f"10 sigma sqrt(t) reaches {top:.6g} > 709.78")
+        weights = uniform_weights(m, n)
         for name, val in (("s0", s0), ("sigma", sigma), ("corr", corr),
                           ("grid", grid), ("weights", weights)):
             object.__setattr__(self, name, val)
@@ -107,40 +114,8 @@ class BsParams:
         return self.s0.size
 
     @property
-    def n_dates(self) -> int:
-        return self.grid.size
-
-    @property
     def dim(self) -> int:
-        return self.n_assets * self.n_dates
-
-    @property
-    def maturity(self) -> float:
-        return float(self.grid[-1])
-
-
-def bs_model(*, s0, sigma, rho, rate, steps, maturity) -> BsParams:
-    """The lognormal family of the benchmarks and the INI files: one spot
-    and one volatility per asset (a single sigma serves every asset), a
-    common correlation rho, `steps` equally spaced dates up to `maturity`
-    and the uniform average.  A common rho gives a positive-definite
-    correlation exactly for -1/(m-1) < rho < 1 over m assets."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    m = s0.size
-    if m == 0:
-        raise ValueError("s0 needs at least one value")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    sigma = np.atleast_1d(np.asarray(sigma, dtype=float))
-    sigma = np.full(m, sigma[0]) if sigma.size == 1 else sigma
-    if m > 1 and not -1.0 / (m - 1) < rho < 1.0:
-        raise ValueError(f"rho = {rho} must lie in ({-1.0 / (m - 1):g}, 1) "
-                         f"for {m} assets")
-    corr = np.full((m, m), rho)
-    np.fill_diagonal(corr, 1.0)
-    return BsParams(s0=s0, sigma=sigma, corr=corr, rate=rate,
-                    grid=np.arange(1, steps + 1) * (maturity / steps),
-                    weights=uniform_weights(m, steps))
+        return self.n_assets * self.steps
 
 
 @dataclass(frozen=True)
@@ -158,9 +133,9 @@ class CirParams:
     alpha: float
     mu: float
     sigma: float
-    rate: float
     n_steps: int
-    maturity: float
+    rate: float = 0.0
+    maturity: float = 1.0
 
     def __post_init__(self):
         if self.s0 <= 0.0 or self.mu <= 0.0 or self.maturity <= 0.0:
@@ -231,7 +206,7 @@ def bs_basket_g(eps: np.ndarray, params: BsParams) -> np.ndarray:
 def bs_paths(eps: np.ndarray, params: BsParams) -> PathMatrix:
     """Exact lognormal grid values S_{k1}(t_{k2}), shape (..., M, N), built
     in place in one work array the size of the output."""
-    m, n = params.n_assets, params.n_dates
+    m, n = params.n_assets, params.steps
     y = np.asarray(eps, dtype=float) @ params.factor.T
     y += params.drift
     np.exp(y, out=y)

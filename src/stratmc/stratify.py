@@ -377,11 +377,11 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 
     The pilot is shared by the evaluator's rows and each row gets its own
     allocation from its own stds; a row whose pilot stds are all zero (a
-    contract worth the same on every pilot draw) keeps the proportional
-    rule.  The main stage draws one pool, of which row s uses the first
-    n_k^s draws of stratum k (see stratified_estimate).  n_samples holds
-    one count per row, shape (S,): the draws that enter the row's
-    estimate, the pilot's included.
+    contract worth the same on every pilot draw) takes _N_MIN draws in
+    each reachable stratum.  The main stage draws one pool, of which row s
+    uses the first n_k^s draws of stratum k (see stratified_estimate).
+    n_samples holds one count per row, shape (S,): the draws that enter the
+    row's estimate, the pilot's included.
     """
     t0 = time.perf_counter()
     n_strata = spec.total
@@ -404,11 +404,11 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     report, n_used = pilot, pilot.stratum_counts.sum(axis=1)
     if allocation == "opt":
         p_eff = np.where(pilot.stratum_empty, 0.0, p)
-        sigmas = pilot.stratum_sigmas
-        # p * sigma has no mass on such a row: the const rule's unit stds
-        sigmas[~np.any(p_eff * sigmas > 0.0, axis=1)] = 1.0
+        # p * sigma has no mass on such a row: optimal_allocation's rule for
+        # a zero-sigma stratum, _N_MIN, in every reachable stratum
         counts = [optimal_allocation(pe, s, n_total - n_pilot).n
-                  for pe, s in zip(p_eff, sigmas)]
+                  if np.any(pe * s > 0.0) else np.where(pe > 0.0, _N_MIN, 0)
+                  for pe, s in zip(p_eff, pilot.stratum_sigmas)]
         report = stratified_estimate(evaluator, directions, spec, counts,
                                      stream.child(2))
         n_used = pilot.n_samples + report.stratum_counts.sum(axis=1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from stratmc import bs_asian_params, cir_asian_params, load_config
-from stratmc.experiment import _MODEL_KEYS, _PAYOFF_KEYS, _SETTINGS
+from stratmc.experiment import _MODELS, _PAYOFF_KEYS, _SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
@@ -93,7 +93,7 @@ def test_readme_grammar_lists_the_accepted_keys():
     section = readme.split("## Config files", 1)[1]
     grammar = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     grammar.read_string(section.split("```ini\n", 1)[1].split("```", 1)[0])
-    accepted = {"model": set().union(*_MODEL_KEYS.values()),
+    accepted = {"model": {"kind"}.union(*(keys for _, keys in _MODELS.values())),
                 "payoff": set(_PAYOFF_KEYS),
                 **{name: set(keys) for name, keys in _SETTINGS.items()}}
     assert {name: set(grammar[name]) for name in grammar.sections()} == accepted

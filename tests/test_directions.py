@@ -29,7 +29,6 @@ from stratmc import (
     path_covariance,
     pca_directions,
     pilot_pca_cir,
-    uniform_weights,
 )
 from stratmc.models import BsParams, CirParams, bs_basket_g, cir_euler_path
 
@@ -59,14 +58,12 @@ class TestPca:
 
 class TestLaBs:
     def test_single_date_single_asset(self):
-        p = BsParams(s0=[50.0], sigma=[0.3], corr=[[1.0]], rate=0.05,
-                     grid=[1.0], weights=uniform_weights(1, 1))
+        p = BsParams(s0=[50.0], sigma=[0.3], steps=1, rate=0.05)
         np.testing.assert_allclose(la_of(p), [1.0])
 
     def test_gradient_matches_finite_differences(self):
-        p = BsParams(s0=[100.0, 60.0], sigma=[0.2, 0.35],
-                     corr=[[1.0, 0.4], [0.4, 1.0]], rate=0.03,
-                     grid=[0.5, 1.0], weights=uniform_weights(2, 2))
+        p = BsParams(s0=[100.0, 60.0], sigma=[0.2, 0.35], steps=2, rho=0.4,
+                     rate=0.03)
         point = np.array([0.1, -0.2, 0.3, 0.05])
         grad = bs_gradient(p, point)
         h = 1e-6

@@ -23,6 +23,8 @@ from scipy.stats import f as f_dist
 
 from stratmc import (
     METHODS,
+    BsParams,
+    CirParams,
     ConfigInvalid,
     ExperimentConfig,
     StratMcError,
@@ -38,6 +40,7 @@ from stratmc import (
     run_experiment,
 )
 from stratmc.cli import main
+from stratmc.experiment import _MODELS
 from stratmc.payoffs import KINDS, PayoffSpec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -455,6 +458,30 @@ class TestLoadConfig:
         assert main(["experiment", "--config", str(path),
                      "--out", str(tmp_path / "table.csv")]) == 0
 
+    @pytest.mark.parametrize("kind, expected", [
+        ("bs", BsParams(s0=[50.0], sigma=[0.3], steps=4)),
+        ("cir", CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, n_steps=4)),
+    ])
+    def test_model_keys_are_the_class_fields(self, kind, expected):
+        # [model] sets exactly the class's init fields, and a key the file
+        # leaves out takes the class's default, so each default is stated once
+        build, keys = _MODELS[kind]
+        assert type(expected) is build
+        assert sorted(attr for attr, _ in keys.values()) == sorted(
+            f.name for f in dataclasses.fields(build) if f.init)
+        given = {key: BASE_MODEL[kind][key] for key in
+                 ("s0", "sigma", "steps", "alpha", "mu") if key in keys}
+        text = render({"model": {"kind": kind, **given},
+                       "payoff": {"kind": "asian-basket", "strike": "50"}})
+        params = load_text(text).params
+        for f in dataclasses.fields(build):
+            assert np.array_equal(getattr(params, f.name),
+                                  getattr(expected, f.name)), f.name
+        # a field without a default is required
+        for key, value in given.items():
+            with pytest.raises(ConfigInvalid, match=rf"^model\.{key} is required$"):
+                load_text(text.replace(f"{key} = {value}\n", ""))
+
     @pytest.mark.parametrize("text, name", UNKNOWN_NAMES.values(),
                              ids=UNKNOWN_NAMES.keys())
     def test_unknown_key_or_section_is_named(self, text, name):
@@ -588,6 +615,76 @@ def test_run_experiment_prices_or_raises_stratmc_error(text):
     assert np.all(np.isfinite([(r.price, r.variance) for r in rows]))
 
 
+# configs that exit 2, and a part of the one-line message each must print
+MALFORMED = {
+    "barrier-not-a-number": (
+        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = abc"),
+        "payoff.barrier: could not convert string to float: 'abc'"),
+    "duplicate-section": (BS_INI + "\n[model]\nkind = cir\n",
+                          "section 'model' already exists"),
+    "duplicate-key": (
+        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60\nbarrier = 70"),
+        "option 'barrier' in section 'payoff' already exists"),
+    "not-utf8": ("\xff" + BS_INI, "'utf-8' codec can't decode byte 0xff"),
+    "zero-steps": (BS_INI.replace("steps = 8", "steps = 0"),
+                   "model: steps must be >= 1"),
+    "no-steps": (BS_INI.replace("steps = 8\n", ""), "model.steps is required"),
+    "unknown-model": (BS_INI.replace("kind = bs", "kind = heston"),
+                      "model.kind: unknown model 'heston'"),
+    "rho-above-one": (BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 1.5"),
+                      "model: rho = 1.5 must lie in (-1, 1) for 2 assets"),
+    "rho-not-positive-definite": (
+        BS_INI.replace("s0 = 50", "s0 = 40 50 60\nrho = -0.6"),
+        "model: rho = -0.6 must lie in (-0.5, 1) for 3 assets"),
+    "rho-numerically-singular": (
+        BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 0.99999999999999"),
+        "model: pivot at or below tolerance"),
+    "sigma-numerically-singular": (BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
+                                   "model: Matrix is not positive definite"),
+    "opt-pilot-takes-the-budget": (
+        BS_INI.replace("n_samples = 2000", "n_samples = 20"),
+        "run.n_samples: la/opt over 10 strata needs 40 draws to keep n_min "
+        "per stratum after its pilot"),
+    "lhs-replications-take-the-budget": (
+        BS_INI.replace("mc, la", "mc, lhs").replace("n_samples = 2000",
+                                                    "n_samples = 59"),
+        "run.n_samples too small for the LHS replications"),
+    "no-alloc": (BS_INI.replace("alloc = opt", "alloc ="),
+                 "run.alloc: need at least one rule"),
+    "no-strike": (BS_INI.replace("strike = 45 50 55", "strike ="),
+                  "payoff: at least one contract is required"),
+    "unknown-payoff-kind": (
+        BS_INI.replace("kind = asian-basket", "kind = lookback"),
+        "payoff.kind: unknown kind 'lookback'"),
+    "percent-in-value": (BS_INI.replace("strike = 45 50 55", "strike = 45%"),
+                         "payoff.strike: '%' must be followed by '%' or '('"),
+    "barrier-on-basket": (
+        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60"),
+        "payoff: asian-basket takes no barrier"),
+    **{key: (text, f"{name}: unknown ") for key, (text, name) in UNKNOWN_NAMES.items()},
+    **{f"one-step-{method}": (
+        BS_INI.replace("steps = 8", "steps = 1").replace("mc, la", method),
+        f"run.methods: {method} needs 2 directions, more than the model's "
+        "dimension 1") for method in ONE_STEP_METHODS},
+    "cir-sigma-overflows": (CIR_INI.replace("sigma = 8", "sigma = 1e300"),
+                            "model: 2*alpha*mu = 300.0 must exceed sigma^2 = inf"),
+    **{f"cir-{key}-overflows": (
+        CIR_INI.replace(old, new),
+        f"model: paths leave the float64 range: the Euler scale bound "
+        f"reaches e^{top} > e^354.89")
+       for key, old, new, top in [
+           ("s0", "s0 = 100", "s0 = 1e300", "690.776"),
+           ("alpha", "alpha = 1.5", "alpha = 1e300", "5516.76"),
+           ("mu", "mu = 100", "mu = 1e300", "690.776"),
+           ("maturity", "steps = 8", "steps = 8\nmaturity = 1e300", "5865.23")]},
+    "paths-overflow": (
+        BS_INI.replace("rate = 0.05", "rate = 50")
+        .replace("maturity = 1.0", "maturity = 50").replace("mc, la", "mc"),
+        "model: paths leave the float64 range: ln s0 + drift + 10 sigma "
+        "sqrt(t) reaches 2522.88 > 709.78"),
+}
+
+
 class TestCli:
     def test_experiment_end_to_end(self, tmp_path):
         ini = tmp_path / "exp.ini"
@@ -649,43 +746,15 @@ class TestCli:
         ini.write_text(BS_INI.replace("mc, la", "warp"))
         assert main(["experiment", "--config", str(ini)]) == 2
 
-    @pytest.mark.parametrize("text", [
-        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = abc"),
-        BS_INI + "\n[model]\nkind = cir\n",
-        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60\nbarrier = 70"),
-        "\xff" + BS_INI,
-        BS_INI.replace("steps = 8", "steps = 0"),
-        BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 1.5"),
-        BS_INI.replace("s0 = 50", "s0 = 40 50 60\nrho = -0.6"),
-        BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 0.99999999999999"),
-        BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
-        BS_INI.replace("n_samples = 2000", "n_samples = 20"),
-        BS_INI.replace("strike = 45 50 55", "strike = 45%"),
-        BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60"),
-        *(text for text, _ in UNKNOWN_NAMES.values()),
-        *(BS_INI.replace("steps = 8", "steps = 1").replace("mc, la", method)
-          for method in ONE_STEP_METHODS),
-        CIR_INI.replace("sigma = 8", "sigma = 1e300"),
-        CIR_INI.replace("s0 = 100", "s0 = 1e300"),
-        CIR_INI.replace("alpha = 1.5", "alpha = 1e300"),
-        CIR_INI.replace("mu = 100", "mu = 1e300"),
-        CIR_INI.replace("steps = 8", "steps = 8\nmaturity = 1e300"),
-        BS_INI.replace("rate = 0.05", "rate = 50")
-        .replace("maturity = 1.0", "maturity = 50").replace("mc, la", "mc"),
-    ], ids=["barrier-not-a-number", "duplicate-section", "duplicate-key",
-            "not-utf8", "zero-steps", "rho-above-one", "rho-not-positive-definite",
-            "rho-numerically-singular", "sigma-numerically-singular",
-            "opt-pilot-takes-the-budget", "percent-in-value", "barrier-on-basket",
-            *UNKNOWN_NAMES,
-            *(f"one-step-{method}" for method in ONE_STEP_METHODS),
-            "cir-sigma-overflows", "cir-s0-overflows", "cir-alpha-overflows",
-            "cir-mu-overflows", "cir-maturity-overflows", "paths-overflow"])
-    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize("text, message", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text, message):
         ini = tmp_path / "exp.ini"
         ini.write_bytes(text.encode("latin-1"))
         assert main(["experiment", "--config", str(ini)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_one_step_pilot_pca(self, tmp_path, capsys):
         # one step gives a 1 x 1 pilot covariance
@@ -724,8 +793,8 @@ class TestCli:
 
     def test_worthless_strike_prices_at_zero(self, tmp_path, capsys):
         # far out of the money every pilot stratum std of that row is zero;
-        # its main stage keeps proportional counts, and the other strikes
-        # of the table still price
+        # its main stage takes n_min per stratum, and the other strikes of
+        # the table still price
         ini = tmp_path / "exp.ini"
         ini.write_text(BS_INI.replace("strike = 45 50 55", "strike = 45 100000")
                        .replace("alloc = opt", "alloc = const, opt"))
@@ -738,6 +807,22 @@ class TestCli:
             worthless = float(r["strike"]) == 100000
             assert (float(r["price"]) == 0.0) == worthless
             assert (float(r["variance"]) == 0.0) == worthless
+
+    def test_worthless_strike_leaves_the_opt_pool_alone(self):
+        # the worthless row's n_min per stratum stays under every other row's
+        # counts, so the main-stage pool, and with it the bytes of the other
+        # opt rows, is that of the table without the worthless strike
+        text = ((DEMOS / "configs" / "bs_asian.ini").read_text()
+                .replace("mc, lhs, la, lt, pca, la+pca", "mc, la, la+pca")
+                .replace("alloc = const, opt", "alloc = opt")
+                .replace("n_samples = 100000", "n_samples = 20000"))
+        alone = run_experiment(load_text(
+            text.replace("strike = 45 50 55", "strike = 45")))
+        rows = run_experiment(load_text(
+            text.replace("strike = 45 50 55", "strike = 45 500")))
+        assert rows[:3] == alone
+        assert [(r.price, r.variance, r.n_samples) for r in rows[4:]] == \
+            [(0.0, 0.0, 2200)] * 2
 
     def test_vanishing_but_representable_gradient(self, tmp_path):
         # sigma = 40 drives every zero-noise value towards underflow: the
@@ -756,8 +841,8 @@ class TestCli:
         assert [r["method"] for r in rows] == ["mc", "la", "lt"]
         assert all(float(r["price"]) == 0.0 and float(r["variance"]) == 0.0
                    for r in rows)
-        # under opt every pilot stratum std is zero, so the main stage keeps
-        # proportional counts and prices 0 as well
+        # under opt every pilot stratum std is zero, so the main stage takes
+        # n_min per stratum and prices 0 as well
         ini.write_text(text)
         assert main(["experiment", "--config", str(ini), "--out", str(out),
                      "--format", "csv"]) == 0

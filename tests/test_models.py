@@ -15,7 +15,6 @@ from stratmc import (
     asset_covariance,
     bm_covariance,
     bs_basket_g,
-    bs_model,
     bs_paths,
     cir_euler_path,
     cir_zero_noise_path,
@@ -25,44 +24,31 @@ from stratmc import (
 
 
 def two_asset_params():
-    return BsParams(
-        s0=[100.0, 50.0],
-        sigma=[0.2, 0.4],
-        corr=[[1.0, 0.3], [0.3, 1.0]],
-        rate=0.05,
-        grid=[0.25, 0.5, 1.0],
-        weights=uniform_weights(2, 3),
-    )
+    return BsParams(s0=[100.0, 50.0], sigma=[0.2, 0.4], steps=3, rho=0.3,
+                    rate=0.05)
 
 
 class TestBsParams:
     def test_dims(self):
         p = two_asset_params()
         assert p.n_assets == 2
-        assert p.n_dates == 3
+        assert p.steps == 3
         assert p.dim == 6
-
-    def test_rejects_bad_corr(self):
-        with pytest.raises(ValueError):
-            BsParams(s0=[1.0, 1.0], sigma=[0.1, 0.1],
-                     corr=[[1.0, 0.5], [0.4, 1.0]], rate=0.0,
-                     grid=[1.0], weights=uniform_weights(2, 1))
 
     def test_rejects_nonpositive_spot(self):
         with pytest.raises(ValueError):
-            BsParams(s0=[0.0], sigma=[0.1], corr=[[1.0]], rate=0.0,
-                     grid=[1.0], weights=uniform_weights(1, 1))
+            BsParams(s0=[0.0], sigma=[0.1], steps=1)
 
     def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            BsParams(s0=[1.0], sigma=[0.1], corr=[[1.0]], rate=0.0,
-                     grid=[0.5, 0.5], weights=uniform_weights(1, 2))
+        # the dates t_j = j T / steps need a positive maturity T
+        with pytest.raises(ValueError, match="maturity must be positive"):
+            BsParams(s0=[1.0], sigma=[0.1], steps=2, maturity=0.0)
 
 
 class TestBsModel:
     def test_common_rho_equally_spaced_uniform_average(self):
-        p = bs_model(s0=[100.0, 50.0], sigma=0.2, rho=0.3, rate=0.05,
-                     steps=4, maturity=2.0)
+        p = BsParams(s0=[100.0, 50.0], sigma=0.2, steps=4, rho=0.3,
+                     rate=0.05, maturity=2.0)
         np.testing.assert_array_equal(p.sigma, [0.2, 0.2])
         np.testing.assert_array_equal(p.corr, [[1.0, 0.3], [0.3, 1.0]])
         np.testing.assert_array_equal(p.grid, [0.5, 1.0, 1.5, 2.0])
@@ -71,18 +57,15 @@ class TestBsModel:
     @pytest.mark.parametrize("m, rho", [(2, 1.0), (2, -1.0), (3, -0.5)])
     def test_rho_outside_positive_definite_range(self, m, rho):
         with pytest.raises(ValueError, match="rho"):
-            bs_model(s0=[50.0] * m, sigma=0.3, rho=rho, rate=0.0, steps=2,
-                     maturity=1.0)
+            BsParams(s0=[50.0] * m, sigma=0.3, steps=2, rho=rho)
 
     def test_needs_an_asset(self):
         with pytest.raises(ValueError, match="at least one value"):
-            bs_model(s0=[], sigma=0.3, rho=0.0, rate=0.0, steps=2,
-                     maturity=1.0)
+            BsParams(s0=[], sigma=0.3, steps=2)
 
     def test_needs_a_date(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
-            bs_model(s0=50.0, sigma=0.3, rho=0.0, rate=0.0, steps=0,
-                     maturity=1.0)
+            BsParams(s0=50.0, sigma=0.3, steps=0)
 
 
 class TestFlattenedLayout:
@@ -131,8 +114,7 @@ class TestBsPaths:
         np.testing.assert_allclose(g, avg, rtol=1e-12)
 
     def test_terminal_martingale(self):
-        p = BsParams(s0=[80.0], sigma=[0.25], corr=[[1.0]], rate=0.03,
-                     grid=[1.0], weights=uniform_weights(1, 1))
+        p = BsParams(s0=[80.0], sigma=[0.25], steps=1, rate=0.03)
         eps = RandomStream(91).normal((400_000, 1))
         s_t = bs_paths(eps, p).values[:, 0, 0]
         target = 80.0 * np.exp(0.03)
@@ -158,8 +140,7 @@ class TestBsPaths:
 
 
 def one_asset_params():
-    return bs_model(s0=50.0, sigma=0.3, rho=0.0, rate=0.05, steps=4,
-                    maturity=1.0)
+    return BsParams(s0=50.0, sigma=0.3, steps=4, rate=0.05)
 
 
 @pytest.mark.parametrize("p", [one_asset_params(), two_asset_params()],
@@ -175,7 +156,7 @@ def test_in_place_maps_match_out_of_place(p, lead):
     grid = np.exp(p.drift + eps @ p.factor.T)
     g = grid @ p.coef
     flat = p.s0[np.arange(p.dim) % p.n_assets] * grid
-    paths = np.swapaxes(flat.reshape(lead + (p.n_dates, p.n_assets)), -1, -2)
+    paths = np.swapaxes(flat.reshape(lead + (p.steps, p.n_assets)), -1, -2)
     got_g, got_paths = bs_basket_g(eps, p), bs_paths(eps, p).values
     assert got_g.shape == g.shape and got_g.tobytes() == g.tobytes()
     assert got_paths.shape == paths.shape

@@ -5,14 +5,11 @@ complete-barrier <= expiry-barrier <= plain, and the strict-comparison
 knock-out convention (S == B kills the contract, S < B survives).  The
 model supplies the averaging weights and the discount e^{-rT}.
 """
-import dataclasses
-
 import numpy as np
 import pytest
 
 from stratmc import (
     BsParams,
-    CirParams,
     PayoffSpec,
     RandomStream,
     basket_params,
@@ -23,16 +20,13 @@ from stratmc import (
     cir_euler_path,
     evaluate,
     payoff_evaluator,
-    uniform_weights,
 )
 from stratmc.models import PathMatrix
 
 
-def model(m=1, n=2, rate=0.0, weights=None):
+def model(m=1, n=2, rate=0.0):
     """m assets on n dates up to maturity 1, discounting at rate."""
-    return BsParams(s0=[50.0] * m, sigma=[0.3] * m, corr=np.eye(m), rate=rate,
-                    grid=np.arange(1, n + 1) / n,
-                    weights=uniform_weights(m, n) if weights is None else weights)
+    return BsParams(s0=[50.0] * m, sigma=0.3, steps=n, rate=rate)
 
 
 class TestAsianBasket:
@@ -54,10 +48,10 @@ class TestAsianBasket:
                                       evaluate(s, spec, model()))
 
     def test_multi_asset_weights(self):
-        params = model(m=2, n=1, weights=np.array([[0.75], [0.25]]))
+        params = model(m=2, n=1)
         s = np.array([[[100.0], [20.0]]])
-        # avg 80
-        assert evaluate(s, PayoffSpec(10.0), params)[0] == pytest.approx(70.0)
+        # avg 60
+        assert evaluate(s, PayoffSpec(10.0), params)[0] == pytest.approx(50.0)
 
 
 class TestBarriers:
@@ -123,18 +117,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             PayoffSpec(45.0, "lookback")
 
-    def test_weights_must_sum_to_one(self):
-        # a contract averages with its model's weights, which sum to 1
-        with pytest.raises(ValueError, match="sum to 1"):
-            model(weights=np.ones((1, 2)))
-
-
-def _terminal_model():
-    # non-uniform averaging: all weight on the last date
-    weights = np.zeros((1, 64))
-    weights[0, -1] = 1.0
-    return dataclasses.replace(bs_asian_params(), weights=weights)
-
 
 @pytest.mark.parametrize("params, spec, paths", [
     (bs_asian_params(), PayoffSpec(50.0), bs_paths),
@@ -143,13 +125,11 @@ def _terminal_model():
      bs_paths),
     (bs_barrier_params(), PayoffSpec(50.0, "asian-barrier-complete", 60.0),
      bs_paths),
-    (_terminal_model(), PayoffSpec(50.0), bs_paths),
     (cir_asian_params(), PayoffSpec(100.0), cir_euler_path),
 ], ids=["bs-asian", "basket-fast-path", "barrier-expiry", "barrier-complete",
-        "bs-terminal-weights", "cir-asian"])
+        "cir-asian"])
 def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
-    dim = params.n_steps if isinstance(params, CirParams) else params.dim
-    z = RandomStream(12).normal((400, dim))
+    z = RandomStream(12).normal((400, params.dim))
     (f,) = payoff_evaluator(params, [spec])(z)
     assert np.count_nonzero(f) > 0
     np.testing.assert_allclose(f, evaluate(paths(z, params), spec, params),
@@ -165,8 +145,7 @@ def test_payoff_evaluator_matches_path_payoff(params, spec, paths):
 def test_payoff_evaluator_rows_are_the_single_contract_values(params, specs):
     # a table's evaluator gives one contiguous row per contract, each the
     # one-contract evaluator's row bit for bit
-    dim = params.n_steps if isinstance(params, CirParams) else params.dim
-    z = RandomStream(13).normal((300, dim))
+    z = RandomStream(13).normal((300, params.dim))
     rows = payoff_evaluator(params, specs)(z)
     assert rows.shape == (len(specs), 300) and rows.flags.c_contiguous
     for row, spec in zip(rows, specs):
