@@ -3,9 +3,12 @@
 BS paths are sampled exactly at the monitoring dates through the Cholesky
 factor of the Kronecker covariance Sigma_B (x) Sigma_A; BsParams computes
 that factor, the drift exponents and the payoff coefficients once, as its
-derived fields factor, drift and coef.  CIR paths use the Euler scheme with
-the square-root argument floored at zero.  Flattened BS indices run
-asset-fastest: k = k2*M + k1 (0-based asset k1, date k2).
+derived fields factor, drift and coef.  CIR paths use the Euler scheme
+S_{j+1} = S_j (1 - alpha dt) + alpha mu dt + sigma sqrt(dt) sqrt(max(S_j, 0)) z_j,
+with the square-root argument floored at zero; their values are a view of
+step-major memory, and floored marks a batch in which a state fed to the
+square root was negative or nan.  Flattened BS indices run asset-fastest:
+k = k2*M + k1 (0-based asset k1, date k2).
 """
 from __future__ import annotations
 
@@ -175,7 +178,7 @@ class PathMatrix:
     """Asset-price values on the monitoring grid, shape (..., M, N).
 
     Leading dimensions hold a batch of paths.  floored records whether the
-    CIR Euler recursion clipped a negative value under the square root.
+    CIR Euler recursion fed a negative or nan state to the square root.
     """
 
     values: np.ndarray
@@ -220,24 +223,35 @@ def bs_paths(eps: np.ndarray, params: BsParams) -> PathMatrix:
 def cir_euler_path(z: np.ndarray, params: CirParams) -> PathMatrix:
     """Euler paths S_1..S_N driven by z, shape (..., 1, N).
 
-    The square-root argument is floored at zero (full-truncation style);
-    the floored flag records whether clipping ever occurred.
+    Each step is S_{j+1} = S_j (1 - alpha dt) + alpha mu dt
+    + sigma sqrt(dt) sqrt(max(S_j, 0)) z_j: the square-root argument is
+    floored at zero, the state itself is not.  The steps run in eight
+    in-place passes over two batch-shaped buffers and write one contiguous
+    step-major row each, so values is a view of an (N, ...) array, not a
+    copy.  floored records whether a state fed to the square root was
+    negative or nan.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != params.n_steps:
         raise ValueError("driver length must equal n_steps")
     dt = params.dt
-    s = np.broadcast_to(np.float64(params.s0), z.shape[:-1]).copy()
-    out = np.empty(z.shape)
-    floored = False
+    keep, pull = 1.0 - params.alpha * dt, params.alpha * params.mu * dt
+    vol = params.sigma * math.sqrt(dt)
+    out = np.empty((params.n_steps,) + z.shape[:-1])
+    s = np.full(z.shape[:-1], float(params.s0))
+    b = np.empty(z.shape[:-1])
     for j in range(params.n_steps):
-        base = np.maximum(s, 0.0)
-        if not floored and np.any(base != s):
-            floored = True
-        s = s + params.alpha * (params.mu - s) * dt \
-            + params.sigma * np.sqrt(base * dt) * z[..., j]
-        out[..., j] = s
-    return PathMatrix(values=out[..., None, :], floored=floored)
+        np.maximum(s, 0.0, out=b)
+        np.sqrt(b, out=b)
+        b *= z[..., j]
+        b *= vol
+        s *= keep
+        s += pull
+        s += b
+        out[j] = s
+    # S_N never reaches the square root; a nan minimum fails the test too
+    floored = not out[:-1].min(initial=np.inf) >= 0.0
+    return PathMatrix(values=np.moveaxis(out, 0, -1)[..., None, :], floored=floored)
 
 
 def cir_zero_noise_path(params: CirParams) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Path models: lognormal basket driver and the square-root Euler scheme.
 
 Ground truth: hand-built index maps for the flattened (asset, date) layout,
-the closed-form zero-noise skeleton for the mean-reverting model, and the
-discounted-martingale property E[S(t)] = S0 e^{rt} checked statistically.
+the closed-form zero-noise skeleton for the mean-reverting model, a scalar
+Euler recursion for its vectorized kernel, and the discounted-martingale
+property E[S(t)] = S0 e^{rt} checked statistically.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -164,12 +167,82 @@ def test_in_place_maps_match_out_of_place(p, lead):
     assert eps.tobytes() == before.tobytes()
 
 
+def scalar_euler(z, p):
+    """One Euler path in Python floats, in the textbook form
+    S + alpha (mu - S) dt + sigma sqrt(max(S, 0) dt) z, and whether a state
+    fed to the square root was negative or nan."""
+    s, dt, out, floored = p.s0, p.dt, [], False
+    for zj in z:
+        floored = floored or not s >= 0.0
+        s = s + p.alpha * (p.mu - s) * dt + p.sigma * math.sqrt(max(s, 0.0) * dt) * zj
+        out.append(s)
+    return np.array(out), floored
+
+
 class TestCir:
     def params(self, **kw):
         base = dict(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, rate=0.05,
                     n_steps=64, maturity=1.0)
         base.update(kw)
         return CirParams(**base)
+
+    def kernel_params(self, **kw):
+        # sigma sqrt(dt) = 1.25: a kernel that dropped the factor would show
+        return self.params(sigma=10.0, **kw)
+
+    def kernel_draws(self, p):
+        # rows 0-7 start with two z = -6 steps, which drive the state
+        # below zero (100 -> 25 -> -10.75); row 8 turns nan mid-path
+        z = RandomStream(96).normal((40, p.n_steps))
+        z[:8, :2] = -6.0
+        z[8, p.n_steps // 2] = np.nan
+        return z
+
+    def test_kernel_matches_scalar_reference(self):
+        p = self.kernel_params()
+        z = self.kernel_draws(p)
+        got = cir_euler_path(z, p)
+        refs = [scalar_euler(row, p) for row in z]
+        flags = [f for _, f in refs]
+        assert any(flags) and not all(flags)
+        np.testing.assert_allclose(got.values[:, 0, :], [v for v, _ in refs],
+                                   rtol=1e-13)
+        assert got.floored == any(flags)
+        for row, (_, flag) in zip(z, refs):
+            assert cir_euler_path(row, p).floored == flag
+
+    def test_kernel_rows_do_not_depend_on_batch_shape(self):
+        p = self.kernel_params()
+        z = self.kernel_draws(p)[:24].reshape(2, 12, p.n_steps)
+        one = [[cir_euler_path(row, p).values[0].tobytes() for row in block]
+               for block in z]
+        assert cir_euler_path(z[0, 0], p).values.shape == (1, p.n_steps)
+        assert cir_euler_path(z[0, 0], p).values[0].tobytes() == one[0][0]
+        flat = cir_euler_path(z[0], p).values
+        assert flat.shape == (12, 1, p.n_steps)
+        assert [v[0].tobytes() for v in flat] == one[0]
+        full = cir_euler_path(z, p).values
+        assert full.shape == (2, 12, 1, p.n_steps)
+        assert [[v[0].tobytes() for v in block] for block in full] == one
+
+    def test_kernel_leaves_read_only_drivers_alone(self):
+        p = self.kernel_params()
+        z = self.kernel_draws(p)
+        before = z.copy()
+        z.setflags(write=False)
+        cir_euler_path(z, p)
+        assert z.tobytes() == before.tobytes()
+
+    def test_kernel_single_step(self):
+        # S_1 is never fed to the square root, so a negative S_1 is no floor
+        p = self.kernel_params(n_steps=1)
+        for z1 in (0.7, -20.0):
+            got = cir_euler_path(np.array([z1]), p)
+            ref, flag = scalar_euler([z1], p)
+            assert got.values.shape == (1, 1)
+            np.testing.assert_allclose(got.values[0], ref, rtol=1e-13)
+            assert got.floored is flag is False
+        assert cir_euler_path(np.array([-20.0]), p).values[0, 0] < 0.0
 
     def test_zero_noise_matches_closed_form(self):
         p = self.params(s0=80.0)
