@@ -84,7 +84,8 @@ def stratum_uniform(k: int, n_strata: int, stream: RandomStream, size=None):
 
 
 def lhs_normals(n: int, d: int, stream: RandomStream) -> np.ndarray:
-    """Latin Hypercube sample of standard normals, shape (n, d).
+    """Latin Hypercube sample of standard normals, shape (n, d), returned as
+    the transposed view of step-major (d, n) memory.
 
     Each column places exactly one point in each of the n equiprobable
     cells: value = Phi^{-1}((perm + U)/n) with an independent permutation
@@ -92,9 +93,9 @@ def lhs_normals(n: int, d: int, stream: RandomStream) -> np.ndarray:
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    cells = np.empty((n, d))
+    cells = np.empty((d, n))
     for j in range(d):
         perm = stream.generator.permutation(n)
         u = stream.uniform_open(size=n)
-        cells[:, j] = (perm + u) / n
-    return ndtri(cells)
+        np.divide(perm + u, n, out=cells[j])
+    return ndtri(cells, out=cells).T

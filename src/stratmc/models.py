@@ -5,9 +5,10 @@ factor of the Kronecker covariance Sigma_B (x) Sigma_A; BsParams computes
 that factor, the drift exponents and the payoff coefficients once, as its
 derived fields factor, drift and coef.  CIR paths use the Euler scheme
 S_{j+1} = S_j (1 - alpha dt) + alpha mu dt + sigma sqrt(dt) sqrt(max(S_j, 0)) z_j,
-with the square-root argument floored at zero; their values are a view of
-step-major memory, and floored marks a batch in which a state fed to the
-square root was negative or nan.  Flattened BS indices run asset-fastest:
+with the square-root argument floored at zero, and floored marks a batch in
+which a state fed to the square root was negative or nan.  Both maps work
+step-major, one contiguous row per grid index, and their path values are
+views of that memory.  Flattened BS indices run asset-fastest:
 k = k2*M + k1 (0-based asset k1, date k2).
 """
 from __future__ import annotations
@@ -198,23 +199,31 @@ def path_covariance(params: BsParams) -> np.ndarray:
     return np.kron(bm_covariance(params.grid), asset_covariance(params))
 
 
+def _lognormal_grid(eps: np.ndarray, params: BsParams) -> np.ndarray:
+    """exp(drift_k + (C eps)_k) over the flattened grid index k, for
+    eps of shape (..., M*N), in one step-major (M*N, rows) work array with
+    one column per batch entry of eps; eps is read, never written."""
+    flat = np.moveaxis(np.asarray(eps, dtype=float), -1, 0)
+    y = params.factor @ flat.reshape(params.dim, -1)
+    y += params.drift[:, None]
+    return np.exp(y, out=y)
+
+
 def bs_basket_g(eps: np.ndarray, params: BsParams) -> np.ndarray:
     """Weighted sum of lognormal grid values, g(eps) = sum_k exp(mu_k + (C eps)_k),
-    for eps of shape (..., M*N); one work array of that shape holds the grid."""
-    y = np.asarray(eps, dtype=float) @ params.factor.T
-    y += params.drift
-    return np.exp(y, out=y) @ params.coef
+    for eps of shape (..., M*N); one step-major work array holds the grid."""
+    return (params.coef @ _lognormal_grid(eps, params)).reshape(np.shape(eps)[:-1])
 
 
 def bs_paths(eps: np.ndarray, params: BsParams) -> PathMatrix:
     """Exact lognormal grid values S_{k1}(t_{k2}), shape (..., M, N), built
-    in place in one work array the size of the output."""
+    in place in one step-major work array the size of the output; values
+    is a view of that array, not a copy."""
     m, n = params.n_assets, params.steps
-    y = np.asarray(eps, dtype=float) @ params.factor.T
-    y += params.drift
-    np.exp(y, out=y)
-    y *= np.tile(params.s0, n)
-    return PathMatrix(values=np.swapaxes(y.reshape(y.shape[:-1] + (n, m)), -1, -2))
+    y = _lognormal_grid(eps, params)
+    y *= np.tile(params.s0, n)[:, None]
+    lead = np.shape(eps)[:-1]
+    return PathMatrix(values=np.moveaxis(y.reshape((n, m) + lead), (0, 1), (-1, -2)))
 
 
 # --- CIR ---------------------------------------------------------------------

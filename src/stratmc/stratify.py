@@ -184,7 +184,8 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
     (a_i^- - s_i, a_i^+ - s_i) / m[i, i], with s_i the shift of x_1..x_{i-1},
     and one in-place gemm completes a normal zp: z = zp + (x - zp F) F^T.
 
-    Returns a StrataDraw (z, weight): z has shape (n, d) and weight[r] is
+    Returns a StrataDraw (z, weight): z has shape (n, d), the transposed
+    view of step-major (d, n) memory, and weight[r] is
     the product of row r's conditional interval probabilities, which stands
     in for p_k in the estimator, so the joint box probability is never
     needed.  For orthonormal sets every weight is p_k.  A weight of 0 marks
@@ -199,24 +200,24 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
         raise StratMcError(f"stratum index outside 0..{spec.total - 1}")
     n = strata.size
     ks = np.unravel_index(strata, spec.counts)
-    u = stream.uniform_open(size=(n, dp))
-    x = np.empty((n, dp))
+    u = stream.uniform_open(size=(dp, n))
+    x = np.empty((dp, n))
     weight = np.ones(n)
     for i in range(dp):
         edges = spec.edges(i)
-        shift = x[:, :i] @ m[i, :i]
+        shift = m[i, :i] @ x[:i]
         ta_lo = (edges[ks[i]] - shift) / m[i, i]
         ta_hi = (edges[ks[i] + 1] - shift) / m[i, i]
         p_lo = ndtr(ta_lo)
         width = ndtr(ta_hi) - p_lo
-        p = np.clip(p_lo + u[:, i] * width, _P_FLOOR, _P_CEIL)
-        x[:, i] = np.clip(ndtri(p), ta_lo, ta_hi)
+        p = np.clip(p_lo + u[i] * width, _P_FLOOR, _P_CEIL)
+        x[i] = np.clip(ndtri(p), ta_lo, ta_hi)
         weight *= width
-    z = stream.normal((n, d))
+    z = stream.normal((d, n)).T
     if n:  # gemm rejects an empty c
         # imported here: scipy.linalg adds about 60 ms to `import stratmc`
         from scipy.linalg.blas import dgemm
-        dgemm(1.0, f, (x - z @ f).T, beta=1.0, c=z.T, overwrite_c=True)
+        dgemm(1.0, (x - f.T @ z.T).T, f.T, beta=1.0, c=z, overwrite_c=True)
     return StrataDraw(z, weight)
 
 
@@ -316,7 +317,9 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
                                   stream.child(c))
         # an unreachable draw enters no estimate, and it may sit far out on
         # its box's boundary, where the payoff overflows: evaluate it at 0
-        z[weight == 0.0] = 0.0
+        # (a product, since a row of step-major z is d strided writes)
+        if not weight.all():
+            z *= weight[:, None] != 0.0
         parts.append(evaluator(z) * weight)
         weights.append(weight)
     rows = np.concatenate(parts, axis=-1).reshape(-1, strata.size)
@@ -425,7 +428,7 @@ def plain_mc_estimate(evaluator, dim: int, n_total: int,
     if n_total < 2:
         raise ValueError("need at least two draws")
     vals = np.concatenate([
-        evaluator(stream.normal((min(_MC_CHUNK, n_total - done), dim)))
+        evaluator(stream.normal((dim, min(_MC_CHUNK, n_total - done))).T)
         for done in range(0, n_total, _MC_CHUNK)], axis=-1).reshape(-1, n_total)
     var1 = vals.var(ddof=1, axis=1)
     return EstimateReport(
@@ -461,7 +464,7 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
 
     # one row of replication means per evaluator row
     means = np.stack([
-        evaluator(_lhs_normals(n_rep, d, stream.child(r)) @ rotation.T)
+        evaluator((rotation @ _lhs_normals(n_rep, d, stream.child(r)).T).T)
         .reshape(-1, n_rep).mean(axis=1)
         for r in range(replications)], axis=1)
     var_rep = means.var(ddof=1, axis=1)

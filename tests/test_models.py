@@ -150,21 +150,42 @@ def one_asset_params():
                          ids=["1-asset", "2-asset"])
 @pytest.mark.parametrize("lead", [(), (5,), (2, 5)], ids=["d", "n-d", "2-n-d"])
 def test_in_place_maps_match_out_of_place(p, lead):
-    # the maps build their values in place; IEEE add and multiply commute,
-    # so they equal the out-of-place expressions bit for bit, and they leave
-    # a read-only eps as it was
+    # the maps build their values in place in step-major memory; IEEE add
+    # and multiply commute, so they equal the out-of-place step-major
+    # expressions bit for bit, and they leave a read-only eps as it was
     eps = RandomStream(95).normal(lead + (p.dim,))
     eps.setflags(write=False)
     before = eps.copy()
-    grid = np.exp(p.drift + eps @ p.factor.T)
-    g = grid @ p.coef
-    flat = p.s0[np.arange(p.dim) % p.n_assets] * grid
-    paths = np.swapaxes(flat.reshape(lead + (p.steps, p.n_assets)), -1, -2)
+    grid = np.exp(p.drift[:, None]
+                  + p.factor @ np.moveaxis(eps, -1, 0).reshape(p.dim, -1))
+    g = (p.coef @ grid).reshape(lead)
+    flat = p.s0[np.arange(p.dim) % p.n_assets][:, None] * grid
+    paths = np.moveaxis(flat.reshape((p.steps, p.n_assets) + lead), (0, 1), (-1, -2))
     got_g, got_paths = bs_basket_g(eps, p), bs_paths(eps, p).values
     assert got_g.shape == g.shape and got_g.tobytes() == g.tobytes()
     assert got_paths.shape == paths.shape
     assert got_paths.tobytes() == paths.tobytes()
     assert eps.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("p", [one_asset_params(), two_asset_params()],
+                         ids=["1-asset", "2-asset"])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 5)], ids=["d", "n-d", "2-n-d"])
+def test_path_maps_do_not_depend_on_the_layout(p, lead):
+    # the estimators hand the maps step-major drivers, F-ordered (n, d)
+    # views; a C-ordered copy of the same z gives the same Euler bits, and
+    # the lognormal maps' gemm agrees to rounding
+    cir = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=10.0, n_steps=64)
+    z = RandomStream(97).normal(lead + (cir.n_steps,))
+    euler = [cir_euler_path(a, cir)
+             for a in (np.ascontiguousarray(z), np.asfortranarray(z))]
+    assert euler[0].values.tobytes() == euler[1].values.tobytes()
+    assert euler[0].floored == euler[1].floored
+    eps = RandomStream(98).normal(lead + (p.dim,))
+    c, f = np.ascontiguousarray(eps), np.asfortranarray(eps)
+    np.testing.assert_allclose(bs_basket_g(f, p), bs_basket_g(c, p), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(bs_paths(f, p).values, bs_paths(c, p).values,
+                               rtol=1e-15, atol=0)
 
 
 def scalar_euler(z, p):

@@ -275,10 +275,11 @@ class TestResidualCompletion:
         z, weight, strata = stratum_draws(dirs, spec, 200, RandomStream(63))
         assert np.all(weight > 0.0)
         assert_in_boxes(z, dirs, spec, strata)
-        # replay the stream: the sampler takes its uniforms, then zp
+        # replay the stream: the sampler takes its uniforms, then zp, both
+        # drawn step-major
         stream = RandomStream(63)
-        stream.uniform_open(size=(strata.size, dirs.count))
-        zp = stream.normal(z.shape)
+        stream.uniform_open(size=(dirs.count, strata.size))
+        zp = stream.normal(z.shape[::-1]).T
         f = dirs.frame
         np.testing.assert_allclose(z - (z @ f) @ f.T, zp - (zp @ f) @ f.T,
                                    rtol=0, atol=1e-12)
@@ -729,3 +730,29 @@ class TestLhsEstimator:
         rep = lhs_estimate(ev, q, 40_000, 20, RandomStream(81))
         se = np.sqrt(rep.est_variance)
         assert abs(rep.price - np.exp(0.5)) < 4 * se
+
+
+class TestDriverLayout:
+    """Every estimator hands its evaluator (n, d) views of step-major (d, n)
+    memory, so a path map reads each step's drivers as one contiguous row."""
+
+    def spy(self, seen):
+        def ev(z):
+            seen.append((z.shape, z.T.flags.c_contiguous))
+            return z[:, 0]
+        return ev
+
+    def test_every_estimator_hands_step_major_drivers(self):
+        d, seen = 5, []
+        ev = self.spy(seen)
+        plain_mc_estimate(ev, d, 1_000, RandomStream(82))
+        assert seen == [((1_000, d), True)]
+        seen.clear()
+        lhs_estimate(ev, np.linalg.qr(np.random.default_rng(83).normal(size=(d, d)))[0],
+                     1_000, 4, RandomStream(84))
+        assert seen == [((250, d), True)] * 4
+        seen.clear()
+        # the pilot stage (400 draws) and the main stage (3,600 draws)
+        two_stage_estimate(ev, la_pca_pair(), StratumSpec((4, 5)), 4_000,
+                           RandomStream(85), "opt")
+        assert seen == [((400, 64), True), ((3_600, 64), True)]
