@@ -21,7 +21,7 @@ import numpy as np
 from .directions import bs_gradient, cir_workspace, engines
 from .experiment import format_rows, load_config, run_experiment
 from .gaussian import RandomStream
-from .linalg import angle_degrees, gram_schmidt
+from .linalg import angle_degrees
 from .models import (
     bs_basket_g,
     bs_paths,
@@ -102,7 +102,7 @@ def _criterion_1():
     cov_err = float(np.max(np.abs(cov - (np.eye(d) - np.outer(v, v)))))
 
     base = stream.normal((d, 2))
-    f = gram_schmidt(base.T)
+    f = np.linalg.qr(base)[0]
     ospec = StratumSpec((4, 4))
     ostrata = np.repeat(np.arange(ospec.total), 500)
     z, _ = sample_strata(DirectionSet(f), ospec, ostrata,

@@ -2,10 +2,11 @@
 
 PCA (leading covariance eigenvectors), Linear Approximation (normalized
 payoff gradient at the zero-noise point) and Linear Transformation
-(rotation built column by column from first-order payoff expansions at
-leading-ones points) for the BS and CIR models, plus the pilot-sample
-PCA-like direction for CIR.  engines(params) is the table of the engines
-each model has.
+(rotation built column by column from the payoff gradient at leading-ones
+points) for the BS and CIR models, plus the pilot-sample PCA-like
+direction for CIR.  LA and LT read one driver-space gradient per model:
+bs_gradient for BS and the expansion row sums cir_workspace(params, z).t
+for CIR.  engines(params) is the table of the engines each model has.
 
 Conventions shared by every engine: returned directions are unit vectors
 with the largest-magnitude component positive, and multi-direction sets are
@@ -29,25 +30,14 @@ __all__ = [
     "pca_directions",
     "bs_gradient",
     "la_directions_multi",
-    "lt_directions_bs",
     "LtCirWorkspace",
     "cir_workspace",
-    "lt_directions_cir",
     "pilot_pca_cir",
     "export_directions",
 ]
 
 # paths in the pilot sample of pilot_pca_cir
 _PILOT_N = 2000
-
-
-def _project_out(b: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
-    """Remove the span of unit columns from b; two passes keep the result
-    orthogonal to machine precision even when b is nearly in the span."""
-    for _ in range(2):
-        for prev in cols:
-            b = b - (prev @ b) * prev
-    return b
 
 
 def pca_directions(sigma: np.ndarray, m: int) -> DirectionSet:
@@ -58,18 +48,22 @@ def pca_directions(sigma: np.ndarray, m: int) -> DirectionSet:
     return DirectionSet(columns=v[:, :m])
 
 
-def _lt_columns(expansion, count: int, dim: int) -> DirectionSet:
-    """The LT construction shared by both models: column p is the
-    first-order expansion column expansion(previous columns), projected
-    against the previous columns, normalized and sign-fixed.  A column
-    vanishes when projection leaves at most 1e-12 of its expansion's norm,
+def _lt_directions(gradient, point, dim: int, count: int) -> DirectionSet:
+    """LT columns: column p is the gradient at point(previous columns),
+    projected against the previous columns, normalized and sign-fixed.  The
+    projection runs twice, which keeps the column orthogonal to machine
+    precision even when the gradient nearly lies in their span.  A column
+    vanishes when projection leaves at most 1e-12 of its gradient's norm,
     whatever that norm's scale."""
     if not 1 <= count <= dim:
         raise ValueError(f"column count must lie in 1..{dim}")
     cols: list[np.ndarray] = []
     for _ in range(count):
-        raw = expansion(cols)
-        b = _project_out(raw, cols)
+        raw = gradient(point(cols))
+        b = raw
+        for _ in range(2):
+            for prev in cols:
+                b = b - (prev @ b) * prev
         norm = float(np.linalg.norm(b))
         if not norm > 1e-12 * float(np.linalg.norm(raw)):
             raise StratMcError("expansion column vanished after projection")
@@ -77,20 +71,6 @@ def _lt_columns(expansion, count: int, dim: int) -> DirectionSet:
     a_mat = np.column_stack(cols)
     assert np.max(np.abs(a_mat.T @ a_mat - np.eye(count))) < 1e-10
     return DirectionSet(columns=a_mat)
-
-
-# --- Black-Scholes -----------------------------------------------------------
-
-
-def _bs_expansion(params: BsParams, shift: np.ndarray) -> np.ndarray:
-    """C^T (e^mu * e^shift): the payoff gradient at the point whose
-    path-space shift is C eps = shift."""
-    return params.factor.T @ (params.coef * np.exp(params.drift + shift))
-
-
-def bs_gradient(params: BsParams, eps: np.ndarray) -> np.ndarray:
-    """Gradient of g(eps) = sum_k exp(mu_k + (C eps)_k): C^T (e^mu * e^{C eps})."""
-    return _bs_expansion(params, params.factor @ np.asarray(eps, float))
 
 
 def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
@@ -112,20 +92,14 @@ def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
     return DirectionSet(np.column_stack([normalize_sign(v) for v in cols]))
 
 
-def lt_directions_bs(params: BsParams, count: int) -> DirectionSet:
-    """Orthonormal LT columns for the BS basket payoff.
+# --- Black-Scholes -----------------------------------------------------------
 
-    Column p maximizes the first-coordinate variance of the first-order
-    expansion at the point with p-1 leading ones in the already-rotated
-    coordinates: u^{(p)}_k = exp(mu_k + sum_{m<p} (C A_m)_k), the new column
-    is C^T u^{(p)} projected against the previous columns and normalized.
-    The first column therefore coincides with the LA direction.
-    """
-    c = params.factor
-    return _lt_columns(
-        lambda cols: _bs_expansion(
-            params, sum((c @ a for a in cols), np.zeros(params.dim))),
-        count, params.dim)
+
+def bs_gradient(params: BsParams, eps: np.ndarray) -> np.ndarray:
+    """Gradient of g(eps) = sum_k exp(mu_k + (C eps)_k):
+    C^T (coef * e^{drift + C eps})."""
+    shift = params.factor @ np.asarray(eps, float)
+    return params.factor.T @ (params.coef * np.exp(params.drift + shift))
 
 
 # --- CIR ---------------------------------------------------------------------
@@ -176,21 +150,6 @@ def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
     return LtCirWorkspace(alpha=alpha, beta=beta, w=w, t=t)
 
 
-def lt_directions_cir(params: CirParams, count: int) -> DirectionSet:
-    """Orthonormal LT columns for the CIR Asian payoff.
-
-    Column l's coefficients are evaluated on the Euler path driven by l raw
-    leading ones, so column 1 sits near, not on, the LA direction.
-    """
-    n = params.n_steps
-
-    def expansion(cols):
-        zhat = np.zeros(n)
-        zhat[:len(cols) + 1] = 1.0
-        return cir_workspace(params, zhat).t
-    return _lt_columns(expansion, count, n)
-
-
 def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:
     """Leading eigenvector of the price-path covariance of _PILOT_N pilot
     paths.
@@ -215,24 +174,37 @@ def engines(params: BsParams | CirParams,
     DirectionSet of k directions: la, lt and pca for BsParams; la, lt and
     pilot-pca for CirParams.  pilot-pca draws its pilot sample from
     stream.child(1), so it needs a stream, and gives one direction whatever
-    k is."""
-    if isinstance(params, BsParams):
-        return {
-            "la": lambda k: la_directions_multi(
-                lambda e: bs_gradient(params, e), params.dim, k),
-            "lt": lambda k: lt_directions_bs(params, k),
-            "pca": lambda k: pca_directions(path_covariance(params), k),
-        }
+    k is.
 
-    def pilot_pca(k):
-        if stream is None:
-            raise ValueError("the pilot-pca engine needs a stream")
-        return DirectionSet(pilot_pca_cir(params, stream.child(1)))
+    la and lt read the model's driver-space payoff gradient.  LT (Imai and
+    Tan's construction) gives orthonormal columns: column p maximizes the
+    first-coordinate variance of the payoff's first-order expansion at a
+    point with p - 1 leading ones, so it is the gradient there, projected
+    against the previous columns and normalized.  For BS the ones are taken
+    in the already-rotated coordinates, so the point is the sum of the
+    previous columns: column p is C^T u^(p) with
+    u^(p)_k = exp(mu_k + sum_{m<p} (C A_m)_k), and the first column is the
+    LA direction.  For CIR the point is p raw leading ones in the driver,
+    so column 1 sits near, not on, the LA direction.
+    """
+    dim = params.dim
+    if isinstance(params, BsParams):
+        gradient = lambda eps: bs_gradient(params, eps)
+        lt_point = lambda cols: sum(cols, np.zeros(dim))
+        rest = {"pca": lambda k: pca_directions(path_covariance(params), k)}
+    else:
+        gradient = lambda z: cir_workspace(params, z).t
+        lt_point = lambda cols: (np.arange(dim) <= len(cols)).astype(float)
+
+        def pilot_pca(k):
+            if stream is None:
+                raise ValueError("the pilot-pca engine needs a stream")
+            return DirectionSet(pilot_pca_cir(params, stream.child(1)))
+        rest = {"pilot-pca": pilot_pca}
     return {
-        "la": lambda k: la_directions_multi(
-            lambda z: cir_workspace(params, z).t, params.n_steps, k),
-        "lt": lambda k: lt_directions_cir(params, k),
-        "pilot-pca": pilot_pca,
+        "la": lambda k: la_directions_multi(gradient, dim, k),
+        "lt": lambda k: _lt_directions(gradient, lt_point, dim, k),
+        **rest,
     }
 
 

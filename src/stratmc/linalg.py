@@ -1,11 +1,10 @@
 """Dense linear algebra used throughout the package.
 
-Covariance constructors, Cholesky factorization, Gram-Schmidt
-orthonormalization, symmetric eigendecomposition and direction angles.
-Factorizations and eigensolves delegate to LAPACK (via numpy) and then
-enforce the package-wide conventions: eigenvalues sorted descending, each
-eigenvector's largest-magnitude component positive, Cholesky pivots checked
-against a relative tolerance.
+Cholesky factorization, symmetric eigendecomposition and direction
+angles.  Factorizations and eigensolves delegate to LAPACK (via numpy) and
+then enforce the package-wide conventions: eigenvalues sorted descending,
+each eigenvector's largest-magnitude component positive, Cholesky pivots
+checked against a relative tolerance.
 """
 from __future__ import annotations
 
@@ -15,8 +14,6 @@ from .errors import StratMcError
 
 __all__ = [
     "cholesky",
-    "bm_covariance",
-    "gram_schmidt",
     "symmetric_eigen",
     "normalize_sign",
     "angle_degrees",
@@ -47,37 +44,6 @@ def cholesky(m: np.ndarray) -> np.ndarray:
     if m.size and float(np.min(np.diag(c)) ** 2) <= tol:
         raise StratMcError("pivot at or below tolerance")
     return c
-
-
-def bm_covariance(grid) -> np.ndarray:
-    """Brownian-motion covariance on a time grid: entry (j, n) = min(t_j, t_n)."""
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise StratMcError("grid must be a non-empty 1-d sequence")
-    if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-        raise StratMcError("grid must satisfy 0 < t_1 < ... < t_N")
-    return np.minimum.outer(t, t)
-
-
-def gram_schmidt(vectors) -> np.ndarray:
-    """Orthonormalize a sequence of vectors (columns of the result).
-
-    Returns F with orthonormal columns spanning the input; the first column
-    is the first input vector, normalized.  Raises StratMcError when the
-    residual of a vector against its predecessors has norm below 1e-10.
-    """
-    e = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    d, k = e.shape
-    f = np.zeros((d, k))
-    for i in range(k):
-        resid = e[:, i].copy()
-        for j in range(i):  # modified Gram-Schmidt
-            resid -= (f[:, j] @ resid) * f[:, j]
-        norm = np.linalg.norm(resid)
-        if norm < 1e-10:
-            raise StratMcError(f"vector {i} is dependent on its predecessors")
-        f[:, i] = resid / norm
-    return f
 
 
 def symmetric_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

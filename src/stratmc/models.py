@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StratMcError
-from .linalg import bm_covariance, cholesky
+from .linalg import cholesky
 
 __all__ = [
     "BsParams",
     "CirParams",
     "PathMatrix",
-    "asset_covariance",
     "path_covariance",
     "bs_basket_g",
     "bs_paths",
@@ -189,14 +188,11 @@ class PathMatrix:
 # --- BS ----------------------------------------------------------------------
 
 
-def asset_covariance(params: BsParams) -> np.ndarray:
-    """Sigma_A with entries sigma_i rho_ik sigma_k."""
-    return np.outer(params.sigma, params.sigma) * params.corr
-
-
 def path_covariance(params: BsParams) -> np.ndarray:
-    """Sigma_MN = Sigma_B (x) Sigma_A (dates-major, assets-minor)."""
-    return np.kron(bm_covariance(params.grid), asset_covariance(params))
+    """Sigma_MN = Sigma_B (x) Sigma_A (dates-major, assets-minor): Brownian
+    min(t_j, t_n) over the dates, sigma_i rho_ik sigma_k over the assets."""
+    return np.kron(np.minimum.outer(params.grid, params.grid),
+                   np.outer(params.sigma, params.sigma) * params.corr)
 
 
 def _lognormal_grid(eps: np.ndarray, params: BsParams) -> np.ndarray:

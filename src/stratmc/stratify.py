@@ -4,12 +4,12 @@ projections, allocation rules, and the stratified / plain / LHS estimators.
 Strata are slabs of standard-normal space: for a direction set with columns
 e_1..e_d' and per-direction interval counts K_1..K_d', stratum (k_1..k_d')
 collects the z with e_i . z in the k_i-th marginal quantile interval.  Every
-direction set is sampled on its Gram-Schmidt frame through sequentially
-conditioned coordinates, and every draw carries the product of its
-conditional interval probabilities as a weight.  The estimator sums the
-stratum means of weight * g, so the joint probability of a box is never
-needed; for orthonormal directions the frame is the set itself and every
-weight is p_k = 1/prod(K_j).
+direction set is sampled on the orthonormal frame F of its QR factorization
+E = F R through sequentially conditioned coordinates, and every draw
+carries the product of its conditional interval probabilities as a weight.
+The estimator sums the stratum means of weight * g, so the joint
+probability of a box is never needed; for orthonormal directions the frame
+is the set itself and every weight is p_k = 1/prod(K_j).
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from scipy.special import ndtr, ndtri
 from .errors import StratMcError
 from .gaussian import RandomStream
 from .gaussian import lhs_normals as _lhs_normals
-from .linalg import gram_schmidt
 
 __all__ = [
     "DirectionSet",
@@ -65,9 +64,11 @@ class DirectionSet:
     """d' linearly independent unit direction columns E in R^d; a 1-d
     vector is one direction.
 
-    frame holds the Gram-Schmidt frame F of the columns and m = E^T F, so
-    that E = F m^T with m lower triangular; for orthonormal columns F = E
-    and m = I up to rounding.
+    frame holds the orthonormal frame F of the QR factorization E = F R,
+    signed so that diag(R) > 0, and m = R^T, exactly lower triangular: the
+    first frame column is the first direction, and for orthonormal columns
+    F = E and m = I up to rounding.  A column with |R_ii| < 1e-10, or one
+    beyond the dimension, is dependent on its predecessors: StratMcError.
     """
 
     columns: np.ndarray
@@ -84,9 +85,17 @@ class DirectionSet:
         norms = np.linalg.norm(cols, axis=0)
         if np.any(np.abs(norms - 1.0) > 1e-12):
             raise ValueError("direction columns must have unit norm")
-        frame = gram_schmidt(cols.T)  # raises StratMcError on dependence
-        object.__setattr__(self, "frame", frame)
-        object.__setattr__(self, "m", cols.T @ frame)
+        d, k = cols.shape
+        if k > d:  # reduced QR would return a short frame without complaint
+            raise StratMcError(f"vector {d} is dependent on its predecessors")
+        frame, r = np.linalg.qr(cols)
+        small = np.flatnonzero(np.abs(np.diag(r)) < 1e-10)
+        if small.size:
+            raise StratMcError(
+                f"vector {small[0]} is dependent on its predecessors")
+        sign = np.sign(np.diag(r))
+        object.__setattr__(self, "frame", frame * sign)
+        object.__setattr__(self, "m", (r * sign[:, None]).T)
 
     @property
     def dim(self) -> int:

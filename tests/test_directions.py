@@ -4,6 +4,7 @@ Oracles:
 - finite differences for gradients
 - closed-form geometric-series expansion coefficients on the zero-noise
   path for the mean-reverting model (alpha[j] is constant there)
+- LT columns rebuilt by hand from the gradient at the documented points
 - frozen measured angles between engines on the benchmark parameter sets,
   which double as regression pins for the whole pipeline
 """
@@ -18,14 +19,11 @@ from stratmc import (
     bs_barrier_params,
     bs_gradient,
     basket_params,
-    bm_covariance,
     cir_asian_params,
     cir_workspace,
     engines,
     export_directions,
     la_directions_multi,
-    lt_directions_bs,
-    lt_directions_cir,
     path_covariance,
     pca_directions,
     pilot_pca_cir,
@@ -38,6 +36,14 @@ def la_of(params):
     return engines(params)["la"](1).columns[:, 0]
 
 
+def next_lt_column(gradient, first):
+    """Reference LT column 2: the gradient projected against the first
+    column, normalized, largest-magnitude component positive."""
+    b = gradient - (first @ gradient) * first
+    b /= np.linalg.norm(b)
+    return -b if b[np.argmax(np.abs(b))] < 0 else b
+
+
 class TestPca:
     def test_diagonal_covariance(self):
         ds = pca_directions(np.diag([4.0, 1.0]), 1)
@@ -46,7 +52,8 @@ class TestPca:
     def test_bm_leading_eigenvector_shape(self):
         # the first principal component of Brownian covariance loads every
         # date positively and grows toward maturity
-        sigma = bm_covariance(np.arange(1, 65) / 64)
+        t = np.arange(1, 65) / 64
+        sigma = np.minimum.outer(t, t)
         v1 = pca_directions(sigma, 2).columns[:, 0]
         assert np.all(v1 > 0)
         assert np.all(np.diff(v1) > 0)
@@ -81,7 +88,7 @@ class TestLaBs:
 
     def test_matches_first_lt_column(self):
         for p in (bs_asian_params(), basket_params()):
-            lt = lt_directions_bs(p, 1)
+            lt = engines(p)["lt"](1)
             assert angle_degrees(la_of(p), lt.columns[:, 0]) <= 1e-8
 
 
@@ -107,21 +114,30 @@ class TestMultiLa:
 class TestLtBs:
     @pytest.mark.parametrize("count", [2, 8])
     def test_orthonormal_columns(self, count):
-        ds = lt_directions_bs(bs_asian_params(), count)
+        ds = engines(bs_asian_params())["lt"](count)
         gram = ds.columns.T @ ds.columns
         np.testing.assert_allclose(gram, np.eye(count), atol=1e-10)
 
     def test_full_rotation(self):
         p = bs_asian_params()
-        ds = lt_directions_bs(p, p.dim)
+        ds = engines(p)["lt"](p.dim)
         gram = ds.columns.T @ ds.columns
         np.testing.assert_allclose(gram, np.eye(p.dim), atol=1e-10)
 
+    def test_second_column_is_gradient_at_first(self):
+        # the point for column 2 is the rotated leading one: column 1 itself
+        p = bs_asian_params()
+        ds = engines(p)["lt"](2)
+        first = ds.columns[:, 0]
+        np.testing.assert_allclose(
+            ds.columns[:, 1], next_lt_column(bs_gradient(p, first), first),
+            atol=1e-12)
+
     def test_count_bounds(self):
         with pytest.raises(ValueError):
-            lt_directions_bs(bs_asian_params(), 0)
+            engines(bs_asian_params())["lt"](0)
         with pytest.raises(ValueError):
-            lt_directions_bs(bs_asian_params(), 65)
+            engines(bs_asian_params())["lt"](65)
 
 
 class TestAngleRegressions:
@@ -194,19 +210,33 @@ class TestLtCir:
     def test_single_step(self):
         p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, rate=0.05,
                       n_steps=1, maturity=1.0)
-        ds = lt_directions_cir(p, 1)
+        ds = engines(p)["lt"](1)
         np.testing.assert_allclose(ds.columns, [[1.0]])
 
     def test_orthonormal(self):
-        ds = lt_directions_cir(cir_asian_params(), 4)
+        ds = engines(cir_asian_params())["lt"](4)
         np.testing.assert_allclose(ds.columns.T @ ds.columns, np.eye(4),
                                    atol=1e-10)
+
+    def test_columns_at_raw_leading_ones(self):
+        # column 1 reads the gradient at e_1, column 2 at e_1 + e_2
+        p = cir_asian_params()
+        ds = engines(p)["lt"](2)
+        ones = np.zeros(p.n_steps)
+        ones[0] = 1.0
+        t1 = cir_workspace(p, ones).t
+        first = t1 / np.linalg.norm(t1)
+        np.testing.assert_allclose(ds.columns[:, 0], first, atol=1e-12)
+        ones[1] = 1.0
+        np.testing.assert_allclose(
+            ds.columns[:, 1],
+            next_lt_column(cir_workspace(p, ones).t, first), atol=1e-12)
 
     def test_first_column_near_la(self):
         # frozen measured value for the benchmark set
         p = cir_asian_params()
         ang = angle_degrees(la_of(p),
-                            lt_directions_cir(p, 1).columns[:, 0])
+                            engines(p)["lt"](1).columns[:, 0])
         assert ang == pytest.approx(0.616, abs=0.02)
 
 
@@ -250,7 +280,7 @@ class TestPilotPca:
 
 
 def test_export_round_trip(tmp_path):
-    ds = lt_directions_bs(bs_asian_params(), 2)
+    ds = engines(bs_asian_params())["lt"](2)
     out = tmp_path / "dirs.txt"
     export_directions(ds.columns, str(out))
     text = out.read_text()

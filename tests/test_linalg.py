@@ -3,7 +3,6 @@
 Ground truth used here:
 - Kronecker product (np.kron): explicit double loop over blocks
 - Cholesky / eigen: multiply back and compare, plus hand 2x2 factorizations
-- Brownian covariance: min(t_i, t_j) elementwise
 """
 import numpy as np
 import pytest
@@ -11,9 +10,7 @@ import pytest
 from stratmc import (
     StratMcError,
     angle_degrees,
-    bm_covariance,
     cholesky,
-    gram_schmidt,
     normalize_sign,
     symmetric_eigen,
 )
@@ -30,10 +27,6 @@ def kron_oracle(a, b):
     return out
 
 
-def regular_grid(n):
-    return np.arange(1, n + 1) / n
-
-
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
@@ -44,7 +37,8 @@ class TestCholesky:
         np.testing.assert_allclose(cholesky(m), expected, atol=1e-15)
 
     def test_multiply_back_bm64(self):
-        sigma = bm_covariance(regular_grid(64))
+        t = np.arange(1, 65) / 64
+        sigma = np.minimum.outer(t, t)  # Brownian covariance
         c = cholesky(sigma)
         err = np.linalg.norm(c @ c.T - sigma) / np.linalg.norm(sigma)
         assert err < 1e-10
@@ -63,54 +57,11 @@ class TestCholesky:
             cholesky(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
 
-class TestBmCovariance:
-    def test_min_rule(self):
-        grid = np.array([0.1, 0.4, 0.9])
-        sigma = bm_covariance(grid)
-        for i in range(3):
-            for j in range(3):
-                assert sigma[i, j] == min(grid[i], grid[j])
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(StratMcError, match="0 < t_1 < ... < t_N"):
-            bm_covariance([0.5, 0.5, 1.0])
-        with pytest.raises(StratMcError, match="0 < t_1 < ... < t_N"):
-            bm_covariance([-0.1, 0.5])
-
-
 def test_kron_matches_oracle():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(4, 5))
     np.testing.assert_array_equal(np.kron(a, b), kron_oracle(a, b))
-
-
-class TestGramSchmidt:
-    def test_hand_2d(self):
-        f = gram_schmidt(np.array([[1.0, 0.0], [1.0, 1.0]]))
-        np.testing.assert_allclose(f[:, 0], [1.0, 0.0])
-        np.testing.assert_allclose(f[:, 1], [0.0, 1.0])
-
-    def test_first_column_kept(self):
-        # f_1 is the first input direction, only normalized
-        rng = np.random.default_rng(11)
-        vecs = rng.normal(size=(4, 6))
-        f = gram_schmidt(vecs)
-        v1 = vecs[0] / np.linalg.norm(vecs[0])
-        np.testing.assert_allclose(f[:, 0], v1, atol=1e-14)
-
-    def test_orthonormal_random(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            d = int(rng.integers(2, 9))
-            k = int(rng.integers(1, d + 1))
-            f = gram_schmidt(rng.normal(size=(k, d)))
-            np.testing.assert_allclose(f.T @ f, np.eye(k), atol=1e-12)
-
-    def test_rank_deficient(self):
-        v = np.array([1.0, 2.0, 0.0])
-        with pytest.raises(StratMcError, match="dependent on its predecessors"):
-            gram_schmidt(np.vstack([v, 2.0 * v]))
 
 
 class TestSymmetricEigen:
@@ -145,7 +96,8 @@ class TestSymmetricEigen:
             np.testing.assert_allclose(w.sum(), np.trace(m), rtol=1e-12)
 
     def test_bm16_reconstruction(self):
-        sigma = bm_covariance(regular_grid(16))
+        t = np.arange(1, 17) / 16
+        sigma = np.minimum.outer(t, t)  # Brownian covariance
         w, v = symmetric_eigen(sigma)
         rec = v @ np.diag(w) @ v.T
         assert np.linalg.norm(rec - sigma) / np.linalg.norm(sigma) < 1e-10

@@ -15,8 +15,6 @@ from stratmc import (
     CirParams,
     RandomStream,
     StratMcError,
-    asset_covariance,
-    bm_covariance,
     bs_basket_g,
     bs_paths,
     cir_euler_path,
@@ -83,13 +81,22 @@ class TestFlattenedLayout:
             assert coef[k] == pytest.approx(p.weights[i, j] * p.s0[i])
 
     def test_path_covariance_is_kron(self):
+        # entry (k, l) = min(t_j, t_n) sigma_i rho_ia sigma_a for k = (i, j)
+        # and l = (a, n), built over the asset-minor index map
         p = two_asset_params()
-        expected = np.kron(bm_covariance(p.grid), asset_covariance(p))
-        np.testing.assert_allclose(path_covariance(p), expected)
+        m = p.n_assets
+        expected = np.empty((p.dim, p.dim))
+        for k in range(p.dim):
+            for l in range(p.dim):
+                i, j, a, n = k % m, k // m, l % m, l // m
+                expected[k, l] = (min(p.grid[j], p.grid[n]) * p.sigma[i]
+                                  * p.corr[i, a] * p.sigma[a])
+        np.testing.assert_allclose(path_covariance(p), expected, rtol=1e-15)
 
     def test_asset_covariance_entries(self):
+        # the first date's block is t_1 Sigma_A
         p = two_asset_params()
-        sa = asset_covariance(p)
+        sa = path_covariance(p)[:2, :2] / p.grid[0]
         assert sa[0, 1] == pytest.approx(0.2 * 0.3 * 0.4)
         assert sa[1, 1] == pytest.approx(0.16)
 

@@ -56,14 +56,23 @@ class TestDirectionSet:
             DirectionSet(np.array([[2.0], [0.0]]))
 
     def test_frame_reproduces_columns(self):
-        # E = F m^T with F orthonormal and m lower triangular; an
-        # orthonormal set is its own frame
-        cols = np.column_stack([[1.0, 0.0, 0.0], [np.sqrt(0.5), np.sqrt(0.5), 0.0]])
-        ds = DirectionSet(cols)
-        assert ds.dim == 3 and ds.count == 2
-        np.testing.assert_allclose(ds.frame.T @ ds.frame, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(ds.frame @ ds.m.T, cols, atol=1e-15)
-        np.testing.assert_allclose(np.triu(ds.m, 1), 0.0, atol=1e-15)
+        # E = F m^T with F orthonormal and m = R^T exactly lower triangular
+        # with a positive diagonal, so the first frame column is the first
+        # direction; an orthonormal set is its own frame
+        hand = np.column_stack([[1.0, 0.0, 0.0],
+                                [np.sqrt(0.5), np.sqrt(0.5), 0.0]])
+        two_la = engines(bs_asian_params())["la"](2).columns  # 1.26 deg apart
+        rand = np.random.default_rng(50).normal(size=(6, 3))
+        for cols in (hand, two_la, rand / np.linalg.norm(rand, axis=0)):
+            ds = DirectionSet(cols)
+            assert (ds.dim, ds.count) == cols.shape
+            np.testing.assert_allclose(ds.frame.T @ ds.frame,
+                                       np.eye(ds.count), atol=1e-15)
+            np.testing.assert_allclose(ds.frame @ ds.m.T, cols, atol=1e-15)
+            assert np.all(np.diag(ds.m) > 0)
+            np.testing.assert_array_equal(np.triu(ds.m, 1), 0.0)
+            np.testing.assert_allclose(ds.frame[:, 0], cols[:, 0],
+                                       rtol=0, atol=1e-15)
         q, _ = np.linalg.qr(np.random.default_rng(49).normal(size=(5, 3)))
         ortho = DirectionSet(q)
         np.testing.assert_allclose(ortho.m, np.eye(3), atol=1e-14)
@@ -72,6 +81,11 @@ class TestDirectionSet:
     def test_dependent_columns_rejected(self):
         cols = np.column_stack([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(StratMcError, match="dependent on its predecessors"):
+            DirectionSet(cols)
+
+    def test_more_columns_than_dimensions_rejected(self):
+        cols = np.column_stack([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        with pytest.raises(StratMcError, match="vector 2 is dependent"):
             DirectionSet(cols)
 
     def test_vector_is_one_direction(self):
