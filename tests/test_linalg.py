@@ -3,15 +3,21 @@
 Ground truth used here:
 - Kronecker product (np.kron): explicit double loop over blocks
 - Cholesky / eigen: multiply back and compare, plus hand 2x2 factorizations
+- Brownian covariance: min(t_i, t_j) elementwise
+- Gram-Schmidt frame (the Q of E = Q R with diag(R) > 0): hand 2-d pair,
+  F^T F = I, first column kept
 """
 import numpy as np
 import pytest
 
 from stratmc import (
+    BsParams,
+    DirectionSet,
     StratMcError,
     angle_degrees,
     cholesky,
     normalize_sign,
+    path_covariance,
     symmetric_eigen,
 )
 
@@ -57,11 +63,57 @@ class TestCholesky:
             cholesky(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
 
+class TestBmCovariance:
+    def test_min_rule(self):
+        # one unit-volatility asset: Sigma_MN is the Brownian covariance
+        p = BsParams(s0=[100.0], sigma=[1.0], steps=3, maturity=0.9)
+        sigma = path_covariance(p)
+        for i in range(3):
+            for j in range(3):
+                assert sigma[i, j] == min(p.grid[i], p.grid[j])
+
+
 def test_kron_matches_oracle():
     rng = np.random.default_rng(3)
     a = rng.normal(size=(3, 2))
     b = rng.normal(size=(4, 5))
     np.testing.assert_array_equal(np.kron(a, b), kron_oracle(a, b))
+
+
+def gram_schmidt_frame(vecs):
+    """Orthonormal frame of the rows of vecs, each normalized to a unit
+    direction column; classical Gram-Schmidt gives the same frame as the
+    QR of E with diag(R) > 0."""
+    vecs = np.asarray(vecs, dtype=float)
+    return DirectionSet((vecs / np.linalg.norm(vecs, axis=1)[:, None]).T).frame
+
+
+class TestGramSchmidt:
+    def test_hand_2d(self):
+        f = gram_schmidt_frame(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_allclose(f[:, 0], [1.0, 0.0])
+        np.testing.assert_allclose(f[:, 1], [0.0, 1.0])
+
+    def test_first_column_kept(self):
+        # f_1 is the first input direction, only normalized
+        rng = np.random.default_rng(11)
+        vecs = rng.normal(size=(4, 6))
+        f = gram_schmidt_frame(vecs)
+        v1 = vecs[0] / np.linalg.norm(vecs[0])
+        np.testing.assert_allclose(f[:, 0], v1, atol=1e-14)
+
+    def test_orthonormal_random(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            d = int(rng.integers(2, 9))
+            k = int(rng.integers(1, d + 1))
+            f = gram_schmidt_frame(rng.normal(size=(k, d)))
+            np.testing.assert_allclose(f.T @ f, np.eye(k), atol=1e-12)
+
+    def test_rank_deficient(self):
+        v = np.array([1.0, 2.0, 0.0])
+        with pytest.raises(StratMcError, match="dependent on its predecessors"):
+            gram_schmidt_frame(np.vstack([v, 2.0 * v]))
 
 
 class TestSymmetricEigen:
