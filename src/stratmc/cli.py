@@ -107,13 +107,12 @@ def _cmd_price(args) -> int:
     print(f"single-draw variance = {row.variance:.6g}   "
           f"n = {row.n_samples}   strata = {row.strata}")
     if args.out:
-        _write(rows, config, args)
+        _write(rows, config)
     return 0
 
 
-def _write(rows, config, args) -> None:
-    fmt = config.format
-    text = format_rows(rows, fmt)
+def _write(rows, config) -> None:
+    text = format_rows(rows, config.format)
     if config.out:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -125,7 +124,7 @@ def _write(rows, config, args) -> None:
 def _cmd_experiment(args) -> int:
     config = _load(args)
     rows = run_experiment(config)
-    _write(rows, config, args)
+    _write(rows, config)
     return 0
 
 

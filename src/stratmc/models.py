@@ -1,14 +1,17 @@
 """Map standard-normal driver vectors to asset-price paths.
 
-BS paths are sampled exactly at the monitoring dates through the Cholesky
-factor of the Kronecker covariance Sigma_B (x) Sigma_A; BsParams computes
-that factor, the drift exponents and the payoff coefficients once, as its
-derived fields factor, drift and coef.  CIR paths use the Euler scheme
+A path is an (..., M, N) array of M assets on N monitoring dates, and
+every contract reads its uniform average.  BS paths are sampled exactly at
+the monitoring dates through the Cholesky factor of the Kronecker
+covariance Sigma_B (x) Sigma_A; BsParams computes that factor, the drift
+exponents and the payoff coefficients once, as its derived fields factor,
+drift and coef.  CIR paths use the Euler scheme
 S_{j+1} = S_j (1 - alpha dt) + alpha mu dt + sigma sqrt(dt) sqrt(max(S_j, 0)) z_j,
-with the square-root argument floored at zero, and floored marks a batch in
-which a state fed to the square root was negative or nan.  Both maps work
-step-major, one contiguous row per grid index, and their path values are
-views of that memory.  Flattened BS indices run asset-fastest:
+with the square-root argument floored at zero; cir_euler_path returns a
+PathMatrix whose floored flag marks a batch in which a state fed to the
+square root was negative or nan.  Both maps work step-major, one
+contiguous row per grid index, and their path values are views of that
+memory.  Flattened BS indices run asset-fastest:
 k = k2*M + k1 (0-based asset k1, date k2).
 """
 from __future__ import annotations
@@ -31,13 +34,7 @@ __all__ = [
     "bs_paths",
     "cir_euler_path",
     "cir_zero_noise_path",
-    "uniform_weights",
 ]
-
-
-def uniform_weights(m: int, n: int) -> np.ndarray:
-    """The equal-weight (m, n) averaging grid, every entry 1 / (m n)."""
-    return np.full((m, n), 1.0 / (m * n))
 
 
 @dataclass(frozen=True)
@@ -51,13 +48,13 @@ class BsParams:
     assets.
 
     Derived on construction: corr (1 on the diagonal, rho elsewhere), the
-    dates grid t_j = j T / steps, the uniform (M, N) averaging matrix
-    weights and, over the flattened (asset, date) index k: factor, the
-    lower-triangular C with C C^T = Sigma_MN; drift, the exponents
-    (r - sigma_{k1}^2 / 2) t_{k2}; and coef, the prefactors w_{k1 k2} S0_{k1},
-    so that exp(mu_k) = coef_k e^{drift_k} for the drift construction
-    mu_k = ln(w S0) + (r - sigma^2/2) t.  A covariance that is numerically
-    singular raises StratMcError.  Paths must stay in the float64 range, or
+    dates grid t_j = j T / steps and, over the flattened (asset, date)
+    index k: factor, the lower-triangular C with C C^T = Sigma_MN; drift,
+    the exponents (r - sigma_{k1}^2 / 2) t_{k2}; and coef, the prefactors
+    S0_{k1} / (M N) of the uniform average, so that
+    exp(mu_k) = coef_k e^{drift_k} for the drift construction
+    mu_k = ln(S0 / (M N)) + (r - sigma^2/2) t.  A covariance that is
+    numerically singular raises StratMcError.  Paths must stay in the float64 range, or
     payoffs overflow and prices read nan: ValueError unless
     ln S0_{k1} + drift_k + 10 sigma_{k1} sqrt(t_{k2}) is below
     ln(float64 max) for every k.
@@ -71,7 +68,6 @@ class BsParams:
     maturity: float = 1.0
     corr: np.ndarray = field(init=False, repr=False, compare=False)
     grid: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
     factor: np.ndarray = field(init=False, repr=False, compare=False)
     drift: np.ndarray = field(init=False, repr=False, compare=False)
     coef: np.ndarray = field(init=False, repr=False, compare=False)
@@ -104,13 +100,12 @@ class BsParams:
         if not top < np.log(np.finfo(float).max):
             raise ValueError(f"paths leave the float64 range: ln s0 + drift + "
                              f"10 sigma sqrt(t) reaches {top:.6g} > 709.78")
-        weights = uniform_weights(m, n)
         for name, val in (("s0", s0), ("sigma", sigma), ("corr", corr),
-                          ("grid", grid), ("weights", weights)):
+                          ("grid", grid)):
             object.__setattr__(self, name, val)
         object.__setattr__(self, "factor", cholesky(path_covariance(self)))
         object.__setattr__(self, "drift", drift)
-        object.__setattr__(self, "coef", weights[k1, k2] * s0[k1])
+        object.__setattr__(self, "coef", (1.0 / (m * n)) * s0[k1])
 
     @property
     def n_assets(self) -> int:
@@ -126,9 +121,9 @@ class CirParams:
     """CIR square-root diffusion dS = alpha (mu - S) dt + sigma sqrt(S) dW.
 
     The parameters must satisfy the Feller condition 2*alpha*mu > sigma^2.
-    Contracts average the N Euler values with the uniform weights.  Path
-    covariances and payoff variances square the Euler values, so they must
-    stay below sqrt(float64 max): ValueError unless the scale bound
+    Contracts average the N Euler values uniformly.  Path covariances and
+    payoff variances square the Euler values, so they must stay below
+    sqrt(float64 max): ValueError unless the scale bound
     (s0 + mu + 10 sigma sqrt((s0 + mu) T)) max(1, |1 - alpha dt|)^N is.
     """
 
@@ -168,21 +163,15 @@ class CirParams:
     def dim(self) -> int:
         return self.n_steps
 
-    @property
-    def weights(self) -> np.ndarray:
-        return uniform_weights(1, self.n_steps)
-
 
 @dataclass
 class PathMatrix:
-    """Asset-price values on the monitoring grid, shape (..., M, N).
-
-    Leading dimensions hold a batch of paths.  floored records whether the
-    CIR Euler recursion fed a negative or nan state to the square root.
-    """
+    """What cir_euler_path returns: the Euler values, shape (..., 1, N),
+    with leading dimensions holding a batch of paths, and floored, whether
+    the recursion fed a negative or nan state to the square root."""
 
     values: np.ndarray
-    floored: bool = False
+    floored: bool
 
 
 # --- BS ----------------------------------------------------------------------
@@ -211,15 +200,15 @@ def bs_basket_g(eps: np.ndarray, params: BsParams) -> np.ndarray:
     return (params.coef @ _lognormal_grid(eps, params)).reshape(np.shape(eps)[:-1])
 
 
-def bs_paths(eps: np.ndarray, params: BsParams) -> PathMatrix:
+def bs_paths(eps: np.ndarray, params: BsParams) -> np.ndarray:
     """Exact lognormal grid values S_{k1}(t_{k2}), shape (..., M, N), built
-    in place in one step-major work array the size of the output; values
-    is a view of that array, not a copy."""
+    in place in one step-major work array the size of the output; the
+    result is a view of that array, not a copy."""
     m, n = params.n_assets, params.steps
     y = _lognormal_grid(eps, params)
     y *= np.tile(params.s0, n)[:, None]
     lead = np.shape(eps)[:-1]
-    return PathMatrix(values=np.moveaxis(y.reshape((n, m) + lead), (0, 1), (-1, -2)))
+    return np.moveaxis(y.reshape((n, m) + lead), (0, 1), (-1, -2))
 
 
 # --- CIR ---------------------------------------------------------------------

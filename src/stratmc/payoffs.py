@@ -1,13 +1,13 @@
 """The discounted payoff of the three contract families.
 
 A contract states its terms only: strike, kind and barrier.  The model
-supplies the averaging weights (params.weights) and the discount e^{-rT}.
-evaluate accepts a PathMatrix or a raw array shaped (..., M, N) and
-returns discounted payoffs with the leading batch shape.  Barrier knock-out
-uses strict comparison: S < B survives, S == B knocks out.
-payoff_evaluator composes a model's path map with a sequence of S
-contracts into the driver-space function f(z) -> (S, n) that the
-estimators sample, one row per contract.
+supplies the discount e^{-rT}, and every contract averages its path
+uniformly.  evaluate takes a path array shaped (..., M, N) and returns
+discounted payoffs with the leading batch shape.  Barrier knock-out uses
+strict comparison: S < B survives, S == B knocks out.  payoff_evaluator
+composes a model's path map with a sequence of S contracts into the
+driver-space function f(z) -> (S, n) that the estimators sample, one row
+per contract.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CirParams, PathMatrix, bs_basket_g, bs_paths, cir_euler_path
+from .models import CirParams, bs_basket_g, bs_paths, cir_euler_path
 
 __all__ = ["PayoffSpec", "evaluate", "payoff_evaluator"]
 
@@ -34,34 +34,28 @@ class PayoffSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.strike <= 0.0:
-            raise ValueError("strike must be positive")
+        if not 0.0 < self.strike < np.inf:
+            raise ValueError("strike must be finite and positive")
         if self.kind == "asian-basket" and self.barrier is not None:
             raise ValueError("asian-basket takes no barrier")
         if self.kind != "asian-basket" and self.barrier is None:
             raise ValueError(f"{self.kind} requires a barrier")
-        if self.barrier is not None and self.barrier <= self.strike:
+        if self.barrier is not None and not self.barrier > self.strike:
             raise ValueError("barrier must exceed the strike")
 
 
-def _discount(params) -> float:
-    """The model's discount factor e^{-rT} to maturity."""
-    return float(np.exp(-params.rate * params.maturity))
-
-
-def _call(average: np.ndarray, spec: PayoffSpec, discount: float) -> np.ndarray:
-    """e^{-rT} (A - K)^+ for the weighted average A."""
+def _call(average: np.ndarray, spec: PayoffSpec, params) -> np.ndarray:
+    """e^{-rT} (A - K)^+ for the average A, with the model's discount."""
+    discount = float(np.exp(-params.rate * params.maturity))
     return discount * np.maximum(average - spec.strike, 0.0)
 
 
-def evaluate(path, spec: PayoffSpec, params) -> np.ndarray:
-    """The discounted call on A = sum_ij w_ij S_i(t_j), with the model's
-    weights and discount, knocked out for asian-barrier-expiry when S(t_N)
-    reaches the barrier and for asian-barrier-complete when any S(t_j)
-    does."""
-    s = path.values if isinstance(path, PathMatrix) else np.asarray(path, float)
-    value = _call(np.einsum("...mn,mn->...", s, params.weights), spec,
-                  _discount(params))
+def evaluate(path: np.ndarray, spec: PayoffSpec, params) -> np.ndarray:
+    """The discounted call on the uniform average A of the path, shape
+    (..., M, N), knocked out for asian-barrier-expiry when S(t_N) reaches
+    the barrier and for asian-barrier-complete when any S(t_j) does."""
+    s = np.asarray(path, dtype=float)
+    value = _call(s.mean(axis=(-2, -1)), spec, params)
     if spec.kind == "asian-barrier-expiry":
         return value * (s[..., 0, -1] < spec.barrier)
     if spec.kind == "asian-barrier-complete":
@@ -76,20 +70,20 @@ def payoff_evaluator(params, specs):
     of the same z.
 
     When every contract is a lognormal basket, the path map is the
-    weighted lognormal sum bs_basket_g, which equals the payoff on the full
-    path matrix without building it.  A barrier contract on a multi-asset
+    lognormal average bs_basket_g, which equals the payoff on the full
+    path array without building it.  A barrier contract on a multi-asset
     model raises ValueError: the barrier watches a single asset.
     """
     specs = list(specs)
-    m = params.weights.shape[0]
+    m = np.size(params.s0)
     if m > 1 and any(s.kind != "asian-basket" for s in specs):
         raise ValueError(f"barrier contracts are single-asset, not {m} assets")
     payoff = lambda x, spec: evaluate(x, spec, params)
     if isinstance(params, CirParams):
-        path = lambda z: cir_euler_path(z, params)
+        path = lambda z: cir_euler_path(z, params).values
     elif all(s.kind == "asian-basket" for s in specs):
         path = lambda z: bs_basket_g(z, params)
-        payoff = lambda g, spec: _call(g, spec, _discount(params))
+        payoff = lambda g, spec: _call(g, spec, params)
     else:
         path = lambda z: bs_paths(z, params)
 

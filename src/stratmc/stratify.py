@@ -83,7 +83,7 @@ class DirectionSet:
             raise ValueError("columns must form a 2-d array")
         object.__setattr__(self, "columns", cols)
         norms = np.linalg.norm(cols, axis=0)
-        if np.any(np.abs(norms - 1.0) > 1e-12):
+        if not np.all(np.abs(norms - 1.0) <= 1e-12):  # nan fails too
             raise ValueError("direction columns must have unit norm")
         d, k = cols.shape
         if k > d:  # reduced QR would return a short frame without complaint
@@ -115,7 +115,10 @@ class StratumSpec:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in np.atleast_1d(self.counts))
+        raw = np.atleast_1d(self.counts)
+        if raw.dtype.kind not in "iu":
+            raise ValueError("interval counts must be integers")
+        counts = tuple(int(c) for c in raw)
         if any(c < 1 for c in counts):
             raise ValueError("interval counts must be >= 1")
         object.__setattr__(self, "counts", counts)

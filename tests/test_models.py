@@ -20,7 +20,6 @@ from stratmc import (
     cir_euler_path,
     cir_zero_noise_path,
     path_covariance,
-    uniform_weights,
 )
 
 
@@ -53,7 +52,8 @@ class TestBsModel:
         np.testing.assert_array_equal(p.sigma, [0.2, 0.2])
         np.testing.assert_array_equal(p.corr, [[1.0, 0.3], [0.3, 1.0]])
         np.testing.assert_array_equal(p.grid, [0.5, 1.0, 1.5, 2.0])
-        np.testing.assert_array_equal(p.weights, uniform_weights(2, 4))
+        # the uniform average of 2 assets on 4 dates: coef = S0 / 8
+        np.testing.assert_array_equal(p.coef, np.tile([100.0, 50.0], 4) / 8)
 
     @pytest.mark.parametrize("m, rho", [(2, 1.0), (2, -1.0), (3, -0.5)])
     def test_rho_outside_positive_definite_range(self, m, rho):
@@ -78,7 +78,7 @@ class TestFlattenedLayout:
             i, j = k % m, k // m  # asset-minor, date-major
             assert drift[k] == pytest.approx(
                 (p.rate - 0.5 * p.sigma[i] ** 2) * p.grid[j])
-            assert coef[k] == pytest.approx(p.weights[i, j] * p.s0[i])
+            assert coef[k] == pytest.approx(p.s0[i] / p.dim)
 
     def test_path_covariance_is_kron(self):
         # entry (k, l) = min(t_j, t_n) sigma_i rho_ia sigma_a for k = (i, j)
@@ -115,18 +115,17 @@ class TestBsPaths:
         assert g0[0] == pytest.approx(expected, rel=1e-14)
 
     def test_paths_and_g_agree(self):
-        # two routes to the weighted average must coincide
+        # two routes to the uniform average must coincide
         p = two_asset_params()
         eps = RandomStream(90).normal((500, p.dim))
         g = bs_basket_g(eps, p)
-        paths = bs_paths(eps, p)
-        avg = np.einsum("nij,ij->n", paths.values, p.weights)
+        avg = bs_paths(eps, p).mean(axis=(-2, -1))
         np.testing.assert_allclose(g, avg, rtol=1e-12)
 
     def test_terminal_martingale(self):
         p = BsParams(s0=[80.0], sigma=[0.25], steps=1, rate=0.03)
         eps = RandomStream(91).normal((400_000, 1))
-        s_t = bs_paths(eps, p).values[:, 0, 0]
+        s_t = bs_paths(eps, p)[:, 0, 0]
         target = 80.0 * np.exp(0.03)
         se = s_t.std(ddof=1) / np.sqrt(s_t.size)
         assert abs(s_t.mean() - target) < 3.5 * se
@@ -134,7 +133,7 @@ class TestBsPaths:
     def test_every_date_martingale(self):
         p = two_asset_params()
         eps = RandomStream(92).normal((200_000, p.dim))
-        paths = bs_paths(eps, p).values
+        paths = bs_paths(eps, p)
         for i in range(2):
             for j in range(3):
                 vals = paths[:, i, j]
@@ -145,7 +144,7 @@ class TestBsPaths:
     def test_batch_shapes(self):
         p = two_asset_params()
         eps = np.zeros((7, 3, p.dim))
-        assert bs_paths(eps, p).values.shape == (7, 3, 2, 3)
+        assert bs_paths(eps, p).shape == (7, 3, 2, 3)
         assert bs_basket_g(eps, p).shape == (7, 3)
 
 
@@ -168,7 +167,7 @@ def test_in_place_maps_match_out_of_place(p, lead):
     g = (p.coef @ grid).reshape(lead)
     flat = p.s0[np.arange(p.dim) % p.n_assets][:, None] * grid
     paths = np.moveaxis(flat.reshape((p.steps, p.n_assets) + lead), (0, 1), (-1, -2))
-    got_g, got_paths = bs_basket_g(eps, p), bs_paths(eps, p).values
+    got_g, got_paths = bs_basket_g(eps, p), bs_paths(eps, p)
     assert got_g.shape == g.shape and got_g.tobytes() == g.tobytes()
     assert got_paths.shape == paths.shape
     assert got_paths.tobytes() == paths.tobytes()
@@ -191,7 +190,7 @@ def test_path_maps_do_not_depend_on_the_layout(p, lead):
     eps = RandomStream(98).normal(lead + (p.dim,))
     c, f = np.ascontiguousarray(eps), np.asfortranarray(eps)
     np.testing.assert_allclose(bs_basket_g(f, p), bs_basket_g(c, p), rtol=1e-15, atol=0)
-    np.testing.assert_allclose(bs_paths(f, p).values, bs_paths(c, p).values,
+    np.testing.assert_allclose(bs_paths(f, p), bs_paths(c, p),
                                rtol=1e-15, atol=0)
 
 

@@ -3,8 +3,11 @@
 Hand-computed examples plus the pathwise dominance ordering
 complete-barrier <= expiry-barrier <= plain, and the strict-comparison
 knock-out convention (S == B kills the contract, S < B survives).  The
-model supplies the averaging weights and the discount e^{-rT}.
+model supplies the discount e^{-rT}, and every contract averages its path
+uniformly.
 """
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,6 @@ from stratmc import (
     evaluate,
     payoff_evaluator,
 )
-from stratmc.models import PathMatrix
 
 
 def model(m=1, n=2, rate=0.0):
@@ -40,12 +42,6 @@ class TestAsianBasket:
         # e^{-rT} = 0.9
         assert evaluate(s, PayoffSpec(45.0),
                         model(rate=-np.log(0.9)))[0] == pytest.approx(4.5)
-
-    def test_accepts_path_matrix(self):
-        s = np.array([[[60.0, 40.0]]])
-        spec = PayoffSpec(45.0)
-        np.testing.assert_array_equal(evaluate(PathMatrix(s), spec, model()),
-                                      evaluate(s, spec, model()))
 
     def test_multi_asset_weights(self):
         params = model(m=2, n=1)
@@ -117,6 +113,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             PayoffSpec(45.0, "lookback")
 
+    @pytest.mark.parametrize("strike", [0.0, -1.0, math.nan, math.inf])
+    def test_strike_must_be_finite_and_positive(self, strike):
+        with pytest.raises(ValueError, match="strike must be finite and positive"):
+            PayoffSpec(strike)
+
+    @pytest.mark.parametrize("kind", ["asian-barrier-expiry",
+                                      "asian-barrier-complete"])
+    def test_nan_barrier(self, kind):
+        with pytest.raises(ValueError, match="barrier must exceed the strike"):
+            PayoffSpec(50.0, kind, math.nan)
+
+    def test_infinite_barrier_is_valid(self):
+        assert PayoffSpec(50.0, "asian-barrier-expiry", math.inf).barrier == math.inf
+
 
 @pytest.mark.parametrize("params, spec, paths", [
     (bs_asian_params(), PayoffSpec(50.0), bs_paths),
@@ -125,7 +135,8 @@ class TestValidation:
      bs_paths),
     (bs_barrier_params(), PayoffSpec(50.0, "asian-barrier-complete", 60.0),
      bs_paths),
-    (cir_asian_params(), PayoffSpec(100.0), cir_euler_path),
+    (cir_asian_params(), PayoffSpec(100.0),
+     lambda z, params: cir_euler_path(z, params).values),
 ], ids=["bs-asian", "basket-fast-path", "barrier-expiry", "barrier-complete",
         "cir-asian"])
 def test_payoff_evaluator_matches_path_payoff(params, spec, paths):

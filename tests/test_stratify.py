@@ -398,6 +398,10 @@ BAD_INPUTS = {
                        ValueError, "2-d array"),
     "interval-count-below-one": (lambda: StratumSpec((4, 0)),
                                  ValueError, ">= 1"),
+    "interval-count-not-integer": (lambda: StratumSpec((2.7,)),
+                                   ValueError, "integers"),
+    "nan-direction": (lambda: DirectionSet(np.array([np.nan, 0.0, 0.0])),
+                      ValueError, "unit norm"),
     "sampler-arity": (lambda: sample_strata(
         DirectionSet(np.eye(3)[:, :2]), StratumSpec((4,)), [0], RandomStream(1)),
         StratMcError, "arity"),
