@@ -9,6 +9,7 @@ failures and failed self-tests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -61,10 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     config = load_config(args.config)
-    for name in ("seed", "out", "format"):
-        if getattr(args, name, None) is not None:
-            setattr(config, name, getattr(args, name))
-    return config
+    overrides = {name: getattr(args, name) for name in ("seed", "out", "format")
+                 if getattr(args, name, None) is not None}
+    return dataclasses.replace(config, **overrides) if overrides else config
 
 
 def _cmd_directions(args) -> int:
@@ -95,9 +95,9 @@ def _cmd_directions(args) -> int:
 
 def _cmd_price(args) -> int:
     config = _load(args)
-    config.payoffs = config.payoffs[:1]
-    config.methods = [m for m in config.methods if m != "mc"][:1]
-    config.allocs = config.allocs[:1]
+    config = dataclasses.replace(
+        config, payoffs=config.payoffs[:1], allocs=config.allocs[:1],
+        methods=[m for m in config.methods if m != "mc"][:1])
     rows = run_experiment(config)
     row = rows[-1]  # the requested cell; rows[0] is the MC baseline
     se = np.sqrt(row.variance / row.n_samples)

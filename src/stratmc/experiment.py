@@ -66,8 +66,10 @@ COLUMNS = ("method", "alloc", "payoff", "strike", "barrier", "price",
 # cells or the payoff list
 _DIR_STREAM_INDEX = 0x517A7
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked, immutable table: building or replacing one raises
+    ConfigInvalid, and the check keeps its engine table and grids."""
     params: BsParams | CirParams
     payoffs: list[PayoffSpec] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
@@ -78,13 +80,15 @@ class ExperimentConfig:
     seed: int = 0
     out: str | None = None
     format: str = "csv"
+    engines: dict = field(init=False, repr=False, compare=False)
+    grids: dict = field(init=False, repr=False, compare=False)
 
     @property
     def model(self) -> str:
         """The configured model's kind, "bs" or "cir"."""
         return "bs" if isinstance(self.params, BsParams) else "cir"
 
-    def validate(self):
+    def __post_init__(self):
         if not isinstance(self.params, (BsParams, CirParams)):
             raise ConfigInvalid("model: params must be BsParams or CirParams, "
                                 f"not {type(self.params).__name__}")
@@ -103,7 +107,12 @@ class ExperimentConfig:
             raise ConfigInvalid("run.strata must be >= 1")
         if self.n_samples < 2:
             raise ConfigInvalid("run.n_samples must be >= 2")
-        model_engines = engines(self.params)
+        # RandomStream keys on seed mod 2**64: no two seeds may share draws
+        if not 0 <= self.seed < 2**64:
+            raise ConfigInvalid("run.seed must lie in 0 .. 2**64 - 1")
+        model_engines = engines(
+            self.params, RandomStream(self.seed).child(_DIR_STREAM_INDEX))
+        grids = {}
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigInvalid(f"run.methods: unknown method {m!r}")
@@ -125,7 +134,10 @@ class ExperimentConfig:
                 raise ConfigInvalid(
                     f"run.methods: {m} needs {len(names) * count} directions, "
                     f"more than the model's dimension {self.params.dim}")
-            grid = _stratum_spec(self, len(names) * count)
+            # one direction's K slabs, or a sqrt(K) x sqrt(K) grid for two
+            grid = grids[m] = StratumSpec(
+                (math.isqrt(self.strata),) * 2 if len(names) * count == 2
+                else (self.strata,))
             if len(grid.counts) == 2 and grid.total < 4:
                 raise ConfigInvalid(
                     "run.strata must be >= 4 for two-direction methods")
@@ -138,6 +150,8 @@ class ExperimentConfig:
                         + (" after its pilot" if a == "opt" else ""))
         if self.format not in ("csv", "json"):
             raise ConfigInvalid(f"output.format: unknown format {self.format!r}")
+        object.__setattr__(self, "engines", model_engines)
+        object.__setattr__(self, "grids", grids)
 
 
 @dataclass
@@ -284,33 +298,21 @@ def load_config(path: str) -> ExperimentConfig:
         section = parser[name] if name in parser else {}
         _check_keys(section, name, keys)
         settings.update(_fields(section, name, keys, ExperimentConfig))
-    config = ExperimentConfig(params=params, payoffs=payoffs, **settings)
-    config.validate()
-    return config
+    return ExperimentConfig(params=params, payoffs=payoffs, **settings)
 
 
 # --- direction assembly ---------------------------------------------------------
 
 
 def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
-    """{method: DirectionSet} for every direction-based method of a valid
-    config, drawn from the substream reserved for direction engines."""
-    config.validate()
-    model_engines = engines(
-        config.params, RandomStream(config.seed).child(_DIR_STREAM_INDEX))
+    """{method: DirectionSet} for every direction-based method of a config,
+    built by its engine table on the substream reserved for directions."""
     sets = {}
-    for method in config.methods:
+    for method in config.grids:
         names, count = METHODS[method]
-        if names:
-            sets[method] = DirectionSet(np.column_stack(
-                [model_engines[name](count).columns for name in names]))
+        sets[method] = DirectionSet(np.column_stack(
+            [config.engines[name](count).columns for name in names]))
     return sets
-
-
-def _stratum_spec(config: ExperimentConfig, n_dirs: int) -> StratumSpec:
-    """One direction's K slabs, or a sqrt(K) x sqrt(K) grid for two."""
-    return StratumSpec((math.isqrt(config.strata),) * 2 if n_dirs == 2
-                       else (config.strata,))
 
 
 def _work(n_samples: int, dim: int, method: str, n_dirs: int = 0) -> float:
@@ -337,16 +339,15 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     share of its wall time.  Deterministic for a fixed seed.
     """
     directions = direction_sets(config)
-    params = config.params
-    dim = params.dim
+    dim = config.params.dim
 
     # LHS is rotated by the full LT matrix
-    rotation = (engines(params)["lt"](dim).columns
+    rotation = (config.engines["lt"](dim).columns
                 if "lhs" in config.methods else None)
 
     specs = config.payoffs
     table_stream = RandomStream(config.seed).child(1)
-    evaluator = payoff_evaluator(params, specs)
+    evaluator = payoff_evaluator(config.params, specs)
 
     def cell_rows(method, alloc, rep, strata, n_dirs=0):
         n_used = np.broadcast_to(rep.n_samples, len(specs))
@@ -372,8 +373,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                                config.lhs_replications, cell_base)
             cells.append(cell_rows("lhs", "-", rep, 1))
             continue
-        dirs = directions[method]
-        strat_spec = _stratum_spec(config, dirs.count)
+        dirs, strat_spec = directions[method], config.grids[method]
         for alloc in config.allocs:
             rep = two_stage_estimate(
                 evaluator, dirs, strat_spec, config.n_samples,

@@ -62,6 +62,18 @@ def test_demo_config_reproduces_its_directions(name, tmp_path):
         encoding="utf-8")
 
 
+def test_loading_configs_imports_no_heavy_scipy():
+    # scipy.linalg and scipy.stats each add tens of ms to every start-up,
+    # so importing stratmc and checking a config must not pull them in
+    proc = run("-c", "import sys, stratmc\n"
+               f"for name in {GOLDEN!r}:\n"
+               "    stratmc.load_config(f'demos/configs/{name}.ini')\n"
+               "print(' '.join(m for m in sys.modules\n"
+               "               if m.startswith(('scipy.linalg', 'scipy.stats'))))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 @pytest.mark.parametrize("name, preset", [("bs_asian", bs_asian_params),
                                           ("cir_asian", cir_asian_params)])
 def test_demo_config_is_its_preset(name, preset):

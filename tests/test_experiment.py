@@ -250,52 +250,71 @@ class TestBuildDirections:
 class TestValidation:
     def test_unknown_method(self):
         with pytest.raises(ConfigInvalid):
-            small_bs_config(methods=["warp"]).validate()
+            small_bs_config(methods=["warp"])
 
     def test_pilot_pca_requires_cir(self):
         with pytest.raises(ConfigInvalid):
-            small_bs_config(methods=["pilot-pca"]).validate()
+            small_bs_config(methods=["pilot-pca"])
 
     def test_pca_requires_bs(self):
         with pytest.raises(ConfigInvalid):
-            small_cir_config(methods=["pca"]).validate()
+            small_cir_config(methods=["pca"])
 
     def test_budget_must_cover_strata(self):
         with pytest.raises(ConfigInvalid):
-            small_bs_config(strata=100, n_samples=150).validate()
+            small_bs_config(strata=100, n_samples=150)
 
     def test_unstratified_methods_need_no_strata_budget(self):
         # mc and lhs stratify nothing, so only their own budgets count
         config = small_bs_config(methods=["mc", "lhs"], strata=100,
                                  n_samples=150)
-        config.validate()
         assert [r.method for r in run_experiment(config)] == ["mc", "lhs"]
         with pytest.raises(ConfigInvalid, match="n_samples must be >= 2"):
-            small_bs_config(methods=[], n_samples=1).validate()
+            small_bs_config(methods=[], n_samples=1)
 
     def test_two_direction_methods_need_grid(self):
         with pytest.raises(ConfigInvalid):
-            small_bs_config(methods=["la+pca"], strata=3).validate()
+            small_bs_config(methods=["la+pca"], strata=3)
 
     def test_unknown_alloc_and_format(self):
         with pytest.raises(ConfigInvalid):
-            small_bs_config(allocs=["greedy"]).validate()
+            small_bs_config(allocs=["greedy"])
         with pytest.raises(ConfigInvalid):
-            small_bs_config(format="xml").validate()
+            small_bs_config(format="xml")
 
     def test_opt_pilot_must_leave_a_main_stage(self):
         # 10 strata: the pilot takes max(round(0.1 n), 20) draws and the
         # main stage needs 20 more
         with pytest.raises(ConfigInvalid, match="after its pilot"):
-            small_bs_config(strata=10, n_samples=39).validate()
-        small_bs_config(strata=10, n_samples=40).validate()
-        small_bs_config(strata=10, n_samples=39, allocs=["const"]).validate()
+            small_bs_config(strata=10, n_samples=39)
+        small_bs_config(strata=10, n_samples=40)
+        small_bs_config(strata=10, n_samples=39, allocs=["const"])
         # a 3 x 3 grid has 9 strata
-        small_bs_config(methods=["two-dir-la"], strata=10, n_samples=36).validate()
+        small_bs_config(methods=["two-dir-la"], strata=10, n_samples=36)
 
     def test_lhs_needs_replications(self):
         with pytest.raises(ConfigInvalid):
-            small_bs_config(methods=["lhs"], lhs_replications=1).validate()
+            small_bs_config(methods=["lhs"], lhs_replications=1)
+
+    def test_config_is_immutable(self):
+        config = small_bs_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seed = 12
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ConfigInvalid, match="run.strata must be >= 1"):
+            dataclasses.replace(small_bs_config(), strata=0)
+
+    def test_replaced_seed_rebuilds_the_engine_table(self):
+        # the kept engine table follows the seed: the pilot-pca direction of
+        # a replaced seed is the one a config built at that seed draws
+        config = small_cir_config(methods=["pilot-pca"])
+        replaced = direction_sets(dataclasses.replace(config, seed=6))
+        built = direction_sets(small_cir_config(methods=["pilot-pca"], seed=6))
+        np.testing.assert_array_equal(replaced["pilot-pca"].columns,
+                                      built["pilot-pca"].columns)
+        assert not np.array_equal(replaced["pilot-pca"].columns,
+                                  direction_sets(config)["pilot-pca"].columns)
 
 
 class TestTables:
@@ -677,6 +696,11 @@ MALFORMED = {
            ("alpha", "alpha = 1.5", "alpha = 1e300", "5516.76"),
            ("mu", "mu = 100", "mu = 1e300", "690.776"),
            ("maturity", "steps = 8", "steps = 8\nmaturity = 1e300", "5865.23")]},
+    # RandomStream keys on the seed modulo 2**64: -1 would draw seed
+    # 2**64 - 1's numbers, and 2**64 seed 0's
+    **{f"seed-{value}": (BS_INI.replace("seed = 7", f"seed = {value}"),
+                         "run.seed must lie in 0 .. 2**64 - 1")
+       for value in (-1, 2**64)},
     "paths-overflow": (
         BS_INI.replace("rate = 0.05", "rate = 50")
         .replace("maturity = 1.0", "maturity = 50").replace("mc, la", "mc"),
@@ -755,6 +779,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("name", ["basket", "bs_asian", "bs_barrier",
+                                      "cir_asian"])
+    def test_seed_override_is_checked(self, capsys, name):
+        # --seed replaces the loaded config's seed, so it passes the same
+        # check as the file's
+        ini = str(DEMOS / "configs" / f"{name}.ini")
+        for command in ("directions", "price", "experiment"):
+            assert main([command, "--config", ini, "--seed", "-1"]) == 2
+            assert capsys.readouterr().err == (
+                "config error: run.seed must lie in 0 .. 2**64 - 1\n")
 
     def test_one_step_pilot_pca(self, tmp_path, capsys):
         # one step gives a 1 x 1 pilot covariance
