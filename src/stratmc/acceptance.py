@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import bs_gradient, cir_workspace, engines
+from .directions import bs_gradient, cir_gradient, engines
 from .experiment import format_rows, load_config, run_experiment
 from .gaussian import RandomStream
 from .linalg import angle_degrees
@@ -342,19 +342,25 @@ def _criterion_8():
     exact = True
     for trial in range(5):
         zhat = 0.5 * stream.normal(cir.n_steps)
-        ws = cir_workspace(cir, zhat)
-        exact &= ws.t[-1] == ws.beta[-1]
-        lhs = ws.w[:, 1:]  # lhs[m, j] is w[m, j+1]
-        rhs = ws.w[:, :-1] * ws.alpha[None, :]
-        rows, cols = np.indices(lhs.shape)
-        valid = cols >= rows  # recurrence propagates right of the diagonal seed
-        exact &= bool(np.all(lhs[valid] == rhs[valid]))
-    checks.append((exact, "t_N == beta_{N-1} and w recurrence exact"))
+        s_last = cir_euler_path(zhat, cir).values[0, -2]
+        exact &= bool(cir_gradient(cir, zhat)[-1]
+                      == cir.sigma * np.sqrt(cir.dt * s_last))
+    checks.append((exact, "t_N == sigma sqrt(dt S_{N-1}) exact"))
 
+    n = cir.n_steps
     skel = cir_zero_noise_path(cir)
-    euler = cir_euler_path(np.zeros(cir.n_steps), cir).values[0, :]
+    euler = cir_euler_path(np.zeros(n), cir).values[0, :]
     err = float(np.max(np.abs(euler - skel[1:]) / np.abs(skel[1:])))
     checks.append((err <= 1e-12, f"zero-noise closed form rel err {err:.2e}"))
+
+    # zero noise: alpha is the constant q = 1 - a dt, so the backward pass
+    # sums a geometric series
+    q = 1.0 - cir.alpha * cir.dt
+    beta = cir.sigma * np.sqrt(cir.dt * skel[:n])
+    series = beta * (1.0 - q ** (n - np.arange(n))) / (1.0 - q)
+    grad_c = cir_gradient(cir, np.zeros(n))
+    err = float(np.max(np.abs(grad_c - series) / np.abs(series)))
+    checks.append((err <= 1e-12, f"zero-noise geometric series rel err {err:.2e}"))
 
     bs = bs_asian_params()
     h = 1e-5
@@ -367,11 +373,9 @@ def _criterion_8():
     checks.append((rel_bs < 1e-5, f"bs gradient vs FD rel err {rel_bs:.2e}"))
 
     h = 1e-6
-    n = cir.n_steps
     eps = np.vstack([np.eye(n) * h, -np.eye(n) * h])
     sums = cir_euler_path(eps, cir).values[:, 0, :].sum(axis=1)
     fd_c = (sums[:n] - sums[n:]) / (2 * h)
-    grad_c = cir_workspace(cir, np.zeros(n)).t
     rel_cir = float(np.linalg.norm(fd_c - grad_c) / np.linalg.norm(grad_c))
     checks.append((rel_cir < 1e-4, f"cir gradient vs FD rel err {rel_cir:.2e}"))
     return _fails(checks)

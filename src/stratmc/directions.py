@@ -5,8 +5,9 @@ payoff gradient at the zero-noise point) and Linear Transformation
 (rotation built column by column from the payoff gradient at leading-ones
 points) for the BS and CIR models, plus the pilot-sample PCA-like
 direction for CIR.  LA and LT read one driver-space gradient per model:
-bs_gradient for BS and the expansion row sums cir_workspace(params, z).t
-for CIR.  engines(params) is the table of the engines each model has.
+bs_gradient for BS, and for CIR cir_gradient, one backward pass over the
+Euler path (Imai and Tan's first-order expansion of the Euler map, in O(N)
+memory).  engines(params) is the table of the engines each model has.
 
 Conventions shared by every engine: returned directions are unit vectors
 with the largest-magnitude component positive, and multi-direction sets are
@@ -14,8 +15,6 @@ reported as DirectionSet columns.  The PCA direction is the covariance
 eigenvector itself, used directly as a direction in the iid driver space.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +29,7 @@ __all__ = [
     "pca_directions",
     "bs_gradient",
     "la_directions_multi",
-    "LtCirWorkspace",
-    "cir_workspace",
+    "cir_gradient",
     "pilot_pca_cir",
     "export_directions",
 ]
@@ -105,49 +103,34 @@ def bs_gradient(params: BsParams, eps: np.ndarray) -> np.ndarray:
 # --- CIR ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LtCirWorkspace:
-    """Coefficients of the first-order CIR expansion along one driver path.
+def cir_gradient(params: CirParams, z: np.ndarray) -> np.ndarray:
+    """Gradient of sum_j S_j over the Euler path driven by z, in one
+    backward pass over that path (the adjoint of cir_euler_path).
 
-    alpha[i] = dS_{i+2}/dS_{i+1} and beta[m] = sigma sqrt(dt S_m) on the
-    induced Euler path S_0..S_N; w[m, j] = dS_{j+1}/dz_{m+1} obeys the
-    one-step recurrence w[m, j+1] = alpha[j] w[m, j]; t[m] = sum_j w[m, j]
-    is the unnormalized direction and t[N-1] = beta[N-1] always.
+    beta[m] = sigma sqrt(dt S_m) = dS_{m+1}/dz_m and alpha[m] =
+    dS_{m+2}/dS_{m+1} = 1 - a dt + (sigma/2) sqrt(dt / S_{m+1}) z_{m+1};
+    u[N-1] = 1, u[m] = 1 + alpha[m] u[m+1], and the gradient is beta u, so
+    its last component is beta[N-1] exactly.
     """
-
-    alpha: np.ndarray  # (N-1,)
-    beta: np.ndarray   # (N,)
-    w: np.ndarray      # (N, N) lower-right; w[m, j] = 0 for j < m
-    t: np.ndarray      # (N,)
-
-
-def cir_workspace(params: CirParams, zhat: np.ndarray) -> LtCirWorkspace:
-    """Build the expansion coefficients on the path induced by driver zhat."""
-    zhat = np.asarray(zhat, dtype=float)
+    z = np.asarray(z, dtype=float)
     n = params.n_steps
-    if zhat.shape != (n,):
+    if z.shape != (n,):
         raise ValueError("driver must have length n_steps")
     dt = params.dt
-    s = np.r_[params.s0, cir_euler_path(zhat, params).values[0]]
+    s = np.r_[params.s0, cir_euler_path(z, params).values[0]]
     negative = np.flatnonzero(s[:n] < 0.0)
     if negative.size:
         raise StratMcError(
             f"induced path went negative at step {negative[0]}")
-    beta = params.sigma * np.sqrt(dt * s[:n])
-    # alpha[i] = 1 - a dt + (sigma/2) sqrt(dt / S_{i+1}) z_{i+2}, i = 0..N-2
     inner = s[1:n]
     if np.any(inner <= 0.0):
         raise StratMcError("induced path hit zero inside the horizon")
     alpha = 1.0 - params.alpha * dt \
-        + 0.5 * params.sigma * np.sqrt(dt / inner) * zhat[1:]
-    # w[m, j] = beta[m] alpha[m] ... alpha[j-1], a running product along row
-    # m taken left to right, as the recurrence takes it
-    j = np.arange(n)
-    steps = np.where(j > j[:, None], np.r_[1.0, alpha], 1.0)
-    np.fill_diagonal(steps, beta)
-    w = np.triu(np.cumprod(steps, axis=1))
-    t = w.sum(axis=1)
-    return LtCirWorkspace(alpha=alpha, beta=beta, w=w, t=t)
+        + 0.5 * params.sigma * np.sqrt(dt / inner) * z[1:]
+    u = np.ones(n)
+    for m in range(n - 2, -1, -1):
+        u[m] += alpha[m] * u[m + 1]
+    return params.sigma * np.sqrt(dt * s[:n]) * u
 
 
 def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:
@@ -193,7 +176,7 @@ def engines(params: BsParams | CirParams,
         lt_point = lambda cols: sum(cols, np.zeros(dim))
         rest = {"pca": lambda k: pca_directions(path_covariance(params), k)}
     else:
-        gradient = lambda z: cir_workspace(params, z).t
+        gradient = lambda z: cir_gradient(params, z)
         lt_point = lambda cols: (np.arange(dim) <= len(cols)).astype(float)
 
         def pilot_pca(k):

@@ -103,6 +103,14 @@ class ExperimentConfig:
         for a in self.allocs:
             if a not in ALLOCS:
                 raise ConfigInvalid(f"run.alloc: unknown rule {a!r}")
+        # a repeated entry would price the same contract or cell twice
+        for key, entries, label in (
+                ("payoff.strike", self.payoffs, lambda spec: f"{spec.strike:g}"),
+                ("run.methods", self.methods, str),
+                ("run.alloc", self.allocs, str)):
+            repeats = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeats:
+                raise ConfigInvalid(f"{key}: {label(repeats[0])} is repeated")
         if self.strata < 1:
             raise ConfigInvalid("run.strata must be >= 1")
         if self.n_samples < 2:

@@ -6,6 +6,7 @@ import configparser
 import csv
 import dataclasses
 import io
+import math
 import os
 import subprocess
 import sys
@@ -36,6 +37,45 @@ def run(*args):
                           env=dict(os.environ, PYTHONPATH=path))
 
 
+def recorded_fields(text: str) -> dict:
+    """{(row, column): field} of a recorded table, or of a direction file,
+    whose lines are the components of the '# column j' above them."""
+    if not text.startswith("# column"):
+        rows = csv.DictReader(io.StringIO(text))
+        return {(f"row {i} ({r['method']}/{r['alloc']} K={r['strike']})", c): v
+                for i, r in enumerate(rows, 1) for c, v in r.items()}
+    fields, column, i = {}, None, 0
+    for line in text.splitlines():
+        if line.startswith("# column"):
+            column, i = line[2:], 0
+        else:
+            fields[(f"component {i}", column)] = line
+            i += 1
+    return fields
+
+
+def what_moved(got: str, want: str) -> str:
+    """How a regenerated table or direction file differs from its recording:
+    the count of moved fields and the largest relative move, with its row
+    and column; a field that is not a number moves by inf."""
+    new, old = recorded_fields(got), recorded_fields(want)
+    if new.keys() != old.keys():
+        return f"layout changed: {len(new)} fields against {len(old)} recorded"
+    moves = {}
+    for key, was in old.items():
+        if new[key] != was:
+            try:
+                a, b = float(new[key]), float(was)
+                moves[key] = abs(a - b) / abs(b) if b else math.inf
+            except ValueError:
+                moves[key] = math.inf
+    if not moves:
+        return "every field matches, but the bytes differ"
+    (row, column), largest = max(moves.items(), key=lambda kv: kv[1])
+    return (f"{len(moves)} of {len(old)} fields moved; the largest relative "
+            f"move is {largest:.2g}, at {row}, {column}")
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     proc = run(str(demo))
@@ -47,8 +87,8 @@ def test_demo_config_reproduces_its_table(name):
     proc = run("-m", "stratmc.cli", "experiment", "--config",
                f"demos/configs/{name}.ini", "--seed", "42")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (ROOT / "tests" / "data" / f"{name}.csv").read_text(
-        encoding="utf-8")
+    want = (ROOT / "tests" / "data" / f"{name}.csv").read_text(encoding="utf-8")
+    assert proc.stdout == want, what_moved(proc.stdout, want)
 
 
 @pytest.mark.parametrize("name", DIRECTION_GOLDEN)
@@ -57,9 +97,22 @@ def test_demo_config_reproduces_its_directions(name, tmp_path):
     proc = run("-m", "stratmc.cli", "directions", "--config",
                f"demos/configs/{name}.ini", "--seed", "42", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
-    assert out.read_text(encoding="utf-8") == (
-        ROOT / "tests" / "data" / f"directions_{name}.txt").read_text(
+    got = out.read_text(encoding="utf-8")
+    want = (ROOT / "tests" / "data" / f"directions_{name}.txt").read_text(
         encoding="utf-8")
+    assert got == want, what_moved(got, want)
+
+
+def test_what_moved_names_the_largest_move():
+    table = "method,alloc,strike,price,variance\nmc,-,50,1.0,2.0\nla,opt,50,3.0,4.0\n"
+    moved = table.replace("2.0", "2.5").replace("3.0", "3.000001")
+    assert what_moved(moved, table) == (
+        "2 of 10 fields moved; the largest relative move is 0.25, at "
+        "row 1 (mc/- K=50), variance")
+    columns = "# column 1\n0.5\n0.5\n# column 2\n1\n0\n"
+    assert what_moved(columns.replace("\n0\n", "\n1e-17\n"), columns) == (
+        "1 of 4 fields moved; the largest relative move is inf, at "
+        "component 1, column 2")
 
 
 def test_loading_configs_imports_no_heavy_scipy():

@@ -2,12 +2,15 @@
 
 Oracles:
 - finite differences for gradients
-- closed-form geometric-series expansion coefficients on the zero-noise
-  path for the mean-reverting model (alpha[j] is constant there)
+- the closed-form geometric series that the mean-reverting model's
+  backward pass sums on the zero-noise path (alpha[j] is constant there),
+  and its exact terminal component
 - LT columns rebuilt by hand from the gradient at the documented points
 - frozen measured angles between engines on the benchmark parameter sets,
   which double as regression pins for the whole pipeline
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from stratmc import (
     bs_gradient,
     basket_params,
     cir_asian_params,
-    cir_workspace,
+    cir_gradient,
     engines,
     export_directions,
     la_directions_multi,
@@ -28,7 +31,13 @@ from stratmc import (
     pca_directions,
     pilot_pca_cir,
 )
-from stratmc.models import BsParams, CirParams, bs_basket_g, cir_euler_path
+from stratmc.models import (
+    BsParams,
+    CirParams,
+    bs_basket_g,
+    cir_euler_path,
+    cir_zero_noise_path,
+)
 
 
 def la_of(params):
@@ -163,47 +172,68 @@ class TestAngleRegressions:
 
 
 class TestCirWorkspace:
-    def test_recurrence_and_terminal_identities(self):
+    """cir_gradient: one backward pass over the Euler path."""
+
+    def test_zero_noise_geometric_series_oracle(self):
+        # with zhat = 0, alpha is the constant q = 1 - a dt and the backward
+        # pass sums beta_m (1 - q^{N-m}) / (1 - q), with beta_m =
+        # sigma sqrt(dt S_m) on the zero-noise skeleton
+        p = cir_asian_params()
+        n = p.n_steps
+        beta = p.sigma * np.sqrt(p.dt * cir_zero_noise_path(p)[:n])
+        q = 1.0 - p.alpha * p.dt
+        expected = beta * (1.0 - q ** (n - np.arange(n))) / (1.0 - q)
+        np.testing.assert_allclose(cir_gradient(p, np.zeros(n)), expected,
+                                   rtol=1e-12)
+
+    def test_terminal_identity(self):
+        # only z_{N-1} moves S_N, by sigma sqrt(dt S_{N-1}), exactly
         p = cir_asian_params()
         stream = RandomStream(95)
         for _ in range(3):
             zhat = 0.4 * stream.normal(p.n_steps)
-            ws = cir_workspace(p, zhat)
-            assert ws.t[-1] == ws.beta[-1]
-            assert ws.t.shape == (64,)
-            assert ws.alpha.shape == (63,)
-            for m in range(0, 64, 13):
-                for j in range(m, 63):
-                    assert ws.w[m, j + 1] == ws.alpha[j] * ws.w[m, j]
-
-    def test_zero_noise_geometric_series_oracle(self):
-        # with zhat = 0, alpha is the constant q = 1 - a dt and the row sums
-        # collapse to beta_m (1 - q^{N-m}) / (1 - q)
-        p = cir_asian_params()
-        ws = cir_workspace(p, np.zeros(p.n_steps))
-        q = 1.0 - p.alpha * p.dt
-        n = p.n_steps
-        expected = ws.beta * (1.0 - q ** (n - np.arange(n))) / (1.0 - q)
-        np.testing.assert_allclose(ws.t, expected, rtol=1e-12)
+            t = cir_gradient(p, zhat)
+            assert t.shape == (64,)
+            s_last = cir_euler_path(zhat, p).values[0, -2]
+            assert t[-1] == p.sigma * np.sqrt(p.dt * s_last)
 
     def test_gradient_matches_finite_differences(self):
+        # at the zero driver, and at a random one where alpha varies step
+        # to step
         p = cir_asian_params()
-        z0 = np.zeros(p.n_steps)
-        grad = cir_workspace(p, z0).t
         h = 1e-6
-        idx = [0, 7, 31, 63]
-        for i in idx:
-            e = np.zeros(p.n_steps)
-            e[i] = h
-            up = cir_euler_path(z0 + e, p).values.sum()
-            dn = cir_euler_path(z0 - e, p).values.sum()
-            assert grad[i] == pytest.approx((up - dn) / (2 * h), rel=1e-4)
+        for z0 in (np.zeros(p.n_steps),
+                   0.5 * RandomStream(99).normal(p.n_steps)):
+            grad = cir_gradient(p, z0)
+            for i in [0, 7, 31, 62, 63]:
+                e = np.zeros(p.n_steps)
+                e[i] = h
+                up = cir_euler_path(z0 + e, p).values.sum()
+                dn = cir_euler_path(z0 - e, p).values.sum()
+                assert grad[i] == pytest.approx((up - dn) / (2 * h), rel=1e-4)
+
+    def test_memory_is_linear_in_steps(self):
+        # an N x N expansion matrix at N = 4000 would take 128 MB
+        p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, rate=0.05,
+                      n_steps=4000, maturity=1.0)
+        z = np.zeros(p.n_steps)
+        tracemalloc.start()
+        try:
+            cir_gradient(p, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_negative_path_raises(self):
         p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0, rate=0.05,
                       n_steps=64, maturity=1.0)
         with pytest.raises(StratMcError, match="induced path went negative"):
-            cir_workspace(p, np.full(64, -15.0))
+            cir_gradient(p, np.full(64, -15.0))
+
+    def test_driver_length_checked(self):
+        with pytest.raises(ValueError, match="driver must have length"):
+            cir_gradient(cir_asian_params(), np.zeros(63))
 
 
 class TestLtCir:
@@ -224,13 +254,13 @@ class TestLtCir:
         ds = engines(p)["lt"](2)
         ones = np.zeros(p.n_steps)
         ones[0] = 1.0
-        t1 = cir_workspace(p, ones).t
+        t1 = cir_gradient(p, ones)
         first = t1 / np.linalg.norm(t1)
         np.testing.assert_allclose(ds.columns[:, 0], first, atol=1e-12)
         ones[1] = 1.0
         np.testing.assert_allclose(
             ds.columns[:, 1],
-            next_lt_column(cir_workspace(p, ones).t, first), atol=1e-12)
+            next_lt_column(cir_gradient(p, ones), first), atol=1e-12)
 
     def test_first_column_near_la(self):
         # frozen measured value for the benchmark set
@@ -250,7 +280,7 @@ class TestLaCir:
 
     def test_matches_workspace_zero_noise(self):
         p = cir_asian_params()
-        t = cir_workspace(p, np.zeros(p.n_steps)).t
+        t = cir_gradient(p, np.zeros(p.n_steps))
         assert angle_degrees(t, la_of(p)) <= 1e-12
 
 

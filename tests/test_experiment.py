@@ -31,7 +31,7 @@ from stratmc import (
     bs_asian_params,
     bs_gradient,
     cir_asian_params,
-    cir_workspace,
+    cir_gradient,
     direction_sets,
     engines,
     format_rows,
@@ -241,7 +241,7 @@ class TestBuildDirections:
         bs, cir = small_bs_config(), small_cir_config()
         for config, grad in (
                 (bs, bs_gradient(bs.params, np.zeros(bs.params.dim))),
-                (cir, cir_workspace(cir.params, np.zeros(cir.params.dim)).t)):
+                (cir, cir_gradient(cir.params, np.zeros(cir.params.dim)))):
             np.testing.assert_array_equal(
                 direction_sets(config)["la"].columns[:, 0],
                 normalize_sign(grad / float(np.linalg.norm(grad))))
@@ -677,6 +677,12 @@ MALFORMED = {
         "payoff.kind: unknown kind 'lookback'"),
     "percent-in-value": (BS_INI.replace("strike = 45 50 55", "strike = 45%"),
                          "payoff.strike: '%' must be followed by '%' or '('"),
+    "repeated-method": (BS_INI.replace("mc, la", "mc, la, la"),
+                        "run.methods: la is repeated"),
+    "repeated-alloc": (BS_INI.replace("alloc = opt", "alloc = opt, opt"),
+                       "run.alloc: opt is repeated"),
+    "repeated-strike": (BS_INI.replace("strike = 45 50 55", "strike = 50 50"),
+                        "payoff.strike: 50 is repeated"),
     "barrier-on-basket": (
         BS_INI.replace("strike = 45 50 55", "strike = 45\nbarrier = 60"),
         "payoff: asian-basket takes no barrier"),
