@@ -9,7 +9,6 @@ against plain Monte Carlo and Latin hypercube baselines.
 The package exports the names in each library module's __all__.
 """
 from .errors import *  # noqa: F401,F403
-from .linalg import *  # noqa: F401,F403
 from .gaussian import *  # noqa: F401,F403
 from .stratify import *  # noqa: F401,F403
 from .models import *  # noqa: F401,F403

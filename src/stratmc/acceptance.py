@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import bs_gradient, cir_gradient, engines
+from .directions import angle_degrees, bs_gradient, cir_gradient, engines
 from .experiment import format_rows, load_config, run_experiment
 from .gaussian import RandomStream
-from .linalg import angle_degrees
 from .models import (
     bs_basket_g,
     bs_paths,

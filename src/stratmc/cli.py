@@ -17,8 +17,7 @@ import numpy as np
 from . import acceptance
 from .errors import ConfigInvalid, StratMcError
 from .experiment import direction_sets, format_rows, load_config, run_experiment
-from .directions import export_directions
-from .linalg import angle_degrees
+from .directions import angle_degrees, export_directions
 
 
 def _build_parser() -> argparse.ArgumentParser:

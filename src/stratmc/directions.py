@@ -10,9 +10,11 @@ Euler path (Imai and Tan's first-order expansion of the Euler map, in O(N)
 memory).  engines(params) is the table of the engines each model has.
 
 Conventions shared by every engine: returned directions are unit vectors
-with the largest-magnitude component positive, and multi-direction sets are
-reported as DirectionSet columns.  The PCA direction is the covariance
-eigenvector itself, used directly as a direction in the iid driver space.
+with the largest-magnitude component positive (normalize_sign), and
+multi-direction sets are reported as DirectionSet columns.  The PCA
+direction is the covariance eigenvector itself, from one np.linalg.eigh,
+used directly as a direction in the iid driver space.  angle_degrees
+compares two directions up to sign.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ import numpy as np
 
 from .errors import StratMcError
 from .gaussian import RandomStream
-from .linalg import normalize_sign, symmetric_eigen
 from .models import BsParams, CirParams, cir_euler_path, path_covariance
 from .stratify import DirectionSet
 
@@ -32,18 +33,50 @@ __all__ = [
     "cir_gradient",
     "pilot_pca_cir",
     "export_directions",
+    "normalize_sign",
+    "angle_degrees",
 ]
 
 # paths in the pilot sample of pilot_pca_cir
 _PILOT_N = 2000
 
 
+def normalize_sign(v: np.ndarray) -> np.ndarray:
+    """Flip a vector so its largest-magnitude component is positive."""
+    v = np.asarray(v, dtype=float)
+    j = int(np.argmax(np.abs(v)))
+    return -v if v[j] < 0.0 else v.copy()
+
+
+def angle_degrees(u, v) -> float:
+    """Angle between two directions in degrees, folded to [0, 90].
+
+    Directions are sign-invariant, so the cosine is taken in absolute
+    value.  Raises StratMcError for zero-length input.
+    """
+    u = np.asarray(u, dtype=float).ravel()
+    v = np.asarray(v, dtype=float).ravel()
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise StratMcError("angle undefined for zero vector")
+    c = abs(float(u @ v)) / (nu * nv)
+    return float(np.degrees(np.arccos(min(c, 1.0))))
+
+
 def pca_directions(sigma: np.ndarray, m: int) -> DirectionSet:
-    """The top-m covariance eigenvectors."""
-    w, v = symmetric_eigen(sigma)
-    if m > w.size:
-        raise ValueError("cannot request more directions than dimensions")
-    return DirectionSet(columns=v[:, :m])
+    """The top-m eigenvectors of the symmetric covariance sigma, leading
+    first, each sign-fixed."""
+    dim = len(sigma)
+    if not 1 <= m <= dim:
+        raise ValueError(f"column count must lie in 1..{dim}")
+    try:
+        _, v = np.linalg.eigh(sigma)
+    except np.linalg.LinAlgError as exc:
+        raise StratMcError(str(exc)) from exc
+    # eigh returns the eigenvalues ascending
+    return DirectionSet(np.column_stack(
+        [normalize_sign(c) for c in v[:, ::-1][:, :m].T]))
 
 
 def _lt_directions(gradient, point, dim: int, count: int) -> DirectionSet:
@@ -77,6 +110,8 @@ def la_directions_multi(gradient, dim: int, count: int) -> DirectionSet:
     gradient at the zero-noise point.  The returned set is generally
     non-orthogonal.  A gradient vanishes only when its norm is 0 or not
     finite: a tiny but representable gradient still has a direction."""
+    if not 1 <= count <= dim:
+        raise ValueError(f"column count must lie in 1..{dim}")
     point = np.zeros(dim)
     cols = []
     for _ in range(count):
@@ -144,11 +179,10 @@ def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:
     paths = cir_euler_path(z, params).values[:, 0, :]
     # np.cov of a single column (one step) is 0-d
     cov = np.atleast_2d(np.cov(paths, rowvar=False))
-    cov = 0.5 * (cov + cov.T)
-    w, v = symmetric_eigen(cov)
-    if w[0] <= 1e-12 * max(1.0, abs(float(np.trace(cov)))):
+    w, v = np.linalg.eigh(cov)
+    if not w[-1] > 1e-12 * max(1.0, abs(float(np.trace(cov)))):
         raise StratMcError("pilot paths carry no variance")
-    return normalize_sign(v[:, 0] / np.linalg.norm(v[:, 0]))
+    return normalize_sign(v[:, -1] / np.linalg.norm(v[:, -1]))
 
 
 def engines(params: BsParams | CirParams,

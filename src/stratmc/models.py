@@ -3,9 +3,10 @@
 A path is an (..., M, N) array of M assets on N monitoring dates, and
 every contract reads its uniform average.  BS paths are sampled exactly at
 the monitoring dates through the Cholesky factor of the Kronecker
-covariance Sigma_B (x) Sigma_A; BsParams computes that factor, the drift
-exponents and the payoff coefficients once, as its derived fields factor,
-drift and coef.  CIR paths use the Euler scheme
+covariance Sigma_B (x) Sigma_A; BsParams computes that factor (one
+np.linalg.cholesky, with a relative pivot check), the drift exponents and
+the payoff coefficients once, as its derived fields factor, drift and
+coef.  CIR paths use the Euler scheme
 S_{j+1} = S_j (1 - alpha dt) + alpha mu dt + sigma sqrt(dt) sqrt(max(S_j, 0)) z_j,
 with the square-root argument floored at zero; cir_euler_path returns a
 PathMatrix whose floored flag marks a batch in which a state fed to the
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StratMcError
-from .linalg import cholesky
 
 __all__ = [
     "BsParams",
@@ -54,8 +54,11 @@ class BsParams:
     S0_{k1} / (M N) of the uniform average, so that
     exp(mu_k) = coef_k e^{drift_k} for the drift construction
     mu_k = ln(S0 / (M N)) + (r - sigma^2/2) t.  A covariance that is
-    numerically singular raises StratMcError.  Paths must stay in the float64 range, or
-    payoffs overflow and prices read nan: ValueError unless
+    numerically singular raises StratMcError: "not positive definite" when
+    the factorization fails, and "pivot at or below tolerance" when a pivot
+    C_kk^2 is at most 1e-12 times the largest variance Sigma_kk.  Paths
+    must stay in the float64 range, or payoffs overflow and prices read
+    nan: ValueError unless
     ln S0_{k1} + drift_k + 10 sigma_{k1} sqrt(t_{k2}) is below
     ln(float64 max) for every k.
     """
@@ -103,7 +106,14 @@ class BsParams:
         for name, val in (("s0", s0), ("sigma", sigma), ("corr", corr),
                           ("grid", grid)):
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "factor", cholesky(path_covariance(self)))
+        cov = path_covariance(self)
+        try:
+            factor = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise StratMcError(str(exc)) from exc
+        if np.min(np.diag(factor)) ** 2 <= 1e-12 * np.max(np.diag(cov)):
+            raise StratMcError("pivot at or below tolerance")
+        object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "drift", drift)
         object.__setattr__(self, "coef", (1.0 / (m * n)) * s0[k1])
 

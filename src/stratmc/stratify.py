@@ -61,7 +61,7 @@ ALLOCS = tuple(_STAGES)
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """d' linearly independent unit direction columns E in R^d; a 1-d
+    """d' >= 1 linearly independent unit direction columns E in R^d; a 1-d
     vector is one direction.
 
     frame holds the orthonormal frame F of the QR factorization E = F R,
@@ -81,6 +81,8 @@ class DirectionSet:
             cols = cols[:, None]
         if cols.ndim != 2:
             raise ValueError("columns must form a 2-d array")
+        if cols.shape[1] == 0:
+            raise ValueError("need at least one direction column")
         object.__setattr__(self, "columns", cols)
         norms = np.linalg.norm(cols, axis=0)
         if not np.all(np.abs(norms - 1.0) <= 1e-12):  # nan fails too
@@ -116,6 +118,8 @@ class StratumSpec:
 
     def __post_init__(self):
         raw = np.atleast_1d(self.counts)
+        if raw.size == 0:  # numpy gives () a float dtype
+            raise ValueError("need at least one interval count")
         if raw.dtype.kind not in "iu":
             raise ValueError("interval counts must be integers")
         counts = tuple(int(c) for c in raw)

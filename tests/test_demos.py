@@ -1,13 +1,15 @@
 """Smoke test: the narrative demos and the README's quick start, which use
 the library's public API, run to completion; every demo config reproduces
 its recorded table byte for byte, and three of them their direction
-columns; the README's config grammar lists the keys the parser accepts."""
+columns; the README's config grammar lists the keys the parser accepts,
+and its layout the package's modules."""
 import configparser
 import csv
 import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,3 +164,12 @@ def test_readme_grammar_lists_the_accepted_keys():
                 "payoff": set(_PAYOFF_KEYS),
                 **{name: set(keys) for name, keys in _SETTINGS.items()}}
     assert {name: set(grammar[name]) for name in grammar.sections()} == accepted
+
+
+def test_readme_layout_names_the_modules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```", 2)[1]
+    listed = re.findall(r"^  (\w+\.py) ", block, re.M)
+    modules = sorted(p.name for p in (ROOT / "src" / "stratmc").glob("*.py")
+                     if not p.name.startswith("_"))
+    assert sorted(listed) == modules

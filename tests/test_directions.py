@@ -143,10 +143,12 @@ class TestLtBs:
             atol=1e-12)
 
     def test_count_bounds(self):
-        with pytest.raises(ValueError):
-            engines(bs_asian_params())["lt"](0)
-        with pytest.raises(ValueError):
-            engines(bs_asian_params())["lt"](65)
+        # every counted engine takes 1..dim columns, not a negative slice
+        table = engines(bs_asian_params())
+        for name in ("lt", "la", "pca"):
+            for count in (-1, 0, 65):
+                with pytest.raises(ValueError, match=r"must lie in 1\.\.64"):
+                    table[name](count)
 
 
 class TestAngleRegressions:

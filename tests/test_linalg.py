@@ -1,8 +1,12 @@
-"""Dense linear-algebra kernels against closed forms and brute-force oracles.
+"""The package's dense linear algebra against closed forms and brute-force
+oracles: the Cholesky factor of BsParams, the eigen solve of
+pca_directions, the sign convention and angles of directions, the QR frame
+of DirectionSet and the Kronecker path covariance.
 
 Ground truth used here:
 - Kronecker product (np.kron): explicit double loop over blocks
-- Cholesky / eigen: multiply back and compare, plus hand 2x2 factorizations
+- Cholesky factor / eigenvectors: multiply back and compare, plus hand 2x2
+  factorizations
 - Brownian covariance: min(t_i, t_j) elementwise
 - Gram-Schmidt frame (the Q of E = Q R with diag(R) > 0): hand 2-d pair,
   F^T F = I, first column kept
@@ -15,10 +19,9 @@ from stratmc import (
     DirectionSet,
     StratMcError,
     angle_degrees,
-    cholesky,
     normalize_sign,
     path_covariance,
-    symmetric_eigen,
+    pca_directions,
 )
 
 
@@ -33,34 +36,47 @@ def kron_oracle(a, b):
     return out
 
 
+def unit_assets(m, steps=1, rho=0.0):
+    """m unit-volatility assets over `steps` dates up to T = 1."""
+    return BsParams(s0=[1.0] * m, sigma=1.0, steps=steps, rho=rho)
+
+
 class TestCholesky:
+    """The path factor C with C C^T = Sigma_MN that BsParams derives."""
+
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(3)), np.eye(3))
+        # uncorrelated unit assets on one date at t = 1: Sigma_MN = I
+        np.testing.assert_array_equal(unit_assets(3).factor, np.eye(3))
 
     def test_closed_form_2x2(self):
-        m = np.array([[1.0, 0.5], [0.5, 1.0]])
         expected = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-        np.testing.assert_allclose(cholesky(m), expected, atol=1e-15)
+        np.testing.assert_allclose(unit_assets(2, rho=0.5).factor, expected,
+                                   atol=1e-15)
 
     def test_multiply_back_bm64(self):
-        t = np.arange(1, 65) / 64
-        sigma = np.minimum.outer(t, t)  # Brownian covariance
-        c = cholesky(sigma)
+        p = unit_assets(1, steps=64)  # Sigma_MN is the Brownian covariance
+        c = p.factor
+        sigma = np.minimum.outer(p.grid, p.grid)
         err = np.linalg.norm(c @ c.T - sigma) / np.linalg.norm(sigma)
         assert err < 1e-10
         assert np.allclose(np.triu(c, k=1), 0.0)
 
-    def test_rejects_indefinite(self):
+    def test_rejects_indefinite(self, monkeypatch):
+        # no BsParams reaches an indefinite covariance past its rho check
+        monkeypatch.setattr("stratmc.models.path_covariance",
+                            lambda p: np.array([[1.0, 2.0], [2.0, 1.0]]))
         with pytest.raises(StratMcError, match="not positive definite"):
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            unit_assets(2)
 
     def test_rejects_singular(self):
+        # sigma^2 underflows: Sigma_MN is the zero matrix
         with pytest.raises(StratMcError, match="not positive definite"):
-            cholesky(np.ones((2, 2)))
+            BsParams(s0=[1.0, 1.0], sigma=1e-200, steps=1)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 0.2], [0.1, 1.0]]))
+    def test_rejects_small_pivot(self):
+        # the second pivot^2 is 1 - rho^2 = 2e-14, under 1e-12 of the diagonal
+        with pytest.raises(StratMcError, match="pivot at or below tolerance"):
+            unit_assets(2, rho=0.99999999999999)
 
 
 class TestBmCovariance:
@@ -116,17 +132,22 @@ class TestGramSchmidt:
             gram_schmidt_frame(np.vstack([v, 2.0 * v]))
 
 
+def eigen_of(sigma):
+    """All eigenvectors of sigma from pca_directions, with their
+    eigenvalues as Rayleigh quotients."""
+    v = pca_directions(sigma, sigma.shape[0]).columns
+    return np.einsum("ij,ik,kj->j", v, sigma, v), v
+
+
 class TestSymmetricEigen:
     def test_diagonal(self):
-        w, v = symmetric_eigen(np.diag([3.0, 1.0, 2.0]))
+        w, v = eigen_of(np.diag([3.0, 1.0, 2.0]))
         np.testing.assert_allclose(w, [3.0, 2.0, 1.0])
-        # columns paired with sorted eigenvalues, sign-fixed
-        np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [0, 2, 1]],
-                                   atol=1e-14)
-        assert np.all(v.max(axis=0) > 0)
+        # columns ordered by eigenvalue, largest component positive
+        np.testing.assert_allclose(v, np.eye(3)[:, [0, 2, 1]], atol=1e-14)
 
     def test_closed_form_2x2(self):
-        w, v = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        w, v = eigen_of(np.array([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(w, [3.0, 1.0], atol=1e-14)
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(v[:, 0], [s, s], atol=1e-14)
@@ -138,19 +159,20 @@ class TestSymmetricEigen:
             n = int(rng.integers(2, 12))
             a = rng.normal(size=(n, n))
             m = a @ a.T
-            w, v = symmetric_eigen(m)
+            w, v = eigen_of(m)
             rec = v @ np.diag(w) @ v.T
             assert np.linalg.norm(rec - m) / np.linalg.norm(m) < 1e-10
             for j in range(n):
                 np.testing.assert_allclose(m @ v[:, j], w[j] * v[:, j],
                                            atol=1e-8 * max(1.0, abs(w[0])))
+                assert v[np.argmax(np.abs(v[:, j])), j] > 0
             assert np.all(np.diff(w) <= 1e-12)
             np.testing.assert_allclose(w.sum(), np.trace(m), rtol=1e-12)
 
     def test_bm16_reconstruction(self):
         t = np.arange(1, 17) / 16
         sigma = np.minimum.outer(t, t)  # Brownian covariance
-        w, v = symmetric_eigen(sigma)
+        w, v = eigen_of(sigma)
         rec = v @ np.diag(w) @ v.T
         assert np.linalg.norm(rec - sigma) / np.linalg.norm(sigma) < 1e-10
         np.testing.assert_allclose(v.T @ v, np.eye(16), atol=1e-12)

@@ -396,6 +396,10 @@ def _mean_z(z):
 BAD_INPUTS = {
     "columns-not-2d": (lambda: DirectionSet(np.ones((2, 1, 1))),
                        ValueError, "2-d array"),
+    "no-direction-columns": (lambda: DirectionSet(np.zeros((3, 0))),
+                             ValueError, "at least one direction column"),
+    "no-interval-counts": (lambda: StratumSpec(()),
+                           ValueError, "at least one interval count"),
     "interval-count-below-one": (lambda: StratumSpec((4, 0)),
                                  ValueError, ">= 1"),
     "interval-count-not-integer": (lambda: StratumSpec((2.7,)),
