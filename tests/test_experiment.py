@@ -39,8 +39,9 @@ from stratmc import (
     normalize_sign,
     run_experiment,
 )
+from stratmc import experiment
 from stratmc.cli import main
-from stratmc.experiment import _MODELS
+from stratmc.experiment import _MODELS, _openblas_threads
 from stratmc.payoffs import KINDS, PayoffSpec
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -195,6 +196,62 @@ class TestSharedDraws:
         # the three rows of a cell share its time equally
         for cell in zip(*(self.rows_of(rows, k, True) for k in (45, 50, 55))):
             assert len({r.wall_seconds for r in cell}) == 1
+
+
+class TestOneBlasThread:
+    """run_experiment holds every loaded OpenBLAS at one thread while a
+    table runs, and gives each library its own count back."""
+
+    @staticmethod
+    def counts(libraries):
+        return [get() for get, _ in libraries]
+
+    @pytest.fixture
+    def libraries(self):
+        # two threads each, so that a restored count differs from the held
+        # one; the process's own counts come back after the test
+        import scipy.linalg.blas  # noqa: F401
+        found = _openblas_threads()
+        if not found:
+            pytest.skip("no OpenBLAS is loaded")
+        before = self.counts(found)
+        for _, set_ in found:
+            set_(2)
+        yield found
+        for n, (_, set_) in zip(before, found):
+            set_(n)
+
+    @pytest.mark.parametrize("name", ["plain_mc_estimate", "lhs_estimate",
+                                      "two_stage_estimate"])
+    def test_cells_run_at_one_thread(self, libraries, monkeypatch, name):
+        held, seen = self.counts(libraries), []
+        estimate = getattr(experiment, name)
+
+        def wrapped(*args, **kwargs):
+            seen.append(self.counts(libraries))
+            return estimate(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, wrapped)
+        run_experiment(small_bs_config(methods=["lhs", "la"]))
+        assert seen == [[1] * len(libraries)]
+        assert self.counts(libraries) == held
+
+    def test_counts_come_back_when_a_cell_raises(self, libraries, monkeypatch):
+        held = self.counts(libraries)
+
+        def failing(*args, **kwargs):
+            raise StratMcError("cell failed")
+        monkeypatch.setattr(experiment, "two_stage_estimate", failing)
+        with pytest.raises(StratMcError, match="cell failed"):
+            run_experiment(small_bs_config())
+        assert self.counts(libraries) == held
+
+    def test_bytes_do_not_depend_on_the_hold(self, monkeypatch):
+        config = small_bs_config(methods=["lhs", "la", "la+pca"],
+                                 allocs=["const", "opt"], strata=16)
+        held = format_rows(run_experiment(config))
+        # a scan that finds no OpenBLAS leaves every count alone
+        monkeypatch.setattr(experiment, "_openblas_threads", list)
+        assert format_rows(run_experiment(config)) == held
 
 
 class TestBuildDirections:
