@@ -405,7 +405,13 @@ seed = 909
 
 
 def _criterion_9():
-    # 20000 draws span three sampler chunks per stratified stage
+    # 20000 draws span three sampler chunks per stratified stage; the
+    # process pinned to one core samples them on one thread, the others on
+    # every usable core
+    starts = [None, None]
+    if hasattr(os, "sched_setaffinity"):
+        core = min(os.sched_getaffinity(0))
+        starts.append(lambda: os.sched_setaffinity(0, {core}))
     with tempfile.TemporaryDirectory() as tmp:
         ini = os.path.join(tmp, "determinism.ini")
         with open(ini, "w", encoding="utf-8") as fh:
@@ -415,16 +421,18 @@ def _criterion_9():
         src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        for _ in range(2):
+        for start in starts:
             proc = subprocess.run(
                 [sys.executable, "-m", "stratmc.cli", "experiment",
                  "--config", ini], capture_output=True, text=True, env=env,
-                timeout=120)
+                timeout=120, preexec_fn=start)
             if proc.returncode != 0:
                 return False, f"stratmc experiment exited {proc.returncode}"
             tables.append(proc.stdout)
+    pinned = ", one pinned to one core" if len(starts) > 2 else ""
     if len(set(tables)) == 1:
-        return True, "csv identical across 2 runs and 2 fresh processes"
+        return True, (f"csv identical across 2 runs and {len(starts)} fresh "
+                      f"processes{pinned}")
     return False, "csv differs across runs with the same seed"
 
 

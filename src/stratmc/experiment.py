@@ -15,8 +15,6 @@ on the in-memory rows for interactive display.
 from __future__ import annotations
 
 import configparser
-import contextlib
-import ctypes
 import dataclasses
 import io
 import json
@@ -34,6 +32,7 @@ from .stratify import (
     ALLOCS,
     DirectionSet,
     StratumSpec,
+    _one_blas_thread,
     lhs_estimate,
     min_budget,
     plain_mc_estimate,
@@ -333,56 +332,6 @@ def _work(n_samples: int, dim: int, method: str, n_dirs: int = 0) -> float:
     if method == "lhs":
         return float(n_samples) * 2.0 * dim
     return float(n_samples) * (dim + n_dirs)
-
-
-# (get, set) thread-count symbols of OpenBLAS: numpy's wheel, scipy's wheel
-# and a system build
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-def _openblas_threads() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS mapped into the
-    process, read from /proc/self/maps; none where that file is missing."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
-    except OSError:
-        return []
-    found = []
-    for path in sorted(p for p in paths if p.startswith("/")):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _OPENBLAS_THREADS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                found.append((get, set_))
-                break
-    return found
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold every loaded OpenBLAS at one thread, and restore each count on
-    exit.  numpy's and scipy's wheels each bring an OpenBLAS with its own
-    pool, and on a chunk's small gemm and gemv the two pools' threads wake
-    and spin against each other.  Nested holds restore in order; tables
-    run at once from two threads may leave a count at 1, which moves no
-    bytes."""
-    # loads scipy's OpenBLAS, which the sampler calls, before the scan
-    import scipy.linalg.blas  # noqa: F401
-    counts = [(get(), set_) for get, set_ in _openblas_threads()]
-    try:
-        for _, set_ in counts:
-            set_(1)
-        yield
-    finally:
-        for n, set_ in counts:
-            set_(n)
 
 
 @_one_blas_thread()

@@ -13,7 +13,11 @@ is the set itself and every weight is p_k = 1/prod(K_j).
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -293,6 +297,95 @@ def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
     return AllocationPlan(q=q, n=n)
 
 
+# --- threads -----------------------------------------------------------------
+
+
+# (get, set) thread-count symbols of OpenBLAS: numpy's wheel, scipy's wheel
+# and a system build
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_threads() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS mapped into the
+    process, read from /proc/self/maps; none where that file is missing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
+    except OSError:
+        return []
+    found = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread, and restore each count on
+    exit.  numpy's and scipy's wheels each bring an OpenBLAS with its own
+    pool, and on a chunk's small gemm and gemv the two pools' threads wake
+    and spin against each other, or against the stage's own helper
+    threads.  Nested holds restore in order; holds entered at once from two
+    threads may leave a count at 1, which moves no bytes."""
+    # loads scipy's OpenBLAS, which the sampler calls, before the scan
+    import scipy.linalg.blas  # noqa: F401
+    counts = [(get(), set_) for get, set_ in _openblas_threads()]
+    try:
+        for _, set_ in counts:
+            set_(1)
+        yield
+    finally:
+        for n, set_ in counts:
+            set_(n)
+
+
+def _map_chunks(chunk, n_chunks: int) -> list:
+    """[chunk(c) for c in range(n_chunks)], computed on the calling thread
+    and one helper thread per further usable core, under one BLAS thread.
+
+    Each thread takes the next chunk index until none is left, and every
+    result lands at its own index, so the list does not depend on the
+    schedule.  A single chunk or a single usable core starts no thread.  An
+    error in any chunk leaves the remaining chunks untaken and is raised
+    once every thread has stopped."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cores = os.cpu_count() or 1
+    workers = min(n_chunks, cores)
+    if workers == 1:
+        return [chunk(c) for c in range(n_chunks)]
+    results = [None] * n_chunks
+    order = iter(range(n_chunks))  # next() on it is atomic under the GIL
+
+    def work():
+        try:
+            for c in order:
+                results[c] = chunk(c)
+        except BaseException:
+            for _ in order:  # leave the other threads nothing to take
+                pass
+            raise
+
+    with _one_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work()
+        for helper in helpers:
+            helper.result()
+    return results
+
+
 # --- estimators ---------------------------------------------------------------
 
 
@@ -316,19 +409,26 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 
     The stage's draws are laid out stratum by stratum and sampled in chunks
     of _CHUNK rows, chunk c from substream stream.child(c), so the result is
-    a pure function of the stream and the counts.
+    a pure function of the stream and the counts.  The chunks are sampled
+    and evaluated on every usable core (see _map_chunks), so the evaluator
+    must be safe to call from several threads at once; the payoff
+    evaluators are.
     """
     t0 = time.perf_counter()
     n_strata = spec.total
     n = np.atleast_2d(counts)
     if n.shape[1] != n_strata:
         raise ValueError("allocation does not match stratum spec")
+    if n.dtype.kind not in "iu" or n.min() < 0 or n.max() < 1:
+        raise ValueError(
+            "counts must be non-negative integers with at least one draw")
     pool = n.max(axis=0)
     strata = np.repeat(np.arange(n_strata), pool)
     # position of each draw within its stratum
     rank = np.arange(strata.size) - np.repeat(np.cumsum(pool) - pool, pool)
-    parts, weights = [], []
-    for c, start in enumerate(range(0, strata.size, _CHUNK)):
+
+    def chunk(c):
+        start = c * _CHUNK
         z, weight = sample_strata(directions, spec, strata[start:start + _CHUNK],
                                   stream.child(c))
         # an unreachable draw enters no estimate, and it may sit far out on
@@ -336,8 +436,9 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         # (a product, since a row of step-major z is d strided writes)
         if not weight.all():
             z *= weight[:, None] != 0.0
-        parts.append(evaluator(z) * weight)
-        weights.append(weight)
+        return evaluator(z) * weight, weight
+
+    parts, weights = zip(*_map_chunks(chunk, -(-strata.size // _CHUNK)))
     rows = np.concatenate(parts, axis=-1).reshape(-1, strata.size)
     unreachable = np.concatenate(weights) == 0.0
 

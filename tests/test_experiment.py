@@ -39,10 +39,11 @@ from stratmc import (
     normalize_sign,
     run_experiment,
 )
-from stratmc import experiment
+from stratmc import experiment, stratify
 from stratmc.cli import main
-from stratmc.experiment import _MODELS, _openblas_threads
+from stratmc.experiment import _MODELS
 from stratmc.payoffs import KINDS, PayoffSpec
+from stratmc.stratify import _openblas_threads
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -250,7 +251,7 @@ class TestOneBlasThread:
                                  allocs=["const", "opt"], strata=16)
         held = format_rows(run_experiment(config))
         # a scan that finds no OpenBLAS leaves every count alone
-        monkeypatch.setattr(experiment, "_openblas_threads", list)
+        monkeypatch.setattr(stratify, "_openblas_threads", list)
         assert format_rows(run_experiment(config)) == held
 
 

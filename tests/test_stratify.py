@@ -8,6 +8,10 @@ Oracles:
   disagree with the truth for correlated directions while the weighted
   estimator agrees
 """
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +33,8 @@ from stratmc import (
     stratified_estimate,
     two_stage_estimate,
 )
-from stratmc.stratify import _CHUNK
+from stratmc import stratify
+from stratmc.stratify import _CHUNK, _openblas_threads
 
 
 def const_allocation(p, n_total):
@@ -442,6 +447,15 @@ def test_bad_input_raises(call, error, match):
         call()
 
 
+@pytest.mark.parametrize("counts", [np.zeros(4, int), [3, -1, 2, 2],
+                                    np.full(4, 5.0)],
+                         ids=["no-draws", "negative", "float"])
+def test_counts_must_be_draw_counts(counts):
+    with pytest.raises(ValueError, match="non-negative integers with at least"):
+        stratified_estimate(_mean_z, _one_dir(), StratumSpec((4,)), counts,
+                            RandomStream(7))
+
+
 class TestEstimators:
     def v_first(self, d):
         v = np.zeros(d)
@@ -724,6 +738,111 @@ class TestSharedRows:
                                       np.where(rep.stratum_empty, 0,
                                                [small.n, large.n]))
         assert rep.n_samples == int(rep.stratum_counts.max(axis=0).sum())
+
+
+class TestChunkThreads:
+    """A stage samples and evaluates its chunks on every usable core; the
+    report never depends on how many there are."""
+
+    @staticmethod
+    def cores(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+
+    @staticmethod
+    def stage(ev, stream=None):
+        """Four chunks over nearly parallel directions, whose corner boxes
+        hold unreachable draws, with one count row per evaluator row."""
+        theta = np.radians(5.0)
+        dirs = DirectionSet(np.column_stack([[1.0, 0.0, 0.0],
+                                             [np.cos(theta), np.sin(theta), 0.0]]))
+        spec = StratumSpec((6, 6))
+        p = np.full(spec.total, 1 / spec.total)
+        counts = [const_allocation(p, 500 * spec.total).n,
+                  const_allocation(p, 700 * spec.total).n]
+        assert 3 * _CHUNK < counts[1].sum() <= 4 * _CHUNK
+        return stratified_estimate(ev, dirs, spec, counts,
+                                   stream or RandomStream(96))
+
+    @staticmethod
+    def rows(z):
+        return np.stack([np.exp(z[:, 0]), np.exp(0.5 * z[:, 1])])
+
+    def test_reports_match_across_core_counts(self, monkeypatch):
+        # four threads on any host, switching as often as the interpreter
+        # allows: each chunk is evaluated once, whoever takes it
+        reports, threads, calls = [], set(), []
+
+        def ev(z):
+            threads.add(threading.get_ident())
+            calls.append(z.shape[0])
+            return self.rows(z)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for n in (1, 4):
+                self.cores(monkeypatch, n)
+                reports.append(self.stage(ev))
+                if n == 1:  # one usable core starts no thread
+                    assert threads == {threading.get_ident()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls[:4]) == sorted(calls[4:]) and len(calls) == 8
+        one, four = reports
+        assert np.any(one.stratum_empty)
+        for name in ("price", "variance", "est_variance", "n_samples",
+                     "stratum_means", "stratum_sigmas", "stratum_counts",
+                     "stratum_empty"):
+            np.testing.assert_array_equal(getattr(one, name),
+                                          getattr(four, name), err_msg=name)
+
+    def test_chunk_error_propagates_and_threads_stop(self, monkeypatch):
+        # chunk 2 is recognised by its draws, whichever thread takes it
+        stream = RandomStream(97)
+        found = []
+        real = stratify.sample_strata
+
+        def spy(directions, spec, strata, chunk_stream):
+            draw = real(directions, spec, strata, chunk_stream)
+            if chunk_stream.stream_id == stream.child(2).stream_id:
+                found.append(draw.z)
+            return draw
+        monkeypatch.setattr(stratify, "sample_strata", spy)
+
+        def ev(z):
+            if any(z is bad for bad in found):
+                raise RuntimeError("chunk 2 failed")
+            return self.rows(z)
+        self.cores(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            self.stage(ev, stream)
+        assert len(found) == 1
+        assert threading.active_count() == before
+
+    def test_helper_threads_see_one_blas_thread(self, monkeypatch):
+        import scipy.linalg.blas  # noqa: F401
+        libraries = _openblas_threads()
+        if not libraries:
+            pytest.skip("no OpenBLAS is loaded")
+        before = [get() for get, _ in libraries]
+        seen = []
+
+        def ev(z):
+            if threading.current_thread() is not threading.main_thread():
+                seen.append([get() for get, _ in libraries])
+            return self.rows(z)
+        self.cores(monkeypatch, 4)
+        try:
+            for _, set_ in libraries:
+                set_(2)
+            self.stage(ev)
+            after = [get() for get, _ in libraries]
+        finally:
+            for n, (_, set_) in zip(before, libraries):
+                set_(n)
+        assert seen and all(counts == [1] * len(libraries) for counts in seen)
+        assert after == [2] * len(libraries)
 
 
 class TestLhsEstimator:
