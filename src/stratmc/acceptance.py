@@ -405,9 +405,9 @@ seed = 909
 
 
 def _criterion_9():
-    # 20000 draws span three sampler chunks per stratified stage; the
-    # process pinned to one core samples them on one thread, the others on
-    # every usable core
+    # the opt main stage's 18000 draws span three sampler chunks and the
+    # LHS cell's ten replications two groups (a test checks both); the
+    # pinned process runs them on one thread, the others on every core
     starts = [None, None]
     if hasattr(os, "sched_setaffinity"):
         core = min(os.sched_getaffinity(0))

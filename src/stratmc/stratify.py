@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -309,9 +310,13 @@ _OPENBLAS_THREADS = (
 )
 
 
-def _openblas_threads() -> list[tuple]:
+@functools.cache
+def _openblas_threads() -> tuple[tuple, ...]:
     """(get, set) thread-count functions of every OpenBLAS mapped into the
-    process, read from /proc/self/maps; none where that file is missing."""
+    process, read once from /proc/self/maps (none where that file is
+    missing): an OpenBLAS loaded after the first call is not found."""
+    # loads scipy's OpenBLAS, which the sampler calls, before the scan
+    import scipy.linalg.blas  # noqa: F401
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}
@@ -327,7 +332,7 @@ def _openblas_threads() -> list[tuple]:
                 set_.restype, set_.argtypes = None, [ctypes.c_int]
                 found.append((get, set_))
                 break
-    return found
+    return tuple(found)
 
 
 @contextlib.contextmanager
@@ -336,10 +341,9 @@ def _one_blas_thread():
     exit.  numpy's and scipy's wheels each bring an OpenBLAS with its own
     pool, and on a chunk's small gemm and gemv the two pools' threads wake
     and spin against each other, or against the stage's own helper
-    threads.  Nested holds restore in order; holds entered at once from two
-    threads may leave a count at 1, which moves no bytes."""
-    # loads scipy's OpenBLAS, which the sampler calls, before the scan
-    import scipy.linalg.blas  # noqa: F401
+    threads.  An OpenBLAS loaded after the first hold is not held.  Nested
+    holds restore in order; holds entered at once from two threads may
+    leave a count at 1, which moves no bytes."""
     counts = [(get(), set_) for get, set_ in _openblas_threads()]
     try:
         for _, set_ in counts:
@@ -352,7 +356,8 @@ def _one_blas_thread():
 
 def _map_chunks(chunk, n_chunks: int) -> list:
     """[chunk(c) for c in range(n_chunks)], computed on the calling thread
-    and one helper thread per further usable core, under one BLAS thread.
+    and one helper thread per further usable core, under one BLAS thread:
+    the chunks of a stratified stage, or the groups of LHS replications.
 
     Each thread takes the next chunk index until none is left, and every
     result lands at its own index, so the list does not depend on the
@@ -563,9 +568,12 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     """Latin Hypercube estimator on rotated coordinates.
 
     Each replication evaluates the payoff on rotation @ L^T for an
-    independent LHS matrix L; the price is the grand mean and the variance
-    is estimated across replication means, reported in single-draw units
-    (var of means times the per-replication size).
+    independent LHS matrix L from stream.child(r); the price is the grand
+    mean and the variance is estimated across replication means, reported
+    in single-draw units (var of means times the per-replication size).
+    Groups of ceil(_CHUNK / n_rep) replications run on every usable core
+    (see _map_chunks), so the evaluator must be safe to call from several
+    threads at once; a budget of one group starts no thread.
     """
     t0 = time.perf_counter()
     rotation = np.asarray(rotation, dtype=float)
@@ -579,11 +587,18 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     if n_rep < 2:
         raise ValueError("budget too small for the replication count")
 
+    group = -(-_CHUNK // n_rep)
+
+    def chunk(c):
+        # one call per replication: a group's call would change the gemm
+        # shapes, and with them the bytes
+        return [evaluator((rotation @ _lhs_normals(n_rep, d, stream.child(r)).T).T)
+                .reshape(-1, n_rep).mean(axis=1)
+                for r in range(c * group, min((c + 1) * group, replications))]
+
     # one row of replication means per evaluator row
-    means = np.stack([
-        evaluator((rotation @ _lhs_normals(n_rep, d, stream.child(r)).T).T)
-        .reshape(-1, n_rep).mean(axis=1)
-        for r in range(replications)], axis=1)
+    parts = _map_chunks(chunk, -(-replications // group))
+    means = np.stack([m for part in parts for m in part], axis=1)
     var_rep = means.var(ddof=1, axis=1)
     return EstimateReport(
         price=means.mean(axis=1),

@@ -9,7 +9,8 @@ so it fails until the discrepancy is resolved.
 """
 import pytest
 
-from stratmc import acceptance
+from stratmc import acceptance, stratify
+from stratmc.experiment import load_config, run_experiment
 
 
 @pytest.mark.parametrize(
@@ -20,3 +21,21 @@ from stratmc import acceptance
 def test_criterion(criterion):
     ok, detail = criterion.run()
     assert ok, detail
+
+
+def test_determinism_config_runs_threaded_paths(tmp_path, monkeypatch):
+    # criterion 9 compares a process pinned to one core with unpinned ones,
+    # which covers the threaded paths only while a stratified stage and the
+    # LHS cell each span more than one chunk
+    spans = {}
+    real = stratify._map_chunks
+
+    def spy(chunk, n_chunks):
+        caller = chunk.__qualname__.split(".")[0]
+        spans[caller] = max(spans.get(caller, 0), n_chunks)
+        return real(chunk, n_chunks)
+    monkeypatch.setattr(stratify, "_map_chunks", spy)
+    ini = tmp_path / "determinism.ini"
+    ini.write_text(acceptance._DETERMINISM_INI, encoding="utf-8")
+    run_experiment(load_config(str(ini)))
+    assert spans["stratified_estimate"] >= 2 and spans["lhs_estimate"] >= 2, spans

@@ -6,6 +6,7 @@ deterministic time_ratio column follows directly from the operation counts
 (mc 1.0, lhs 2.0, one extra projection per direction otherwise).
 """
 import csv
+import ctypes
 import dataclasses
 import io
 import json
@@ -244,6 +245,22 @@ class TestOneBlasThread:
         monkeypatch.setattr(experiment, "two_stage_estimate", failing)
         with pytest.raises(StratMcError, match="cell failed"):
             run_experiment(small_bs_config())
+        assert self.counts(libraries) == held
+
+    def test_a_second_hold_scans_nothing(self, libraries, monkeypatch):
+        # the libraries are found once per process: a later hold opens no
+        # maps file and loads no library, and still holds and restores
+        held = self.counts(libraries)
+        with stratify._one_blas_thread():
+            pass
+
+        def scan(*args, **kwargs):
+            raise AssertionError("a later hold scanned again")
+        monkeypatch.setattr(stratify, "open", scan, raising=False)
+        monkeypatch.setattr(ctypes, "CDLL", scan)
+        with stratify._one_blas_thread():
+            inside = self.counts(libraries)
+        assert inside == [1] * len(libraries)
         assert self.counts(libraries) == held
 
     def test_bytes_do_not_depend_on_the_hold(self, monkeypatch):

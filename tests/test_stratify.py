@@ -740,14 +740,63 @@ class TestSharedRows:
         assert rep.n_samples == int(rep.stratum_counts.max(axis=0).sum())
 
 
+def use_cores(monkeypatch, n):
+    """Make every estimator see n usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_helpers_see_one_blas_thread(monkeypatch, run, rows):
+    """run(ev) on four cores, with every OpenBLAS at two threads: each
+    helper thread's evaluator call reads one, and the two come back."""
+    import scipy.linalg.blas  # noqa: F401
+    libraries = _openblas_threads()
+    if not libraries:
+        pytest.skip("no OpenBLAS is loaded")
+    before = [get() for get, _ in libraries]
+    seen = []
+
+    def ev(z):
+        if threading.current_thread() is not threading.main_thread():
+            seen.append([get() for get, _ in libraries])
+        return rows(z)
+    use_cores(monkeypatch, 4)
+    try:
+        for _, set_ in libraries:
+            set_(2)
+        run(ev)
+        after = [get() for get, _ in libraries]
+    finally:
+        for n, (_, set_) in zip(before, libraries):
+            set_(n)
+    assert seen and all(counts == [1] * len(libraries) for counts in seen)
+    assert after == [2] * len(libraries)
+
+
+def run_switching(run, ev, monkeypatch):
+    """[run(ev) on one core, run(ev) on four], switching threads as often as
+    the interpreter allows; one usable core must start no thread."""
+    reports, threads = [], set()
+
+    def spy(z):
+        threads.add(threading.get_ident())
+        return ev(z)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for n in (1, 4):
+            use_cores(monkeypatch, n)
+            reports.append(run(spy))
+            if n == 1:
+                assert threads == {threading.get_ident()}
+    finally:
+        sys.setswitchinterval(interval)
+    return reports
+
+
 class TestChunkThreads:
     """A stage samples and evaluates its chunks on every usable core; the
     report never depends on how many there are."""
-
-    @staticmethod
-    def cores(monkeypatch, n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                            raising=False)
 
     @staticmethod
     def stage(ev, stream=None):
@@ -769,26 +818,15 @@ class TestChunkThreads:
         return np.stack([np.exp(z[:, 0]), np.exp(0.5 * z[:, 1])])
 
     def test_reports_match_across_core_counts(self, monkeypatch):
-        # four threads on any host, switching as often as the interpreter
-        # allows: each chunk is evaluated once, whoever takes it
-        reports, threads, calls = [], set(), []
+        # four threads on any host: each chunk is evaluated once, whoever
+        # takes it
+        calls = []
 
         def ev(z):
-            threads.add(threading.get_ident())
             calls.append(z.shape[0])
             return self.rows(z)
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for n in (1, 4):
-                self.cores(monkeypatch, n)
-                reports.append(self.stage(ev))
-                if n == 1:  # one usable core starts no thread
-                    assert threads == {threading.get_ident()}
-        finally:
-            sys.setswitchinterval(interval)
+        one, four = run_switching(self.stage, ev, monkeypatch)
         assert sorted(calls[:4]) == sorted(calls[4:]) and len(calls) == 8
-        one, four = reports
         assert np.any(one.stratum_empty)
         for name in ("price", "variance", "est_variance", "n_samples",
                      "stratum_means", "stratum_sigmas", "stratum_counts",
@@ -813,7 +851,7 @@ class TestChunkThreads:
             if any(z is bad for bad in found):
                 raise RuntimeError("chunk 2 failed")
             return self.rows(z)
-        self.cores(monkeypatch, 4)
+        use_cores(monkeypatch, 4)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="chunk 2 failed"):
             self.stage(ev, stream)
@@ -821,28 +859,73 @@ class TestChunkThreads:
         assert threading.active_count() == before
 
     def test_helper_threads_see_one_blas_thread(self, monkeypatch):
-        import scipy.linalg.blas  # noqa: F401
-        libraries = _openblas_threads()
-        if not libraries:
-            pytest.skip("no OpenBLAS is loaded")
-        before = [get() for get, _ in libraries]
-        seen = []
+        assert_helpers_see_one_blas_thread(monkeypatch, self.stage, self.rows)
+
+
+class TestLhsThreads:
+    """LHS runs its replications in groups of about _CHUNK draws on every
+    usable core; the report never depends on how many there are."""
+
+    @staticmethod
+    def lhs(ev, n_total=40_000, stream=None):
+        """Eight replications on a rotated frame: by default of 5,000 draws,
+        in four groups of two."""
+        rotation = np.linalg.qr(np.random.default_rng(98).normal(size=(3, 3)))[0]
+        return lhs_estimate(ev, rotation, n_total, 8, stream or RandomStream(99))
+
+    @staticmethod
+    def rows(z):
+        return np.stack([np.exp(z[:, 0]), np.maximum(z.sum(axis=1), 0.0)])
+
+    def test_reports_match_across_core_counts(self, monkeypatch):
+        calls, groups = [], []
+        real = stratify._map_chunks
+        monkeypatch.setattr(stratify, "_map_chunks",
+                            lambda chunk, n: groups.append(n) or real(chunk, n))
 
         def ev(z):
-            if threading.current_thread() is not threading.main_thread():
-                seen.append([get() for get, _ in libraries])
+            calls.append(z.shape[0])
             return self.rows(z)
-        self.cores(monkeypatch, 4)
-        try:
-            for _, set_ in libraries:
-                set_(2)
-            self.stage(ev)
-            after = [get() for get, _ in libraries]
-        finally:
-            for n, (_, set_) in zip(before, libraries):
-                set_(n)
-        assert seen and all(counts == [1] * len(libraries) for counts in seen)
-        assert after == [2] * len(libraries)
+        one, four = run_switching(self.lhs, ev, monkeypatch)
+        assert groups == [4, 4]
+        # each replication is evaluated once, on its own
+        assert calls == [5_000] * 16
+        for name in ("price", "variance", "est_variance", "n_samples"):
+            np.testing.assert_array_equal(getattr(one, name),
+                                          getattr(four, name), err_msg=name)
+
+    def test_replication_error_propagates_and_threads_stop(self, monkeypatch):
+        # replication 5 is recognised by its stream, whichever thread takes it
+        stream = RandomStream(100)
+        bad = stream.child(5).stream_id
+        real = stratify._lhs_normals
+
+        def spy(n, d, rep_stream):
+            if rep_stream.stream_id == bad:
+                raise RuntimeError("replication 5 failed")
+            return real(n, d, rep_stream)
+        monkeypatch.setattr(stratify, "_lhs_normals", spy)
+        use_cores(monkeypatch, 4)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="replication 5 failed"):
+            self.lhs(self.rows, stream=stream)
+        assert threading.active_count() == before
+
+    def test_one_group_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(stratify, "ThreadPoolExecutor", no_pool)
+        use_cores(monkeypatch, 4)
+        threads = set()
+
+        def ev(z):
+            threads.add(threading.get_ident())
+            return self.rows(z)
+        self.lhs(ev, n_total=_CHUNK)
+        assert threads == {threading.get_ident()}
+
+    def test_helper_threads_see_one_blas_thread(self, monkeypatch):
+        assert_helpers_see_one_blas_thread(monkeypatch, self.lhs, self.rows)
 
 
 class TestLhsEstimator:

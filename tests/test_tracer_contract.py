@@ -5,12 +5,18 @@ metric when its target is gone or its hook no longer fits the call.  This
 test installs the tracer around one run of each benchmark workload at the
 tiny size and checks that no metric goes absent, so a rename in src/ fails
 here rather than only in the benchmark's own, slower test.
+
+The tracer assumes one thread, and the benchmark's traced test compares
+the layers' summed self time with the run's wall time, so the same runs
+must start no helper thread at the tiny size, whatever the core count.
 """
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
+from stratmc import stratify
 from stratmc.experiment import load_config, run_experiment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -28,7 +34,12 @@ WORK = {
 
 
 @pytest.mark.parametrize("workload", list(WORKLOADS))
-def test_tracer_targets_are_present(workload, tmp_path):
+def test_tracer_targets_are_present(workload, tmp_path, monkeypatch):
+    def no_pool(*args):
+        raise AssertionError("a tiny run started helper threads")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    monkeypatch.setattr(stratify, "ThreadPoolExecutor", no_pool)
     configs = []
     for i, text in enumerate(ini_texts(workload, seed=7, size="tiny")):
         ini = tmp_path / f"{i}.ini"
