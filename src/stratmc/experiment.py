@@ -324,16 +324,6 @@ def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
     return sets
 
 
-def _work(n_samples: int, dim: int, method: str, n_dirs: int = 0) -> float:
-    """Deterministic operation count standing in for wall time: driver
-    variates plus stratification transforms per draw."""
-    if method == "mc":
-        return float(n_samples) * dim
-    if method == "lhs":
-        return float(n_samples) * 2.0 * dim
-    return float(n_samples) * (dim + n_dirs)
-
-
 @_one_blas_thread()
 def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """Run every (payoff, method, allocation) cell plus the MC baseline.
@@ -351,38 +341,36 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     """
     directions = direction_sets(config)
     dim = config.params.dim
-
-    # LHS is rotated by the full LT matrix
-    rotation = (config.engines["lt"](dim).columns
-                if "lhs" in config.methods else None)
-
     specs = config.payoffs
     table_stream = RandomStream(config.seed).child(1)
     evaluator = payoff_evaluator(config.params, specs)
 
-    def cell_rows(method, alloc, rep, strata, n_dirs=0):
+    def cell_rows(method, alloc, rep, strata, ops):
+        """A cell's rows; ops is its operation count per draw."""
         n_used = np.broadcast_to(rep.n_samples, len(specs))
         return [ResultRow(
             method=method, alloc=alloc, payoff=spec.kind, strike=spec.strike,
             barrier=spec.barrier, price=float(rep.price[s]),
             variance=float(rep.variance[s]),
-            time_ratio=_work(int(n_used[s]), dim, method, n_dirs) / mc_work,
+            time_ratio=float(n_used[s]) * ops / (float(mc.n_samples) * dim),
             n_samples=int(n_used[s]), strata=strata, seed=config.seed,
             wall_seconds=rep.wall_time / len(specs))
             for s, spec in enumerate(specs)]
 
     mc = plain_mc_estimate(evaluator, dim, config.n_samples,
                            table_stream.child(0))
-    mc_work = _work(mc.n_samples, dim, "mc")
-    cells = [cell_rows("mc", "-", mc, 1)]
+    cells = [cell_rows("mc", "-", mc, 1, dim)]
     for method in config.methods:
         if method == "mc":
             continue
         cell_base = table_stream.child(2 + 2 * list(METHODS).index(method))
         if method == "lhs":
-            rep = lhs_estimate(evaluator, rotation, config.n_samples,
-                               config.lhs_replications, cell_base)
-            cells.append(cell_rows("lhs", "-", rep, 1))
+            # rotated by the full LT matrix: d normals and d rotated
+            # coordinates per draw
+            rep = lhs_estimate(evaluator, config.engines["lt"](dim).columns,
+                               config.n_samples, config.lhs_replications,
+                               cell_base)
+            cells.append(cell_rows("lhs", "-", rep, 1, 2 * dim))
             continue
         dirs, strat_spec = directions[method], config.grids[method]
         for alloc in config.allocs:
@@ -390,7 +378,7 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
                 evaluator, dirs, strat_spec, config.n_samples,
                 cell_base.child(ALLOCS.index(alloc)), allocation=alloc)
             cells.append(cell_rows(method, alloc, rep, strat_spec.total,
-                                   dirs.count))
+                                   dim + dirs.count))
     # one block of rows per contract, in the table's contract order
     return [cell[s] for s in range(len(specs)) for cell in cells]
 

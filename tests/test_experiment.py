@@ -83,11 +83,20 @@ class TestRunExperiment:
         assert row.n_samples == 4000
 
     def test_time_ratios_are_operation_counts(self):
-        rows = run_experiment(small_bs_config(methods=["lhs", "la"]))
+        # per draw: d variates for mc, 2d for lhs and d + d' for a cell
+        # with d' directions, over the mc row's n_samples * d
+        config = small_bs_config(methods=["lhs", "la", "two-dir-la"])
+        rows = run_experiment(config)
+        d, n = config.params.dim, config.n_samples
         ratio = {r.method: r.time_ratio for r in rows}
         assert ratio["mc"] == 1.0
         assert ratio["lhs"] == 2.0
-        assert ratio["la"] == pytest.approx(65.0 / 64.0)
+        directions = {"la": 1, "two-dir-la": 2}
+        assert [(r.method, r.alloc) for r in rows[2:]] == \
+            [("la", "opt"), ("two-dir-la", "opt")]
+        for row in rows[2:]:
+            assert row.time_ratio == \
+                row.n_samples * (d + directions[row.method]) / (n * d)
 
     def test_same_seed_same_bytes(self):
         config = small_bs_config(methods=["la", "lhs"])
@@ -262,6 +271,15 @@ class TestOneBlasThread:
             inside = self.counts(libraries)
         assert inside == [1] * len(libraries)
         assert self.counts(libraries) == held
+
+    def test_no_maps_file_finds_no_library(self, monkeypatch):
+        # the scan returns a tuple in every case, so that the one cached
+        # result is immutable
+        def missing(*args, **kwargs):
+            raise OSError("no maps file")
+        monkeypatch.setattr(stratify, "open", missing, raising=False)
+        found = stratify._openblas_threads.__wrapped__()
+        assert found == () and type(found) is tuple
 
     def test_bytes_do_not_depend_on_the_hold(self, monkeypatch):
         config = small_bs_config(methods=["lhs", "la", "la+pca"],

@@ -603,6 +603,28 @@ class TestEstimators:
         np.testing.assert_array_equal(rep.stratum_counts, [plan.n])
         assert rep.variance == pytest.approx(rep.est_variance * 400)
 
+    def test_mc_draws_blocks_in_sequence(self, monkeypatch):
+        # plain MC evaluates at most _MC_CHUNK draws per call, each block
+        # drawn after the last from its one stream, and reduces the blocks
+        # as one sample
+        monkeypatch.setattr(stratify, "_MC_CHUNK", 1_000)
+        ev = lambda z: np.stack([np.exp(z[:, 0]), np.maximum(z.sum(axis=1), 0.0)])
+        sizes = []
+
+        def spy(z):
+            sizes.append(z.shape[0])
+            return ev(z)
+        rep = plain_mc_estimate(spy, 3, 2_500, RandomStream(86))
+        assert sizes == [1_000, 1_000, 500]
+        stream = RandomStream(86)
+        vals = np.concatenate([ev(stream.normal((3, n)).T)
+                               for n in (1_000, 1_000, 500)], axis=1)
+        var = vals.var(ddof=1, axis=1)
+        np.testing.assert_array_equal(rep.price, vals.mean(axis=1))
+        np.testing.assert_array_equal(rep.variance, var)
+        np.testing.assert_array_equal(rep.est_variance, var / 2_500)
+        assert rep.n_samples == 2_500
+
 
 class TestSharedRows:
     """An evaluator with S rows, f(z) -> (S, n), prices S contracts from
@@ -860,6 +882,36 @@ class TestChunkThreads:
 
     def test_helper_threads_see_one_blas_thread(self, monkeypatch):
         assert_helpers_see_one_blas_thread(monkeypatch, self.stage, self.rows)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("n", [2, 5, 13])
+    def test_threads_take_chunk_after_chunk(self, monkeypatch, n, cores):
+        # up to six chunks a thread: each thread keeps taking the next
+        # chunk from the shared iterator, every chunk runs once, and each
+        # result lands at its own index
+        workers = []
+        real_pool = stratify.ThreadPoolExecutor
+
+        def pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers)
+        monkeypatch.setattr(stratify, "ThreadPoolExecutor", pool)
+        calls = []
+
+        def f(c):
+            calls.append(c)
+            return [c, sum(range(1_000 * (c + 1)))]
+        expected = [[c, sum(range(1_000 * (c + 1)))] for c in range(n)]
+        use_cores(monkeypatch, cores)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            got = stratify._map_chunks(f, n)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+        assert sorted(calls) == list(range(n))
+        assert workers == [min(n, cores) - 1]
 
 
 class TestLhsThreads:
