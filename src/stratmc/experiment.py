@@ -19,7 +19,9 @@ import dataclasses
 import io
 import json
 import math
+import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -335,9 +337,10 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     never depend on which cells are selected.  A contract's mc, lhs and
     const rows depend on its own contract only; an opt row also depends on
     the table's strike list, because the main stage draws one pool sized by
-    every contract's allocation.  A cell charges each of its rows an equal
-    share of its wall time.  Deterministic for a fixed seed.  Every loaded
-    OpenBLAS is held at one thread while the table runs.
+    every contract's allocation.  The table times each cell around its
+    estimator call only, not the direction builds or the LHS rotation, and
+    charges each of its rows an equal share.  Deterministic for a fixed
+    seed.  Every loaded OpenBLAS is held at one thread while the table runs.
     """
     directions = direction_sets(config)
     dim = config.params.dim
@@ -345,21 +348,25 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
     table_stream = RandomStream(config.seed).child(1)
     evaluator = payoff_evaluator(config.params, specs)
 
-    def cell_rows(method, alloc, rep, strata, ops):
-        """A cell's rows; ops is its operation count per draw."""
+    def cell_rows(method, alloc, strata, ops, estimate):
+        """A cell's rows from one timed call of estimate(), its estimator
+        with every argument bound; ops is its operation count per draw."""
+        t0 = time.perf_counter()
+        rep = estimate()
+        wall = (time.perf_counter() - t0) / len(specs)
         n_used = np.broadcast_to(rep.n_samples, len(specs))
         return [ResultRow(
             method=method, alloc=alloc, payoff=spec.kind, strike=spec.strike,
             barrier=spec.barrier, price=float(rep.price[s]),
             variance=float(rep.variance[s]),
-            time_ratio=float(n_used[s]) * ops / (float(mc.n_samples) * dim),
+            time_ratio=float(n_used[s]) * ops / (config.n_samples * dim),
             n_samples=int(n_used[s]), strata=strata, seed=config.seed,
-            wall_seconds=rep.wall_time / len(specs))
+            wall_seconds=wall)
             for s, spec in enumerate(specs)]
 
-    mc = plain_mc_estimate(evaluator, dim, config.n_samples,
-                           table_stream.child(0))
-    cells = [cell_rows("mc", "-", mc, 1, dim)]
+    cells = [cell_rows("mc", "-", 1, dim, partial(
+        plain_mc_estimate, evaluator, dim, config.n_samples,
+        table_stream.child(0)))]
     for method in config.methods:
         if method == "mc":
             continue
@@ -367,18 +374,17 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         if method == "lhs":
             # rotated by the full LT matrix: d normals and d rotated
             # coordinates per draw
-            rep = lhs_estimate(evaluator, config.engines["lt"](dim).columns,
-                               config.n_samples, config.lhs_replications,
-                               cell_base)
-            cells.append(cell_rows("lhs", "-", rep, 1, 2 * dim))
+            cells.append(cell_rows("lhs", "-", 1, 2 * dim, partial(
+                lhs_estimate, evaluator, config.engines["lt"](dim).columns,
+                config.n_samples, config.lhs_replications, cell_base)))
             continue
         dirs, strat_spec = directions[method], config.grids[method]
         for alloc in config.allocs:
-            rep = two_stage_estimate(
-                evaluator, dirs, strat_spec, config.n_samples,
-                cell_base.child(ALLOCS.index(alloc)), allocation=alloc)
-            cells.append(cell_rows(method, alloc, rep, strat_spec.total,
-                                   dim + dirs.count))
+            cells.append(cell_rows(
+                method, alloc, strat_spec.total, dim + dirs.count,
+                partial(two_stage_estimate, evaluator, dirs, strat_spec,
+                        config.n_samples, cell_base.child(ALLOCS.index(alloc)),
+                        allocation=alloc)))
     # one block of rows per contract, in the table's contract order
     return [cell[s] for s in range(len(specs)) for cell in cells]
 

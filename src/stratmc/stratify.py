@@ -17,7 +17,6 @@ import contextlib
 import ctypes
 import functools
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -169,13 +168,13 @@ class EstimateReport:
     directly comparable with a plain-MC sample variance; `est_variance` is
     the variance of the estimator itself.  n_samples counts the draws in
     the estimate: an int shared by every row for one stage or a baseline,
-    one count per row from two_stage_estimate.
+    one count per row from two_stage_estimate.  The report holds statistics
+    only: run_experiment times each cell around its estimator call.
     """
 
     price: np.ndarray
     variance: np.ndarray
     est_variance: np.ndarray
-    wall_time: float
     n_samples: int | np.ndarray
     n_strata: int
     stratum_means: np.ndarray | None = None
@@ -423,7 +422,6 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     must be safe to call from several threads at once; the payoff
     evaluators are.
     """
-    t0 = time.perf_counter()
     n_strata = spec.total
     n = np.atleast_2d(counts)
     if n.shape[1] != n_strata:
@@ -474,7 +472,6 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         price=price,
         variance=est_var * row_counts.sum(axis=1),
         est_variance=est_var,
-        wall_time=time.perf_counter() - t0,
         n_samples=int(row_counts.max(axis=0).sum()),
         n_strata=n_strata,
         stratum_means=means,
@@ -512,7 +509,6 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     n_samples holds one count per row, shape (S,): the draws that enter the
     row's estimate, the pilot's included.
     """
-    t0 = time.perf_counter()
     n_strata = spec.total
     if allocation not in _STAGES:
         raise ValueError(f"unknown allocation rule: {allocation!r}")
@@ -543,22 +539,19 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         n_used = pilot.n_samples + report.stratum_counts.sum(axis=1)
     report.n_samples = n_used
     report.variance = report.est_variance * n_used
-    report.wall_time = time.perf_counter() - t0
     return report
 
 
-def _replicated_report(values: np.ndarray, size: int,
-                       t0: float) -> EstimateReport:
+def _replicated_report(values: np.ndarray, size: int) -> EstimateReport:
     """Report of R iid values per row, shape (S, R), each the mean of `size`
     draws: the price is their mean, `variance` their sample variance times
     `size` (single-draw units) and `est_variance` that variance over R.
-    Plain MC is the case size = 1; t0 is the estimator's start time."""
+    Plain MC is the case size = 1."""
     var = values.var(ddof=1, axis=1)
     return EstimateReport(
         price=values.mean(axis=1),
         variance=var * size,
         est_variance=var / values.shape[1],
-        wall_time=time.perf_counter() - t0,
         n_samples=size * values.shape[1],
         n_strata=1,
     )
@@ -567,13 +560,12 @@ def _replicated_report(values: np.ndarray, size: int,
 def plain_mc_estimate(evaluator, dim: int, n_total: int,
                       stream: RandomStream) -> EstimateReport:
     """Plain Monte Carlo baseline; variance is the single-draw sample variance."""
-    t0 = time.perf_counter()
     if n_total < 2:
         raise ValueError("need at least two draws")
     vals = np.concatenate([
         evaluator(stream.normal((dim, min(_MC_CHUNK, n_total - done))).T)
         for done in range(0, n_total, _MC_CHUNK)], axis=-1).reshape(-1, n_total)
-    return _replicated_report(vals, 1, t0)
+    return _replicated_report(vals, 1)
 
 
 def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
@@ -588,7 +580,6 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     (see _map_chunks), so the evaluator must be safe to call from several
     threads at once; a budget of one group starts no thread.
     """
-    t0 = time.perf_counter()
     rotation = np.asarray(rotation, dtype=float)
     d = rotation.shape[0]
     if rotation.shape != (d, d) or \
@@ -612,4 +603,4 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     # one row of replication means per evaluator row
     parts = _map_chunks(chunk, -(-replications // group))
     means = np.stack([m for part in parts for m in part], axis=1)
-    return _replicated_report(means, n_rep, t0)
+    return _replicated_report(means, n_rep)

@@ -208,6 +208,29 @@ class TestSharedDraws:
         for cell in zip(*(self.rows_of(rows, k, True) for k in (45, 50, 55))):
             assert len({r.wall_seconds for r in cell}) == 1
 
+    def test_cell_time_spans_the_estimator_call_only(self, monkeypatch):
+        # an la cell's time takes in its estimator's sleep; the lhs cell's
+        # leaves out the sleep of the LT rotation built for it
+        real = experiment.two_stage_estimate
+
+        def slow_estimate(*args, **kwargs):
+            time.sleep(0.1)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(experiment, "two_stage_estimate", slow_estimate)
+        config = strikes_config([45, 50], methods=["lhs", "la"],
+                                allocs=["const"])
+        lt = config.engines["lt"]
+
+        def slow_lt(count):
+            time.sleep(0.2)
+            return lt(count)
+        monkeypatch.setitem(config.engines, "lt", slow_lt)
+        rows = run_experiment(config)
+        spent = lambda method: sum(r.wall_seconds for r in rows
+                                   if r.method == method)
+        assert spent("la") >= 0.1
+        assert spent("lhs") < 0.2
+
 
 class TestOneBlasThread:
     """run_experiment holds every loaded OpenBLAS at one thread while a
@@ -353,6 +376,10 @@ class TestValidation:
         with pytest.raises(ConfigInvalid):
             small_cir_config(methods=["pca"])
 
+    def test_params_must_be_a_model(self):
+        with pytest.raises(ConfigInvalid, match="BsParams or CirParams"):
+            small_bs_config(params={"s0": 50.0})
+
     def test_budget_must_cover_strata(self):
         with pytest.raises(ConfigInvalid):
             small_bs_config(strata=100, n_samples=150)
@@ -444,6 +471,11 @@ class TestTables:
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError):
             format_rows([])
+
+    def test_unknown_format_rejected(self):
+        rows = run_experiment(small_bs_config(methods=[]))
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            format_rows(rows, "xml")
 
 
 def load_text(text: str) -> ExperimentConfig:
@@ -827,6 +859,22 @@ class TestCli:
         text = capsys.readouterr().out
         assert "price" in text
         assert "std error" in text
+
+    def test_price_command_writes_mc_and_cell(self, tmp_path):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI)
+        out = tmp_path / "cell.json"
+        assert main(["price", "--config", str(ini), "--out", str(out),
+                     "--format", "json"]) == 0
+        records = json.loads(out.read_text())
+        assert [(r["method"], r["alloc"], r["strike"]) for r in records] == \
+            [("mc", "-", 45.0), ("la", "opt", 45.0)]
+
+    def test_directions_needs_a_direction_method(self, tmp_path, capsys):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI.replace("mc, la", "mc, lhs"))
+        assert main(["directions", "--config", str(ini)]) == 2
+        assert "no direction-based method" in capsys.readouterr().err
 
     def test_directions_command(self, tmp_path, capsys):
         ini = tmp_path / "exp.ini"

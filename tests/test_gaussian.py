@@ -126,6 +126,10 @@ class TestStratumUniform:
 
 
 class TestLhsNormals:
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            lhs_normals(0, 3, RandomStream(9))
+
     def test_one_sample_per_cell_exact(self):
         n, d = 128, 5
         x = lhs_normals(n, d, RandomStream(9))

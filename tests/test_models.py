@@ -225,6 +225,11 @@ class TestCir:
         z[8, p.n_steps // 2] = np.nan
         return z
 
+    def test_driver_length_must_equal_steps(self):
+        p = self.params(n_steps=8)
+        with pytest.raises(ValueError, match="driver length"):
+            cir_euler_path(np.zeros((3, 7)), p)
+
     def test_kernel_matches_scalar_reference(self):
         p = self.kernel_params()
         z = self.kernel_draws(p)

@@ -11,6 +11,7 @@ Oracles:
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from stratmc import (
+    AllocationPlan,
     DirectionSet,
     RandomStream,
     StratMcError,
@@ -336,6 +338,10 @@ class TestSampleStrataProperties:
 
 
 class TestAllocation:
+    def test_plan_fractions_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            AllocationPlan(q=np.array([0.5, 0.4]), n=np.array([5, 4]))
+
     def test_optimal_textbook_split(self):
         plan = optimal_allocation([0.5, 0.5], [1.0, 3.0], 400)
         np.testing.assert_array_equal(plan.n, [100, 300])
@@ -912,6 +918,25 @@ class TestChunkThreads:
         assert got == expected
         assert sorted(calls) == list(range(n))
         assert workers == [min(n, cores) - 1]
+
+    def test_error_leaves_the_other_chunks_untaken(self, monkeypatch):
+        # chunk 0 fails while the other thread is in its chunk: the failing
+        # thread drains the shared iterator, so no thread takes a third
+        calls = []
+
+        def f(c):
+            calls.append(c)
+            if c == 0:
+                time.sleep(0.05)
+                raise RuntimeError("chunk 0 failed")
+            time.sleep(0.2)
+            return c
+        use_cores(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 0 failed"):
+            stratify._map_chunks(f, 20)
+        assert 0 in calls and len(calls) <= 2
+        assert threading.active_count() == before
 
 
 class TestLhsThreads:
