@@ -3,18 +3,19 @@
 PCA (leading covariance eigenvectors), Linear Approximation (normalized
 payoff gradient at the zero-noise point) and Linear Transformation
 (rotation built column by column from the payoff gradient at leading-ones
-points) for the BS and CIR models, plus the pilot-sample PCA-like
-direction for CIR.  LA and LT read one driver-space gradient per model:
-bs_gradient for BS, and for CIR cir_gradient, one backward pass over the
-Euler path (Imai and Tan's first-order expansion of the Euler map, in O(N)
-memory).  engines(params) is the table of the engines each model has.
+points) for the BS and CIR models.  PCA reads the model's path covariance,
+exact for BS and estimated from a pilot sample for CIR.  LA and LT read
+one driver-space gradient per model: bs_gradient for BS, and for CIR
+cir_gradient, one backward pass over the Euler path (Imai and Tan's
+first-order expansion of the Euler map, in O(N) memory).  engines(params)
+is the table of the engines each model has.
 
 Conventions shared by every engine: returned directions are unit vectors
 with the largest-magnitude component positive (normalize_sign), and
 multi-direction sets are reported as DirectionSet columns.  The PCA
-direction is the covariance eigenvector itself, from one np.linalg.eigh,
-used directly as a direction in the iid driver space.  angle_degrees
-compares two directions up to sign.
+direction is the covariance eigenvector itself, from the one eigen solve
+(pca_directions), used directly as a direction in the iid driver space.
+angle_degrees compares two directions up to sign.
 """
 from __future__ import annotations
 
@@ -31,13 +32,13 @@ __all__ = [
     "bs_gradient",
     "la_directions_multi",
     "cir_gradient",
-    "pilot_pca_cir",
+    "pilot_covariance",
     "export_directions",
     "normalize_sign",
     "angle_degrees",
 ]
 
-# paths in the pilot sample of pilot_pca_cir
+# paths in the pilot sample of pilot_covariance
 _PILOT_N = 2000
 
 
@@ -66,14 +67,17 @@ def angle_degrees(u, v) -> float:
 
 def pca_directions(sigma: np.ndarray, m: int) -> DirectionSet:
     """The top-m eigenvectors of the symmetric covariance sigma, leading
-    first, each sign-fixed."""
+    first, each sign-fixed; StratMcError when the largest eigenvalue is not
+    positive (a check without scale, as eigenvectors have none)."""
     dim = len(sigma)
     if not 1 <= m <= dim:
         raise ValueError(f"column count must lie in 1..{dim}")
     try:
-        _, v = np.linalg.eigh(sigma)
+        w, v = np.linalg.eigh(sigma)
     except np.linalg.LinAlgError as exc:
         raise StratMcError(str(exc)) from exc
+    if not w[-1] > 0.0:
+        raise StratMcError("covariance carries no variance")
     # eigh returns the eigenvalues ascending
     return DirectionSet(np.column_stack(
         [normalize_sign(c) for c in v[:, ::-1][:, :m].T]))
@@ -168,30 +172,22 @@ def cir_gradient(params: CirParams, z: np.ndarray) -> np.ndarray:
     return params.sigma * np.sqrt(dt * s[:n]) * u
 
 
-def pilot_pca_cir(params: CirParams, stream: RandomStream) -> np.ndarray:
-    """Leading eigenvector of the price-path covariance of _PILOT_N pilot
-    paths.
-
-    The eigenvector is returned (normalized, sign-fixed) as the direction
-    for stratifying the driving noise directly.
-    """
+def pilot_covariance(params: CirParams, stream: RandomStream) -> np.ndarray:
+    """The (N, N) sample covariance of _PILOT_N Euler price paths driven by
+    stream."""
     z = stream.normal((_PILOT_N, params.n_steps))
     paths = cir_euler_path(z, params).values[:, 0, :]
     # np.cov of a single column (one step) is 0-d
-    cov = np.atleast_2d(np.cov(paths, rowvar=False))
-    w, v = np.linalg.eigh(cov)
-    if not w[-1] > 1e-12 * max(1.0, abs(float(np.trace(cov)))):
-        raise StratMcError("pilot paths carry no variance")
-    return normalize_sign(v[:, -1] / np.linalg.norm(v[:, -1]))
+    return np.atleast_2d(np.cov(paths, rowvar=False))
 
 
 def engines(params: BsParams | CirParams,
             stream: RandomStream | None = None) -> dict:
     """The model's direction engines, each mapping a count k to a
     DirectionSet of k directions: la, lt and pca for BsParams; la, lt and
-    pilot-pca for CirParams.  pilot-pca draws its pilot sample from
-    stream.child(1), so it needs a stream, and gives one direction whatever
-    k is.
+    pilot-pca for CirParams.  pca and pilot-pca are pca_directions of
+    path_covariance and of pilot_covariance of stream.child(1), so
+    pilot-pca needs a stream.
 
     la and lt read the model's driver-space payoff gradient.  LT (Imai and
     Tan's construction) gives orthonormal columns: column p maximizes the
@@ -208,20 +204,20 @@ def engines(params: BsParams | CirParams,
     if isinstance(params, BsParams):
         gradient = lambda eps: bs_gradient(params, eps)
         lt_point = lambda cols: sum(cols, np.zeros(dim))
-        rest = {"pca": lambda k: pca_directions(path_covariance(params), k)}
+        pca, cov = "pca", lambda: path_covariance(params)
     else:
         gradient = lambda z: cir_gradient(params, z)
         lt_point = lambda cols: (np.arange(dim) <= len(cols)).astype(float)
 
-        def pilot_pca(k):
+        def cov():
             if stream is None:
                 raise ValueError("the pilot-pca engine needs a stream")
-            return DirectionSet(pilot_pca_cir(params, stream.child(1)))
-        rest = {"pilot-pca": pilot_pca}
+            return pilot_covariance(params, stream.child(1))
+        pca = "pilot-pca"
     return {
         "la": lambda k: la_directions_multi(gradient, dim, k),
         "lt": lambda k: _lt_directions(gradient, lt_point, dim, k),
-        **rest,
+        pca: lambda k: pca_directions(cov(), k),
     }
 
 

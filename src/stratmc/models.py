@@ -88,7 +88,8 @@ class BsParams:
             raise ValueError(f"rho = {self.rho} must lie in "
                              f"({-1.0 / (m - 1):g}, 1) for {m} assets")
         if sigma.size != m:
-            raise ValueError("s0, sigma and corr sizes disagree")
+            raise ValueError(f"sigma needs one value or one per asset ({m}), "
+                             f"got {sigma.size}")
         if np.any(s0 <= 0.0) or np.any(sigma <= 0.0):
             raise ValueError("s0 and sigma must be positive")
         if not self.maturity > 0.0:

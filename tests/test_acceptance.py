@@ -7,6 +7,8 @@ including one printed value our direction engines reproducibly disagree
 with; that check is kept at the published tolerance rather than widened,
 so it fails until the discrepancy is resolved.
 """
+import subprocess
+
 import pytest
 
 from stratmc import acceptance, stratify
@@ -39,3 +41,26 @@ def test_determinism_config_runs_threaded_paths(tmp_path, monkeypatch):
     ini.write_text(acceptance._DETERMINISM_INI, encoding="utf-8")
     run_experiment(load_config(str(ini)))
     assert spans["stratified_estimate"] >= 2 and spans["lhs_estimate"] >= 2, spans
+
+
+def test_criterion_over_budget_fails():
+    ok, detail = acceptance.Criterion(99, "slow", 0.0,
+                                      lambda: (True, "done")).run()
+    assert not ok
+    assert "exceeded 0s budget" in detail
+
+
+@pytest.mark.parametrize("returncode, stdout, message", [
+    (1, "", "stratmc experiment exited 1"),
+    (0, "method,price\n", "csv differs across runs"),
+])
+def test_criterion_9_fails(monkeypatch, returncode, stdout, message):
+    # every fresh process is replaced by one that exits 1, or by one that
+    # prints a table other than the in-process runs'
+    monkeypatch.setattr(
+        acceptance.subprocess, "run",
+        lambda args, **kwargs: subprocess.CompletedProcess(
+            args, returncode, stdout=stdout, stderr=""))
+    ok, detail = acceptance._criterion_9()
+    assert not ok
+    assert message in detail

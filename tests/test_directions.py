@@ -29,7 +29,7 @@ from stratmc import (
     la_directions_multi,
     path_covariance,
     pca_directions,
-    pilot_pca_cir,
+    pilot_covariance,
 )
 from stratmc.models import (
     BsParams,
@@ -67,9 +67,30 @@ class TestPca:
         assert np.all(v1 > 0)
         assert np.all(np.diff(v1) > 0)
 
+    def test_direction_does_not_depend_on_scale(self):
+        # a 1e-7 volatility makes the covariance 1e-14 times smaller, not
+        # degenerate
+        t = np.arange(1, 9) / 8
+        sigma = np.minimum.outer(t, t)
+        np.testing.assert_allclose(pca_directions(1e-14 * sigma, 3).columns,
+                                   pca_directions(sigma, 3).columns,
+                                   rtol=0, atol=1e-12)
+        p = BsParams(s0=[50.0], sigma=[1e-7], steps=8)
+        np.testing.assert_allclose(engines(p)["pca"](1).columns,
+                                   pca_directions(sigma, 1).columns,
+                                   rtol=0, atol=1e-12)
+
     def test_too_many_directions(self):
         with pytest.raises(ValueError):
             pca_directions(np.eye(3), 4)
+
+    # eigh raises LinAlgError ("Eigenvalues did not converge") on nan
+    @pytest.mark.parametrize("fill, message", [
+        (np.nan, "did not converge"), (0.0, "covariance carries no variance")],
+        ids=["nan", "zero"])
+    def test_unusable_covariance(self, fill, message):
+        with pytest.raises(StratMcError, match=message):
+            pca_directions(np.full((3, 3), fill), 1)
 
 
 class TestLaBs:
@@ -106,6 +127,16 @@ class TestMultiLa:
         grad = lambda point: np.array([1.0, 2.0, 0.0])
         with pytest.raises(StratMcError, match="dependent on its predecessors"):
             la_directions_multi(grad, 3, 2)
+
+    # a zero gradient at the origin, and a nan one at the second point,
+    # the first direction
+    @pytest.mark.parametrize("gradient, count", [
+        (lambda point: np.zeros(3), 1),
+        (lambda point: np.full(3, np.nan if point.any() else 1.0), 2)],
+        ids=["zero", "nan-at-second-point"])
+    def test_gradient_vanishes(self, gradient, count):
+        with pytest.raises(StratMcError, match="gradient vanished"):
+            la_directions_multi(gradient, 3, count)
 
     def test_two_directions_bs(self):
         p = bs_asian_params()
@@ -233,6 +264,13 @@ class TestCirWorkspace:
         with pytest.raises(StratMcError, match="induced path went negative"):
             cir_gradient(p, np.full(64, -15.0))
 
+    def test_path_at_zero_raises(self):
+        # dt = 0.25: 1 - alpha dt = 0, alpha mu dt = 1 and sigma sqrt(dt) = 1,
+        # so S_1 = 0 + 1 + 1 * 1 * (-1) is exactly 0
+        p = CirParams(s0=1.0, alpha=4.0, mu=1.0, sigma=2.0, n_steps=4)
+        with pytest.raises(StratMcError, match="hit zero inside the horizon"):
+            cir_gradient(p, np.array([-1.0, 0.0, 0.0, 0.0]))
+
     def test_driver_length_checked(self):
         with pytest.raises(ValueError, match="driver must have length"):
             cir_gradient(cir_asian_params(), np.zeros(63))
@@ -289,26 +327,48 @@ class TestLaCir:
 class TestPilotPca:
     def test_deterministic_given_stream(self):
         p = cir_asian_params()
-        a = pilot_pca_cir(p, RandomStream(96).child(1))
-        b = pilot_pca_cir(p, RandomStream(96).child(1))
-        np.testing.assert_array_equal(a, b)
-        assert np.linalg.norm(a) == pytest.approx(1.0)
+        a = pca_directions(pilot_covariance(p, RandomStream(96).child(1)), 1)
+        b = pca_directions(pilot_covariance(p, RandomStream(96).child(1)), 1)
+        np.testing.assert_array_equal(a.columns, b.columns)
+        assert np.linalg.norm(a.columns) == pytest.approx(1.0)
 
     def test_angle_to_la_benchmark(self):
         p = cir_asian_params()
-        v = pilot_pca_cir(p, RandomStream(97))
-        ang = angle_degrees(v, la_of(p))
+        v = pca_directions(pilot_covariance(p, RandomStream(97)), 1)
+        ang = angle_degrees(v.columns[:, 0], la_of(p))
         assert ang == pytest.approx(43.7, abs=3.0)
+
+    @pytest.mark.parametrize("k", [1, 2, 64])
+    def test_engine_gives_k_directions(self, k):
+        # the engine is pca_directions of the pilot covariance of the
+        # stream's child 1
+        p = cir_asian_params()
+        ds = engines(p, RandomStream(96))["pilot-pca"](k)
+        expected = pca_directions(pilot_covariance(p, RandomStream(96).child(1)), k)
+        assert ds.columns.shape == (p.n_steps, k)
+        np.testing.assert_array_equal(ds.columns, expected.columns)
 
     def test_engine_needs_a_stream(self):
         with pytest.raises(ValueError, match="pilot-pca engine needs a stream"):
             engines(cir_asian_params())["pilot-pca"](1)
 
+    def test_small_variance_is_not_degenerate(self):
+        # at sigma = 1e-8 the pilot covariance is sigma^2 times the one at
+        # 1e-4, to about 7 digits, so its leading direction is the same
+        def leading(sigma):
+            p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=sigma,
+                          rate=0.05, n_steps=16, maturity=1.0)
+            cov = pilot_covariance(p, RandomStream(98))
+            return pca_directions(cov, 1).columns[:, 0]
+        assert angle_degrees(leading(1e-8), leading(1e-4)) < 1e-3
+
     def test_degenerate_covariance(self):
-        p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=1e-8, rate=0.05,
+        # s0 = mu holds the drift at 0, and sigma sqrt(S dt) z ~ 1e-19 is
+        # below the spacing of doubles near 100: every path stays at 100
+        p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=1e-20, rate=0.05,
                       n_steps=16, maturity=1.0)
-        with pytest.raises(StratMcError, match="pilot paths carry no variance"):
-            pilot_pca_cir(p, RandomStream(98))
+        with pytest.raises(StratMcError, match="covariance carries no variance"):
+            pca_directions(pilot_covariance(p, RandomStream(98)), 1)
 
 
 def test_export_round_trip(tmp_path):

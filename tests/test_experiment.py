@@ -636,6 +636,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match=r"^model\.alpha is required$"):
             load_text(CIR_INI.replace("alpha = 1.5\n", ""))
 
+    def test_sigma_count_is_a_model_error(self):
+        # corr is derived from rho, so the message states the sigma rule
+        with pytest.raises(ConfigInvalid, match=re.escape(
+                "model: sigma needs one value or one per asset (2), got 3")):
+            load_text(MALFORMED["sigma-count"][0])
+
     def test_missing_sections(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[model]\nkind = bs\ns0 = 50\nsigma = 0.3\nsteps = 4\n")
@@ -783,6 +789,9 @@ MALFORMED = {
     "rho-numerically-singular": (
         BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 0.99999999999999"),
         "model: pivot at or below tolerance"),
+    "sigma-count": (BS_INI.replace("s0 = 50\nsigma = 0.3",
+                                   "s0 = 50 60\nsigma = 0.1 0.2 0.3"),
+                    "model: sigma needs one value or one per asset (2), got 3"),
     "sigma-numerically-singular": (BS_INI.replace("sigma = 0.3", "sigma = 1e-200"),
                                    "model: Matrix is not positive definite"),
     "opt-pilot-takes-the-budget": (

@@ -6,6 +6,7 @@ Euler recursion for its vectorized kernel, and the discounted-martingale
 property E[S(t)] = S0 e^{rt} checked statistically.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,11 @@ class TestBsModel:
     def test_needs_an_asset(self):
         with pytest.raises(ValueError, match="at least one value"):
             BsParams(s0=[], sigma=0.3, steps=2)
+
+    def test_sigma_count_must_match_assets(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "sigma needs one value or one per asset (2), got 3")):
+            BsParams(s0=[50.0, 60.0], sigma=[0.1, 0.2, 0.3], steps=4)
 
     def test_needs_a_date(self):
         with pytest.raises(ValueError, match="steps must be >= 1"):
