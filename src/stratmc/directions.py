@@ -173,12 +173,15 @@ def cir_gradient(params: CirParams, z: np.ndarray) -> np.ndarray:
 
 
 def pilot_covariance(params: CirParams, stream: RandomStream) -> np.ndarray:
-    """The (N, N) sample covariance of _PILOT_N Euler price paths driven by
-    stream."""
+    """The (N, N) sample covariance of _PILOT_N Euler price paths from stream;
+    StratMcError when their spread is not above 1e-12 of their price level."""
     z = stream.normal((_PILOT_N, params.n_steps))
     paths = cir_euler_path(z, params).values[:, 0, :]
     # np.cov of a single column (one step) is 0-d
-    return np.atleast_2d(np.cov(paths, rowvar=False))
+    cov = np.atleast_2d(np.cov(paths, rowvar=False))
+    if not np.trace(cov) > len(cov) * (1e-12 * np.abs(paths).max()) ** 2:
+        raise StratMcError("pilot paths carry no variance")
+    return cov
 
 
 def engines(params: BsParams | CirParams,

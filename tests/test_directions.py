@@ -367,8 +367,19 @@ class TestPilotPca:
         # below the spacing of doubles near 100: every path stays at 100
         p = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=1e-20, rate=0.05,
                       n_steps=16, maturity=1.0)
-        with pytest.raises(StratMcError, match="covariance carries no variance"):
-            pca_directions(pilot_covariance(p, RandomStream(98)), 1)
+        with pytest.raises(StratMcError, match="pilot paths carry no variance"):
+            pilot_covariance(p, RandomStream(98))
+
+    @pytest.mark.parametrize("sigma", [0.0, 1e-15], ids=["zero", "below-ulp"])
+    def test_rounding_noise_is_degenerate(self, sigma):
+        # s0 != mu gives paths at non-round values, so np.cov's mean is off
+        # by an ulp and the covariance is a tiny positive matrix of rounding
+        # error: identical paths at sigma = 0, and at 1e-15 a spread below
+        # the spacing of doubles near 100
+        p = CirParams(s0=100.0, alpha=1.5, mu=95.0, sigma=sigma, rate=0.05,
+                      n_steps=16, maturity=1.0)
+        with pytest.raises(StratMcError, match="pilot paths carry no variance"):
+            pilot_covariance(p, RandomStream(98))
 
 
 def test_export_round_trip(tmp_path):

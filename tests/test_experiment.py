@@ -982,6 +982,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == "error: expansion column vanished after projection\n"
 
+    def test_noiseless_pilot_pca_exit_code(self, tmp_path, capsys):
+        # sigma = 0 is a valid model, but its pilot covariance is rounding
+        # error and has no direction to give
+        ini = tmp_path / "exp.ini"
+        ini.write_text(CIR_INI.replace("sigma = 8", "sigma = 0")
+                       .replace("mu = 100", "mu = 95")
+                       .replace("mc, la", "mc, pilot-pca"))
+        assert main(["directions", "--config", str(ini)]) == 3
+        assert capsys.readouterr().err == "error: pilot paths carry no variance\n"
+
     def test_worthless_strike_prices_at_zero(self, tmp_path, capsys):
         # far out of the money every pilot stratum std of that row is zero;
         # its main stage takes n_min per stratum, and the other strikes of
