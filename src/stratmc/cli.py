@@ -105,7 +105,7 @@ def _cmd_price(args) -> int:
     print(f"price = {row.price:.6f}  (std error {se:.6f})")
     print(f"single-draw variance = {row.variance:.6g}   "
           f"n = {row.n_samples}   strata = {row.strata}")
-    if args.out:
+    if config.out:
         _write(rows, config)
     return 0
 

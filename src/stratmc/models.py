@@ -44,8 +44,8 @@ class BsParams:
     One spot and one volatility per asset (a single sigma serves every
     asset), a common correlation rho, `steps` equally spaced monitoring
     dates up to `maturity` and the uniform average.  A common rho gives a
-    positive-definite correlation exactly for -1/(m-1) < rho < 1 over m
-    assets.
+    positive-definite correlation exactly for -1/(m-1) < rho < 1 over
+    m >= 2 assets; one asset takes -1 < rho < 1.
 
     Derived on construction: corr (1 on the diagonal, rho elsewhere), the
     dates grid t_j = j T / steps and, over the flattened (asset, date)
@@ -84,9 +84,10 @@ class BsParams:
             raise ValueError("steps must be >= 1")
         sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         sigma = np.full(m, sigma[0]) if sigma.size == 1 else sigma
-        if m > 1 and not -1.0 / (m - 1) < self.rho < 1.0:
-            raise ValueError(f"rho = {self.rho} must lie in "
-                             f"({-1.0 / (m - 1):g}, 1) for {m} assets")
+        lo = -1.0 / max(m - 1, 1)  # -1 for one asset, whose corr is [1]
+        if not lo < self.rho < 1.0:
+            raise ValueError(f"rho = {self.rho} must lie in ({lo:g}, 1) for "
+                             f"{m} asset{'s' * (m > 1)}")
         if sigma.size != m:
             raise ValueError(f"sigma needs one value or one per asset ({m}), "
                              f"got {sigma.size}")

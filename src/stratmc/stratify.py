@@ -160,8 +160,8 @@ class EstimateReport:
 
     An evaluator prices S contracts from the same draws, f(z) -> (S, n), one
     row per contract; a 1-d f(z) -> (n,) is one row.  price, variance and
-    est_variance have shape (S,), and stratum_means, stratum_sigmas,
-    stratum_counts and stratum_empty have shape (S, K) over K strata.
+    est_variance have shape (S,), and the stratum_* arrays (S, K) over K
+    strata: K = 1 for plain MC and LHS, whose one stratum is never empty.
     `variance` is the single-draw-equivalent value n_used * Var(estimator),
     directly comparable with a plain-MC sample variance; `est_variance` is
     the variance of the estimator itself.  n_samples counts the draws in
@@ -175,10 +175,10 @@ class EstimateReport:
     est_variance: np.ndarray
     n_samples: int | np.ndarray
     n_strata: int
-    stratum_means: np.ndarray | None = None
-    stratum_sigmas: np.ndarray | None = None
-    stratum_counts: np.ndarray | None = None
-    stratum_empty: np.ndarray | None = field(default=None, repr=False)
+    stratum_means: np.ndarray
+    stratum_sigmas: np.ndarray
+    stratum_counts: np.ndarray
+    stratum_empty: np.ndarray = field(repr=False)
 
 
 # --- sampler ------------------------------------------------------------------
@@ -451,10 +451,20 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     first_bad = np.full(n_strata, strata.size)
     np.minimum.at(first_bad, strata[unreachable], rank[unreachable])
     empty = np.broadcast_to(first_bad < n, (rows.shape[0], n_strata))
-    row_counts = np.where(empty, 0, n)
-    means, sigmas = np.empty((2,) + row_counts.shape)
+    report = _stratum_report(rows, strata, rank, np.where(empty, 0, n))
+    report.stratum_empty = empty
+    return report
+
+
+def _stratum_report(rows: np.ndarray, strata: np.ndarray, rank: np.ndarray,
+                    counts: np.ndarray, size: int = 1) -> EstimateReport:
+    """Every estimator's report on rows (S, n) of values, each the mean of
+    `size` draws: row s uses value i, in stratum strata[i] at rank[i], when
+    rank[i] < counts[s, strata[i]].  stratum_empty is all False."""
+    n_strata = counts.shape[1]
+    means, sigmas = np.empty((2,) + counts.shape)
     price, est_var = np.empty((2, rows.shape[0]))
-    for s, (row, c) in enumerate(zip(rows, row_counts)):
+    for s, (row, c) in enumerate(zip(rows, counts)):
         keep = rank < c[strata]
         st, v = strata[keep], row[keep]
         # two passes: means first, then squared deviations from them, so
@@ -468,14 +478,14 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 
     return EstimateReport(
         price=price,
-        variance=est_var * row_counts.sum(axis=1),
+        variance=est_var * counts.sum(axis=1) * size,
         est_variance=est_var,
-        n_samples=int(row_counts.max(axis=0).sum()),
+        n_samples=int(counts.max(axis=0).sum()) * size,
         n_strata=n_strata,
         stratum_means=means,
         stratum_sigmas=sigmas,
-        stratum_counts=row_counts,
-        stratum_empty=empty,
+        stratum_counts=counts,
+        stratum_empty=np.zeros(counts.shape, dtype=bool),
     )
 
 
@@ -540,30 +550,16 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     return report
 
 
-def _replicated_report(values: np.ndarray, size: int) -> EstimateReport:
-    """Report of R iid values per row, shape (S, R), each the mean of `size`
-    draws: the price is their mean, `variance` their sample variance times
-    `size` (single-draw units) and `est_variance` that variance over R.
-    Plain MC is the case size = 1."""
-    var = values.var(ddof=1, axis=1)
-    return EstimateReport(
-        price=values.mean(axis=1),
-        variance=var * size,
-        est_variance=var / values.shape[1],
-        n_samples=size * values.shape[1],
-        n_strata=1,
-    )
-
-
 def plain_mc_estimate(evaluator, dim: int, n_total: int,
                       stream: RandomStream) -> EstimateReport:
-    """Plain Monte Carlo baseline; variance is the single-draw sample variance."""
+    """Plain Monte Carlo baseline: n_total draws reduced as one stratum."""
     if n_total < 2:
         raise ValueError("need at least two draws")
     vals = np.concatenate([
         evaluator(stream.normal((dim, min(_MC_CHUNK, n_total - done))).T)
         for done in range(0, n_total, _MC_CHUNK)], axis=-1).reshape(-1, n_total)
-    return _replicated_report(vals, 1)
+    one = np.zeros(n_total, dtype=np.intp)
+    return _stratum_report(vals, one, one, np.full((len(vals), 1), n_total))
 
 
 def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
@@ -571,9 +567,9 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     """Latin Hypercube estimator on rotated coordinates.
 
     Each replication evaluates the payoff on rotation @ L^T for an
-    independent LHS matrix L from stream.child(r); the price is the grand
-    mean and the variance is estimated across replication means, reported
-    in single-draw units (var of means times the per-replication size).
+    independent LHS matrix L from stream.child(r); the replication means,
+    each of n_rep draws, are reduced as one stratum, so `variance` is their
+    sample variance times n_rep (single-draw units).
     Groups of ceil(_CHUNK / n_rep) replications run on every usable core
     (see _map_chunks), so the evaluator must be safe to call from several
     threads at once; a budget of one group starts no thread.
@@ -601,4 +597,6 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     # one row of replication means per evaluator row
     parts = _map_chunks(chunk, -(-replications // group))
     means = np.stack([m for part in parts for m in part], axis=1)
-    return _replicated_report(means, n_rep)
+    one = np.zeros(replications, dtype=np.intp)
+    return _stratum_report(means, one, one,
+                           np.full((len(means), 1), replications), n_rep)

@@ -22,13 +22,16 @@ from stratmc.experiment import _MODELS, _PAYOFF_KEYS, _SETTINGS
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
-# tables recorded with `stratmc experiment --config demos/configs/<name>.ini
-# --seed 42`; a change that moves their bytes must say why
+# tables recorded by RECORD_TABLE; a change that moves their bytes says why
 GOLDEN = ("basket", "bs_asian", "bs_barrier", "cir_asian")
-# direction columns recorded with `stratmc directions --config
-# demos/configs/<name>.ini --seed 42 --out directions_<name>.txt`; a diff
-# names the engine that moved
+RECORD_TABLE = ("PYTHONPATH=src python -m stratmc.cli experiment --config "
+                "demos/configs/{name}.ini --seed 42 --out tests/data/{name}.csv")
+# direction columns recorded by RECORD_DIRECTIONS; a diff names the engine
+# that moved
 DIRECTION_GOLDEN = ("basket", "bs_asian", "cir_asian")
+RECORD_DIRECTIONS = ("PYTHONPATH=src python -m stratmc.cli directions --config "
+                     "demos/configs/{name}.ini --seed 42 "
+                     "--out tests/data/directions_{name}.txt")
 
 
 def run(*args):
@@ -90,7 +93,8 @@ def test_demo_config_reproduces_its_table(name):
                f"demos/configs/{name}.ini", "--seed", "42")
     assert proc.returncode == 0, proc.stderr
     want = (ROOT / "tests" / "data" / f"{name}.csv").read_text(encoding="utf-8")
-    assert proc.stdout == want, what_moved(proc.stdout, want)
+    assert proc.stdout == want, (f"{what_moved(proc.stdout, want)}; re-record "
+                                 f"with `{RECORD_TABLE.format(name=name)}`")
 
 
 @pytest.mark.parametrize("name", DIRECTION_GOLDEN)
@@ -102,7 +106,8 @@ def test_demo_config_reproduces_its_directions(name, tmp_path):
     got = out.read_text(encoding="utf-8")
     want = (ROOT / "tests" / "data" / f"directions_{name}.txt").read_text(
         encoding="utf-8")
-    assert got == want, what_moved(got, want)
+    assert got == want, (f"{what_moved(got, want)}; re-record with "
+                         f"`{RECORD_DIRECTIONS.format(name=name)}`")
 
 
 def test_what_moved_names_the_largest_move():

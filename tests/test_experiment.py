@@ -636,6 +636,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigInvalid, match=r"^model\.alpha is required$"):
             load_text(CIR_INI.replace("alpha = 1.5\n", ""))
 
+    def test_one_asset_rho_is_a_model_error(self):
+        with pytest.raises(ConfigInvalid, match=re.escape(
+                "model: rho = 7.0 must lie in (-1, 1) for 1 asset")):
+            load_text(MALFORMED["rho-one-asset"][0])
+
     def test_sigma_count_is_a_model_error(self):
         # corr is derived from rho, so the message states the sigma rule
         with pytest.raises(ConfigInvalid, match=re.escape(
@@ -783,6 +788,8 @@ MALFORMED = {
                       "model.kind: unknown model 'heston'"),
     "rho-above-one": (BS_INI.replace("s0 = 50", "s0 = 50 60\nrho = 1.5"),
                       "model: rho = 1.5 must lie in (-1, 1) for 2 assets"),
+    "rho-one-asset": (BS_INI.replace("s0 = 50", "s0 = 50\nrho = 7"),
+                      "model: rho = 7.0 must lie in (-1, 1) for 1 asset"),
     "rho-not-positive-definite": (
         BS_INI.replace("s0 = 50", "s0 = 40 50 60\nrho = -0.6"),
         "model: rho = -0.6 must lie in (-0.5, 1) for 3 assets"),
@@ -875,6 +882,16 @@ class TestCli:
         out = tmp_path / "cell.json"
         assert main(["price", "--config", str(ini), "--out", str(out),
                      "--format", "json"]) == 0
+        records = json.loads(out.read_text())
+        assert [(r["method"], r["alloc"], r["strike"]) for r in records] == \
+            [("mc", "-", 45.0), ("la", "opt", 45.0)]
+
+    def test_price_command_writes_to_the_config_path(self, tmp_path):
+        # [output] path serves price as it serves experiment
+        out = tmp_path / "cell.json"
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI.replace("[output]", f"[output]\npath = {out}"))
+        assert main(["price", "--config", str(ini)]) == 0
         records = json.loads(out.read_text())
         assert [(r["method"], r["alloc"], r["strike"]) for r in records] == \
             [("mc", "-", 45.0), ("la", "opt", 45.0)]

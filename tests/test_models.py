@@ -56,9 +56,12 @@ class TestBsModel:
         # the uniform average of 2 assets on 4 dates: coef = S0 / 8
         np.testing.assert_array_equal(p.coef, np.tile([100.0, 50.0], 4) / 8)
 
-    @pytest.mark.parametrize("m, rho", [(2, 1.0), (2, -1.0), (3, -0.5)])
+    @pytest.mark.parametrize("m, rho", [(2, 1.0), (2, -1.0), (3, -0.5),
+                                        (1, 7.0), (1, -1.0)])
     def test_rho_outside_positive_definite_range(self, m, rho):
-        with pytest.raises(ValueError, match="rho"):
+        # one asset's corr is [1] whatever rho is, yet rho lies in (-1, 1)
+        with pytest.raises(ValueError, match=f"rho = {re.escape(str(rho))} "
+                                             f"must lie in .* for {m} asset"):
             BsParams(s0=[50.0] * m, sigma=0.3, steps=2, rho=rho)
 
     def test_needs_an_asset(self):

@@ -625,11 +625,43 @@ class TestEstimators:
         stream = RandomStream(86)
         vals = np.concatenate([ev(stream.normal((3, n)).T)
                                for n in (1_000, 1_000, 500)], axis=1)
-        var = vals.var(ddof=1, axis=1)
-        np.testing.assert_array_equal(rep.price, vals.mean(axis=1))
-        np.testing.assert_array_equal(rep.variance, var)
-        np.testing.assert_array_equal(rep.est_variance, var / 2_500)
+        one = np.zeros(2_500, dtype=np.intp)
+        want = stratify._stratum_report(vals, one, one, np.full((2, 1), 2_500))
+        for name in ("price", "variance", "est_variance", "stratum_means",
+                     "stratum_sigmas", "stratum_counts", "stratum_empty"):
+            np.testing.assert_array_equal(getattr(rep, name),
+                                          getattr(want, name), err_msg=name)
         assert rep.n_samples == 2_500
+
+    def test_baselines_report_one_stratum(self):
+        # plain MC reduces its draws, and LHS its replication means, as one
+        # stratum through the stages' per-stratum reduction
+        ev = lambda z: np.stack([np.exp(z[:, 0]), np.maximum(z.sum(axis=1), 0.0)])
+        mc = plain_mc_estimate(ev, 3, 2_500, RandomStream(102))
+        draws = ev(RandomStream(102).normal((3, 2_500)).T)
+        means = []
+
+        def spy(z):
+            out = ev(z)
+            means.append(out.mean(axis=1))
+            return out
+        # 8 replications of 500 draws: one group, evaluated in order
+        lhs = lhs_estimate(spy, np.eye(3), 4_000, 8, RandomStream(103))
+        for rep, values, size in ((mc, draws, 1),
+                                  (lhs, np.stack(means, axis=1), 500)):
+            assert rep.n_strata == 1
+            for name in ("stratum_means", "stratum_sigmas", "stratum_counts",
+                         "stratum_empty"):
+                assert getattr(rep, name).shape == (2, 1), name
+            assert not rep.stratum_empty.any()
+            np.testing.assert_array_equal(rep.stratum_counts,
+                                          np.full((2, 1), values.shape[1]))
+            np.testing.assert_array_equal(rep.stratum_means[:, 0], rep.price)
+            np.testing.assert_allclose(rep.price, values.mean(axis=1),
+                                       rtol=1e-12)
+            np.testing.assert_allclose(
+                rep.variance, values.var(ddof=1, axis=1) * size, rtol=1e-12)
+            assert rep.n_samples == values.shape[1] * size
 
 
 class TestSharedRows:
@@ -861,6 +893,45 @@ class TestChunkThreads:
                      "stratum_empty"):
             np.testing.assert_array_equal(getattr(one, name),
                                           getattr(four, name), err_msg=name)
+
+    def test_cpu_count_serves_without_affinity(self, monkeypatch):
+        # where os.sched_getaffinity is missing, os.cpu_count() counts the
+        # cores: four give the one-core bytes, on three helper threads
+        use_cores(monkeypatch, 1)
+        one = self.stage(self.rows)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        workers = []
+        real_pool = stratify.ThreadPoolExecutor
+
+        def pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers)
+        monkeypatch.setattr(stratify, "ThreadPoolExecutor", pool)
+        four = self.stage(self.rows)
+        assert workers == [3]
+        for name in ("price", "variance", "est_variance", "n_samples",
+                     "stratum_means", "stratum_sigmas", "stratum_counts",
+                     "stratum_empty"):
+            np.testing.assert_array_equal(getattr(one, name),
+                                          getattr(four, name), err_msg=name)
+
+    def test_unknown_cpu_count_runs_one_worker(self, monkeypatch):
+        # os.cpu_count() returns None where it cannot tell: one worker, the
+        # calling thread, and no pool
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(stratify, "ThreadPoolExecutor", no_pool)
+        threads = set()
+
+        def ev(z):
+            threads.add(threading.get_ident())
+            return self.rows(z)
+        self.stage(ev)
+        assert threads == {threading.get_ident()}
 
     def test_chunk_error_propagates_and_threads_stop(self, monkeypatch):
         # chunk 2 is recognised by its draws, whichever thread takes it
