@@ -64,7 +64,7 @@ class Criterion:
 
 
 def _fails(checks: list[tuple[bool, str]]) -> tuple[bool, str]:
-    bad = [msg for ok, msg in checks if not ok]
+    bad = [f"failed: {msg}" for ok, msg in checks if not ok]
     if bad:
         return False, "; ".join(bad)
     return True, "; ".join(msg for _, msg in checks)
@@ -136,47 +136,36 @@ def _criterion_2():
     spec = StratumSpec((4, 4))
     per = 4_000
 
+    def statistics(z):
+        """z1, exp(z1 + z2) and 1 per draw, stacked (3, n)."""
+        return np.stack([z[:, 0], np.exp(z[:, 0] + z[:, 1]), np.ones(len(z))])
+
     z, w = sample_strata(dirs, spec, np.repeat(np.arange(spec.total), per),
                          stream.child(1))
     # row i of each (strata, per) block holds the draws of stratum i
-    wz1 = (w * z[:, 0]).reshape(spec.total, per)
-    wexp = (w * np.exp(z[:, 0] + z[:, 1])).reshape(spec.total, per)
-    w = w.reshape(spec.total, per)
-    m_z1, se_z1 = wz1.mean(axis=1), wz1.std(axis=1, ddof=1) / np.sqrt(per)
-    m_exp, se_exp = wexp.mean(axis=1), wexp.std(axis=1, ddof=1) / np.sqrt(per)
-    m_w, se_w = w.mean(axis=1), w.std(axis=1, ddof=1) / np.sqrt(per)
+    wg = (w * statistics(z)).reshape(3, spec.total, per)
+    m, se = wg.mean(axis=2), wg.std(axis=2, ddof=1) / np.sqrt(per)
 
     # oracle: unconditional draws; E[w g | stratum k] drawn stratified equals
     # E[g 1_{box k}] drawn plainly, and E[w] equals the box probability
     n_plain = 4_000_000
     chunk = 1_000_000
-    sums = np.zeros((spec.total, 3))
-    sq = np.zeros((spec.total, 3))
+    sums = np.zeros((3, spec.total))
+    sq = np.zeros((3, spec.total))
     ostream = stream.child(10_000)
-    # the boxes in flat-index order, the sampler's
-    e_1, e_2 = spec.edges(0), spec.edges(1)
-    bounds = [((e_1[k1], e_1[k1 + 1]), (e_2[k2], e_2[k2 + 1])) for k1, k2
-              in zip(*np.unravel_index(np.arange(spec.total), spec.counts))]
     for _ in range(n_plain // chunk):
         z = ostream.normal((chunk, 3))
-        p1 = z @ e1
-        p2 = z @ e2
-        g1 = z[:, 0]
-        g2 = np.exp(z[:, 0] + z[:, 1])
-        for i, ((lo1, hi1), (lo2, hi2)) in enumerate(bounds):
-            ind = (p1 > lo1) & (p1 <= hi1) & (p2 > lo2) & (p2 <= hi2)
-            for col, vals in enumerate((g1 * ind, g2 * ind, ind.astype(float))):
-                sums[i, col] += vals.sum()
-                sq[i, col] += (vals ** 2).sum()
+        # each draw's box in the sampler's flat order, lo < projection <= hi
+        box = np.ravel_multi_index(
+            [np.searchsorted(spec.edges(j), z @ e) - 1
+             for j, e in enumerate((e1, e2))], spec.counts)
+        g = statistics(z)
+        sums += [np.bincount(box, row, spec.total) for row in g]
+        sq += [np.bincount(box, row ** 2, spec.total) for row in g]
     o_mean = sums / n_plain
     o_se = np.sqrt(np.maximum(sq / n_plain - o_mean ** 2, 0.0) / n_plain)
-
-    ok_z1 = bool(np.all(np.abs(m_z1 - o_mean[:, 0])
-                        <= 3 * np.sqrt(se_z1 ** 2 + o_se[:, 0] ** 2)))
-    ok_exp = bool(np.all(np.abs(m_exp - o_mean[:, 1])
-                         <= 3 * np.sqrt(se_exp ** 2 + o_se[:, 1] ** 2)))
-    ok_w = bool(np.all(np.abs(m_w - o_mean[:, 2])
-                       <= 3 * np.sqrt(se_w ** 2 + o_se[:, 2] ** 2)))
+    match = np.all(np.abs(m - o_mean) <= 3 * np.sqrt(se ** 2 + o_se ** 2),
+                   axis=1)
 
     # orthant: both projections positive has probability 3/8 at 45 degrees;
     # flat index 3 is stratum (2, 2) of the 2 x 2 grid
@@ -187,9 +176,9 @@ def _criterion_2():
     ok_orthant = abs(w_mean - 0.375) <= 3 * w_se
 
     return _fails([
-        (ok_z1, "weighted means of z1 match oracle"),
-        (ok_exp, "weighted means of exp(z1+z2) match oracle"),
-        (ok_w, "mean weights match oracle box probabilities"),
+        (match[0], "weighted means of z1 match oracle"),
+        (match[1], "weighted means of exp(z1+z2) match oracle"),
+        (match[2], "mean weights match oracle box probabilities"),
         (ok_orthant, f"orthant weight {w_mean:.4f} vs 3/8"),
     ])
 

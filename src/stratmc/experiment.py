@@ -19,6 +19,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -72,7 +73,9 @@ _DIR_STREAM_INDEX = 0x517A7
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A checked, immutable table: building or replacing one raises
-    ConfigInvalid, and the check keeps its engine table and grids."""
+    ConfigInvalid, and the check keeps its engine table and grids.  strata,
+    n_samples, lhs_replications and seed must be integers (NumPy's pass, a
+    bool does not)."""
     params: BsParams | CirParams
     payoffs: list[PayoffSpec] = field(default_factory=list)
     methods: list[str] = field(default_factory=list)
@@ -114,6 +117,10 @@ class ExperimentConfig:
             repeats = [e for i, e in enumerate(entries) if e in entries[:i]]
             if repeats:
                 raise ConfigInvalid(f"{key}: {label(repeats[0])} is repeated")
+        for key in ("strata", "n_samples", "lhs_replications", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigInvalid(f"run.{key} must be an integer")
         if self.strata < 1:
             raise ConfigInvalid("run.strata must be >= 1")
         if self.n_samples < 2:

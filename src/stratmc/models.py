@@ -18,6 +18,7 @@ k = k2*M + k1 (0-based asset k1, date k2).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -35,6 +36,18 @@ __all__ = [
     "cir_euler_path",
     "cir_zero_noise_path",
 ]
+
+
+def _check_fields(params, floats, steps):
+    """ValueError naming the first non-finite float field of params, or its
+    step count when that is not an integer (a bool is not)."""
+    for name in floats:
+        value = getattr(params, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} = {value} must be finite")
+    value = getattr(params, steps)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{steps} = {value!r} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -60,7 +73,9 @@ class BsParams:
     must stay in the float64 range, or payoffs overflow and prices read
     nan: ValueError unless
     ln S0_{k1} + drift_k + 10 sigma_{k1} sqrt(t_{k2}) is below
-    ln(float64 max) for every k.
+    ln(float64 max) for every k.  Before those checks, a non-finite s0,
+    sigma, rho, rate or maturity, or a steps that is not an integer, raises
+    ValueError naming the field.
     """
 
     s0: np.ndarray
@@ -76,6 +91,7 @@ class BsParams:
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_fields(self, ("s0", "sigma", "rho", "rate", "maturity"), "steps")
         s0 = np.atleast_1d(np.asarray(self.s0, dtype=float))
         m, n = s0.size, self.steps
         if m == 0:
@@ -137,6 +153,8 @@ class CirParams:
     payoff variances square the Euler values, so they must stay below
     sqrt(float64 max): ValueError unless the scale bound
     (s0 + mu + 10 sigma sqrt((s0 + mu) T)) max(1, |1 - alpha dt|)^N is.
+    A non-finite float field, or an n_steps that is not an integer, raises
+    ValueError naming the field first.
     """
 
     s0: float
@@ -148,6 +166,8 @@ class CirParams:
     maturity: float = 1.0
 
     def __post_init__(self):
+        _check_fields(self, ("s0", "alpha", "mu", "sigma", "rate", "maturity"),
+                     "n_steps")
         if self.s0 <= 0.0 or self.mu <= 0.0 or self.maturity <= 0.0:
             raise ValueError("s0, mu and maturity must be positive")
         if self.alpha < 0.0 or self.sigma < 0.0 or self.rate < 0.0:

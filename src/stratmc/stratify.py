@@ -278,10 +278,13 @@ def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
     Strata with p_k == 0 are treated as unreachable and get zero draws;
     strata with sigma_hat == 0 still get _N_MIN so stage two can correct a
     lucky pilot.  Unit sigma_hat gives proportional allocation n_k ~ p_k,
-    the "const" rule.
+    the "const" rule.  p and sigma_hat must be finite.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma_hat, dtype=float)
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
+        raise ValueError("stratum probabilities and sigma estimates must be "
+                         "finite")
     if np.any(p < 0.0) or float(p.sum()) > 1.0 + 1e-9:
         raise ValueError("stratum probabilities must be >= 0 and sum to <= 1")
     if np.any(s < 0.0):

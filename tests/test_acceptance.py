@@ -9,6 +9,7 @@ so it fails until the discrepancy is resolved.
 """
 import subprocess
 
+import numpy as np
 import pytest
 
 from stratmc import acceptance, stratify
@@ -64,3 +65,19 @@ def test_criterion_9_fails(monkeypatch, returncode, stdout, message):
     ok, detail = acceptance._criterion_9()
     assert not ok
     assert message in detail
+
+
+def test_criterion_2_catches_the_orthogonal_weight(monkeypatch):
+    # the naive weight 1 / (number of boxes) treats the two 45-degree
+    # directions as if they were orthogonal; the sampler's weights correct it
+    real = acceptance.sample_strata
+
+    def naive(dirs, spec, strata, stream):
+        z, w = real(dirs, spec, strata, stream)
+        return z, np.full_like(w, 1.0 / spec.total)
+    monkeypatch.setattr(acceptance, "sample_strata", naive)
+    ok, detail = acceptance._criterion_2()
+    assert not ok
+    checks = detail.split("; ")
+    assert len(checks) == 4, detail
+    assert all(check.startswith("failed: ") for check in checks), detail

@@ -412,6 +412,17 @@ class TestValidation:
         # a 3 x 3 grid has 9 strata
         small_bs_config(methods=["two-dir-la"], strata=10, n_samples=36)
 
+    @pytest.mark.parametrize("key, value", [
+        ("strata", 2.5), ("strata", True), ("n_samples", 2000.0),
+        ("lhs_replications", 10.0), ("seed", 1.5),
+    ])
+    def test_run_settings_must_be_integers(self, key, value):
+        # unchecked, seed 1.5 would price seed 1's draws under its own
+        # label, and a float budget would fail mid-table
+        with pytest.raises(ConfigInvalid, match=f"^run.{key} must be an integer$"):
+            small_bs_config(methods=["mc", "lhs", "la"], **{key: value})
+        small_bs_config(methods=["mc", "lhs", "la"], **{key: np.int64(value)})
+
     def test_lhs_needs_replications(self):
         with pytest.raises(ConfigInvalid):
             small_bs_config(methods=["lhs"], lhs_replications=1)

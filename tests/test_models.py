@@ -77,6 +77,20 @@ class TestBsModel:
         with pytest.raises(ValueError, match="steps must be >= 1"):
             BsParams(s0=50.0, sigma=0.3, steps=0)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("steps", 4.5, "steps = 4.5 must be an integer"),
+        ("rate", -np.inf, "rate = -inf must be finite"),
+        ("s0", np.nan, "s0 = nan must be finite"),
+        ("sigma", np.nan, "sigma = nan must be finite"),
+        ("rate", np.nan, "rate = nan must be finite"),
+    ])
+    def test_rejects_non_finite_fields_and_fractional_steps(self, key, value,
+                                                            message):
+        # checked before the range checks, which would misreport them
+        base = dict(s0=50.0, sigma=0.3, steps=4, rate=0.05)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BsParams(**{**base, key: value})
+
 
 class TestFlattenedLayout:
     def test_drift_and_coefficients_brute_force(self):
@@ -341,6 +355,16 @@ class TestCir:
             self.params(n_steps=0)
         with pytest.raises(StratMcError, match=r"must exceed sigma\^2"):
             self.params(sigma=20.0)  # 2*1.5*100 < 400
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("rate", np.nan, "rate = nan must be finite"),
+        ("rate", np.inf, "rate = inf must be finite"),
+        ("n_steps", 64.5, "n_steps = 64.5 must be an integer"),
+    ])
+    def test_rejects_non_finite_fields_and_fractional_steps(self, key, value,
+                                                            message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.params(**{key: value})
 
     @pytest.mark.parametrize("key", ["s0", "alpha", "mu", "maturity"])
     def test_rejects_paths_beyond_float64(self, key):

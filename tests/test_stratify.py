@@ -428,6 +428,14 @@ BAD_INPUTS = {
                     ValueError, "probabilities"),
     "negative-sigma": (lambda: optimal_allocation([0.5, 0.5], [1.0, -1.0], 10),
                        ValueError, "sigma estimates"),
+    "nan-sigma": (lambda: optimal_allocation([0.5, 0.5], [np.nan, 1.0], 10),
+                  ValueError, "must be finite"),
+    "inf-sigma": (lambda: optimal_allocation([0.5, 0.5], [np.inf, 1.0], 10),
+                  ValueError, "must be finite"),
+    "nan-p": (lambda: optimal_allocation([np.nan, 0.5], [1.0, 1.0], 10),
+              ValueError, "must be finite"),
+    "inf-p": (lambda: optimal_allocation([np.inf, 0.5], [1.0, 1.0], 10),
+              ValueError, "must be finite"),
     "plan-spec-mismatch": (lambda: stratified_estimate(
         _mean_z, _one_dir(), StratumSpec((4,)),
         const_allocation(np.full(3, 1 / 3), 30).n, RandomStream(2)),
