@@ -310,9 +310,9 @@ def _criterion_7():
         sigma = rng.random(k) * rng.integers(0, 2, k)  # allow zero sigmas
         if not np.any(p * sigma > 0):
             sigma[0] = 1.0
-        plan = optimal_allocation(p, sigma, 10_000)
+        q = optimal_allocation(p, sigma, 10_000) / 10_000
         live = sigma > 0
-        var_opt = float(np.sum((p[live] * sigma[live]) ** 2 / plan.q[live]))
+        var_opt = float(np.sum((p[live] * sigma[live]) ** 2 / q[live]))
         var_prop = float(np.sum(p[live] * sigma[live] ** 2))
         worst = max(worst, var_opt - var_prop * (1 + 1e-12))
     ok = worst <= 0.0

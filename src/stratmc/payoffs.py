@@ -40,6 +40,8 @@ class PayoffSpec:
             raise ValueError("asian-basket takes no barrier")
         if self.kind != "asian-basket" and self.barrier is None:
             raise ValueError(f"{self.kind} requires a barrier")
+        if self.barrier is not None and np.isnan(self.barrier):
+            raise ValueError("barrier must not be nan")
         if self.barrier is not None and not self.barrier > self.strike:
             raise ValueError("barrier must exceed the strike")
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from .gaussian import lhs_normals as _lhs_normals
 __all__ = [
     "DirectionSet",
     "StratumSpec",
-    "AllocationPlan",
     "EstimateReport",
     "StrataDraw",
     "sample_strata",
@@ -143,18 +143,6 @@ class StratumSpec:
 
 
 @dataclass
-class AllocationPlan:
-    """Stratum fractions q_k and integer counts n_k."""
-
-    q: np.ndarray
-    n: np.ndarray
-
-    def __post_init__(self):
-        if abs(float(np.sum(self.q)) - 1.0) > 1e-12:
-            raise ValueError("allocation fractions must sum to 1")
-
-
-@dataclass
 class EstimateReport:
     """Price estimate with variance bookkeeping, one entry per evaluator row.
 
@@ -213,7 +201,10 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
     d, dp = f.shape
     if len(spec.counts) != dp:
         raise StratMcError("stratum spec arity does not match the directions")
-    strata = np.asarray(strata, dtype=np.intp)
+    strata = np.asarray(strata)
+    if strata.size and strata.dtype.kind not in "iu":  # [] is float64
+        raise ValueError("stratum indices must be integers")
+    strata = strata.astype(np.intp, copy=False)
     if strata.size and (strata.min() < 0 or strata.max() >= spec.total):
         raise StratMcError(f"stratum index outside 0..{spec.total - 1}")
     n = strata.size
@@ -251,7 +242,8 @@ sample_strata = sample_stratum_nonorthogonal
 def _largest_remainder(q: np.ndarray, total: int,
                        active: np.ndarray) -> np.ndarray:
     """Integerize fractions q*total, keeping the sum exact and n >= _N_MIN
-    on active strata (inactive strata get 0)."""
+    on active strata (inactive strata get 0); total must be at least
+    _N_MIN per active stratum."""
     target = np.where(active, q * total, 0.0)
     n = np.floor(target).astype(int)
     short = total - int(n.sum())
@@ -264,22 +256,26 @@ def _largest_remainder(q: np.ndarray, total: int,
     surplus = int(n.sum()) - total
     while surplus > 0:
         i = int(np.argmax(np.where(active & (n > _N_MIN), n, -1)))
-        if n[i] <= _N_MIN:
-            raise ValueError("total too small for n_min per stratum")
         take = min(surplus, n[i] - _N_MIN)
         n[i] -= take
         surplus -= take
     return n
 
 
-def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
-    """Counts n_k proportional to p_k * sigma_k (the variance-minimizing rule).
+def optimal_allocation(p, sigma_hat, n_total: int) -> np.ndarray:
+    """Integer counts n_k proportional to p_k * sigma_k (the
+    variance-minimizing rule), summing to n_total.
 
     Strata with p_k == 0 are treated as unreachable and get zero draws;
     strata with sigma_hat == 0 still get _N_MIN so stage two can correct a
-    lucky pilot.  Unit sigma_hat gives proportional allocation n_k ~ p_k,
-    the "const" rule.  p and sigma_hat must be finite.
+    lucky pilot.  Where p * sigma_hat has no mass (a contract worth the
+    same on every pilot draw), every reachable stratum gets only _N_MIN.
+    Unit sigma_hat gives proportional allocation n_k ~ p_k, the "const"
+    rule.  p and sigma_hat must be finite, and n_total an integer (not a
+    bool) of at least _N_MIN per reachable stratum.
     """
+    if isinstance(n_total, bool) or not isinstance(n_total, numbers.Integral):
+        raise ValueError(f"n_total = {n_total!r} must be an integer")
     p = np.asarray(p, dtype=float)
     s = np.asarray(sigma_hat, dtype=float)
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(s))):
@@ -290,12 +286,12 @@ def optimal_allocation(p, sigma_hat, n_total: int) -> AllocationPlan:
     if np.any(s < 0.0):
         raise ValueError("sigma estimates must be >= 0")
     active = p > 0.0
+    if n_total < _N_MIN * np.count_nonzero(active):
+        raise ValueError("total too small for n_min per stratum")
     w = p * s
     if not np.any(w > 0.0):
-        raise StratMcError("every stratum std estimate is zero")
-    q = w / w.sum()
-    n = _largest_remainder(q, n_total, active)
-    return AllocationPlan(q=q, n=n)
+        return np.where(active, _N_MIN, 0)
+    return _largest_remainder(w / w.sum(), n_total, active)
 
 
 # --- threads -----------------------------------------------------------------
@@ -521,6 +517,8 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     row's estimate, the pilot's included.
     """
     n_strata = spec.total
+    if isinstance(n_total, bool) or not isinstance(n_total, numbers.Integral):
+        raise ValueError(f"n_total = {n_total!r} must be an integer")
     if allocation not in _STAGES:
         raise ValueError(f"unknown allocation rule: {allocation!r}")
     if n_total < min_budget(n_strata, allocation):
@@ -536,14 +534,11 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
         max(int(round(_PILOT_FRACTION * n_total)), _N_MIN * n_strata)
     pilot = stratified_estimate(
         evaluator, directions, spec,
-        optimal_allocation(p, np.ones(n_strata), n_pilot).n, stream.child(1))
+        optimal_allocation(p, np.ones(n_strata), n_pilot), stream.child(1))
     report, n_used = pilot, pilot.stratum_counts.sum(axis=1)
     if allocation == "opt":
         p_eff = np.where(pilot.stratum_empty, 0.0, p)
-        # p * sigma has no mass on such a row: optimal_allocation's rule for
-        # a zero-sigma stratum, _N_MIN, in every reachable stratum
-        counts = [optimal_allocation(pe, s, n_total - n_pilot).n
-                  if np.any(pe * s > 0.0) else np.where(pe > 0.0, _N_MIN, 0)
+        counts = [optimal_allocation(pe, s, n_total - n_pilot)
                   for pe, s in zip(p_eff, pilot.stratum_sigmas)]
         report = stratified_estimate(evaluator, directions, spec, counts,
                                      stream.child(2))
@@ -580,7 +575,7 @@ def lhs_estimate(evaluator, rotation: np.ndarray, n_total: int,
     rotation = np.asarray(rotation, dtype=float)
     d = rotation.shape[0]
     if rotation.shape != (d, d) or \
-            np.max(np.abs(rotation.T @ rotation - np.eye(d))) > 1e-8:
+            not np.max(np.abs(rotation.T @ rotation - np.eye(d))) <= 1e-8:
         raise StratMcError("rotation matrix is not orthogonal")
     if replications < 2:
         raise ValueError("need at least two replications")

@@ -121,7 +121,7 @@ class TestValidation:
     @pytest.mark.parametrize("kind", ["asian-barrier-expiry",
                                       "asian-barrier-complete"])
     def test_nan_barrier(self, kind):
-        with pytest.raises(ValueError, match="barrier must exceed the strike"):
+        with pytest.raises(ValueError, match="barrier must not be nan"):
             PayoffSpec(50.0, kind, math.nan)
 
     def test_infinite_barrier_is_valid(self):

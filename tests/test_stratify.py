@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from stratmc import (
-    AllocationPlan,
     DirectionSet,
     RandomStream,
     StratMcError,
@@ -227,8 +226,8 @@ class TestSampleNonOrthogonal:
         spec = StratumSpec((50, 50))
         _, weight = sample_strata(dirs, spec, np.full(100, 49), RandomStream(58))
         assert np.all(weight == 0.0)
-        plan = const_allocation(np.full(spec.total, 1 / spec.total), 10 * spec.total)
-        rep = stratified_estimate(lambda z: np.exp(z[:, 0]), dirs, spec, plan.n,
+        counts = const_allocation(np.full(spec.total, 1 / spec.total), 10 * spec.total)
+        rep = stratified_estimate(lambda z: np.exp(z[:, 0]), dirs, spec, counts,
                                   RandomStream(58))
         assert rep.stratum_empty[0, 49]
         # strata where only some draws are unreachable are empty too, and no
@@ -338,46 +337,41 @@ class TestSampleStrataProperties:
 
 
 class TestAllocation:
-    def test_plan_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            AllocationPlan(q=np.array([0.5, 0.4]), n=np.array([5, 4]))
-
     def test_optimal_textbook_split(self):
-        plan = optimal_allocation([0.5, 0.5], [1.0, 3.0], 400)
-        np.testing.assert_array_equal(plan.n, [100, 300])
-        np.testing.assert_allclose(plan.q, [0.25, 0.75])
-        assert plan.n.sum() == 400
+        np.testing.assert_array_equal(
+            optimal_allocation([0.5, 0.5], [1.0, 3.0], 400), [100, 300])
 
     def test_equal_allocation_largest_remainder(self):
-        plan = const_allocation([1 / 3, 1 / 3, 1 / 3], 10)
-        assert plan.n.sum() == 10
-        assert sorted(plan.n) == [3, 3, 4]
-        plan = const_allocation([1 / 3, 1 / 3, 1 / 3], 100)
-        assert sorted(plan.n) == [33, 33, 34]
+        counts = const_allocation([1 / 3, 1 / 3, 1 / 3], 10)
+        assert counts.sum() == 10
+        assert sorted(counts) == [3, 3, 4]
+        counts = const_allocation([1 / 3, 1 / 3, 1 / 3], 100)
+        assert sorted(counts) == [33, 33, 34]
 
     def test_zero_probability_stratum_gets_nothing(self):
-        plan = optimal_allocation([0.0, 0.5, 0.5], [2.0, 1.0, 1.0], 100)
-        assert plan.n[0] == 0
-        assert plan.n.sum() == 100
+        counts = optimal_allocation([0.0, 0.5, 0.5], [2.0, 1.0, 1.0], 100)
+        assert counts[0] == 0
+        assert counts.sum() == 100
 
     def test_zero_sigma_keeps_n_min(self):
-        plan = optimal_allocation([0.5, 0.5], [0.0, 1.0], 100)
-        np.testing.assert_array_equal(plan.n, [2, 98])
+        counts = optimal_allocation([0.5, 0.5], [0.0, 1.0], 100)
+        np.testing.assert_array_equal(counts, [2, 98])
 
-    def test_all_zero_sigma_raises(self):
-        with pytest.raises(StratMcError, match="every stratum std estimate is zero"):
-            optimal_allocation([0.5, 0.5], [0.0, 0.0], 100)
+    def test_all_zero_sigma_gives_n_min(self):
+        # a contract worth the same on every pilot draw
+        np.testing.assert_array_equal(
+            optimal_allocation([0.0, 0.5, 0.5], [1.0, 0.0, 0.0], 100), [0, 2, 2])
 
     def test_optimal_never_worse_than_proportional(self):
-        # continuous-allocation variances; Cauchy-Schwarz makes this exact
+        # the integer split the estimators use, against proportional
         rng = np.random.default_rng(61)
         for _ in range(20):
             k = int(rng.integers(2, 20))
             p = rng.random(k)
             p /= p.sum()
             sigma = rng.random(k)
-            plan = optimal_allocation(p, sigma, 5_000)
-            var_opt = np.sum((p * sigma) ** 2 / plan.q)
+            q = optimal_allocation(p, sigma, 5_000) / 5_000
+            var_opt = np.sum((p * sigma) ** 2 / q)
             var_prop = np.sum(p * sigma ** 2)
             assert var_opt <= var_prop * (1 + 1e-12)
 
@@ -389,9 +383,9 @@ class TestAllocation:
             p /= p.sum()
             sigma = rng.random(k) + 0.01
             total = int(rng.integers(10 * k, 2000))
-            plan = optimal_allocation(p, sigma, total)
-            assert plan.n.sum() == total
-            assert np.all(plan.n[p > 0] >= 2)
+            counts = optimal_allocation(p, sigma, total)
+            assert counts.sum() == total
+            assert np.all(counts[p > 0] >= 2)
 
 
 def _one_dir(d=3):
@@ -420,8 +414,18 @@ BAD_INPUTS = {
     "sampler-arity": (lambda: sample_strata(
         DirectionSet(np.eye(3)[:, :2]), StratumSpec((4,)), [0], RandomStream(1)),
         StratMcError, "arity"),
+    "fractional-stratum-index": (lambda: sample_strata(
+        _one_dir(), StratumSpec((4,)), [0.5, 3.9], RandomStream(1)),
+        ValueError, "stratum indices must be integers"),
     "total-below-n-min": (lambda: optimal_allocation([0.5, 0.5], [1.0, 1.0], 3),
                           ValueError, "total too small"),
+    "fractional-total": (lambda: optimal_allocation([0.5, 0.5], [1.0, 1.0], 10.5),
+                         ValueError, r"n_total = 10\.5 must be an integer"),
+    "bool-total": (lambda: optimal_allocation([0.5, 0.5], [1.0, 1.0], True),
+                   ValueError, "n_total = True must be an integer"),
+    "two-stage-fractional-total": (lambda: two_stage_estimate(
+        _mean_z, _one_dir(), StratumSpec((4,)), 1000.5, RandomStream(3)),
+        ValueError, r"n_total = 1000\.5 must be an integer"),
     "negative-p": (lambda: optimal_allocation([-0.1, 1.1], [1.0, 1.0], 10),
                    ValueError, "probabilities"),
     "p-above-one": (lambda: optimal_allocation([0.6, 0.6], [1.0, 1.0], 10),
@@ -438,13 +442,16 @@ BAD_INPUTS = {
               ValueError, "must be finite"),
     "plan-spec-mismatch": (lambda: stratified_estimate(
         _mean_z, _one_dir(), StratumSpec((4,)),
-        const_allocation(np.full(3, 1 / 3), 30).n, RandomStream(2)),
+        const_allocation(np.full(3, 1 / 3), 30), RandomStream(2)),
         ValueError, "does not match"),
     "unknown-rule": (lambda: two_stage_estimate(
         _mean_z, _one_dir(), StratumSpec((4,)), 100, RandomStream(3), "equal"),
         ValueError, "unknown allocation rule"),
     "mc-one-draw": (lambda: plain_mc_estimate(_mean_z, 3, 1, RandomStream(4)),
                     ValueError, "two draws"),
+    "lhs-nan-rotation": (lambda: lhs_estimate(
+        _mean_z, np.diag([1.0, 1.0, np.nan]), 100, 10, RandomStream(5)),
+        StratMcError, "not orthogonal"),
     "lhs-one-replication": (lambda: lhs_estimate(
         _mean_z, np.eye(3), 100, 1, RandomStream(5)),
         ValueError, "two replications"),
@@ -479,9 +486,9 @@ class TestEstimators:
     def test_constant_payoff_is_exact(self):
         dirs = self.v_first(3)
         spec = StratumSpec((8,))
-        plan = const_allocation(np.full(8, 1 / 8), 800)
+        counts = const_allocation(np.full(8, 1 / 8), 800)
         rep = stratified_estimate(lambda z: np.full(z.shape[0], 7.25), dirs,
-                                  spec, plan.n, RandomStream(63))
+                                  spec, counts, RandomStream(63))
         assert rep.price == pytest.approx(7.25, abs=1e-14)
         assert rep.variance == pytest.approx(0.0, abs=1e-20)
 
@@ -501,8 +508,8 @@ class TestEstimators:
         # stratum means are of weight * g, and every weight is p_k = 1/8
         dirs = self.v_first(2)
         spec = StratumSpec((8,))
-        plan = const_allocation(np.full(8, 1 / 8), 64_000)
-        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan.n,
+        counts = const_allocation(np.full(8, 1 / 8), 64_000)
+        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, counts,
                                   RandomStream(66))
         edges = spec.edges(0)
         for k in range(8):
@@ -565,8 +572,8 @@ class TestEstimators:
         dirs = DirectionSet(np.column_stack([e1, e2]))
         spec = StratumSpec((5, 5))
         ev = lambda z: np.exp(z[:, 0])
-        plan = const_allocation(np.full(25, 1 / 25), 50_000)
-        rep = stratified_estimate(ev, dirs, spec, plan.n, RandomStream(72))
+        counts = const_allocation(np.full(25, 1 / 25), 50_000)
+        rep = stratified_estimate(ev, dirs, spec, counts, RandomStream(72))
         mc = plain_mc_estimate(ev, 3, 200_000, RandomStream(73))
         se = np.sqrt(rep.est_variance + mc.est_variance)
         assert abs(rep.price - mc.price) < 3.5 * se
@@ -578,18 +585,18 @@ class TestEstimators:
         # reproduce the vectorized reduction
         spec = StratumSpec((4, 4))
         p = np.full(spec.total, 1 / spec.total)
-        plan = optimal_allocation(p, np.linspace(1.0, 4.0, spec.total),
-                                  3 * _CHUNK + 1_000)
+        counts = optimal_allocation(p, np.linspace(1.0, 4.0, spec.total),
+                                    3 * _CHUNK + 1_000)
         e2 = np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0, 0.0])
         q, _ = np.linalg.qr(np.random.default_rng(74).normal(size=(4, 2)))
         ev = lambda z: np.maximum(z[:, 0] + 0.1 * z[:, 1], 0.0)
         for dirs in (DirectionSet(q),
                      DirectionSet(np.column_stack([np.eye(4)[:, 0], e2]))):
-            rep = stratified_estimate(ev, dirs, spec, plan.n, RandomStream(74))
-            again = stratified_estimate(ev, dirs, spec, plan.n, RandomStream(74))
+            rep = stratified_estimate(ev, dirs, spec, counts, RandomStream(74))
+            again = stratified_estimate(ev, dirs, spec, counts, RandomStream(74))
             assert (rep.price, rep.variance) == (again.price, again.variance)
 
-            strata = np.repeat(np.arange(spec.total), plan.n)
+            strata = np.repeat(np.arange(spec.total), counts)
             vals = np.empty(strata.size)
             starts = list(range(0, strata.size, _CHUNK))
             assert len(starts) == 4
@@ -609,12 +616,12 @@ class TestEstimators:
     def test_report_bookkeeping(self):
         dirs = self.v_first(2)
         spec = StratumSpec((4,))
-        plan = const_allocation(np.full(4, 0.25), 400)
-        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, plan.n,
+        counts = const_allocation(np.full(4, 0.25), 400)
+        rep = stratified_estimate(lambda z: z[:, 0], dirs, spec, counts,
                                   RandomStream(75))
         assert rep.n_strata == 4
         assert rep.n_samples == 400
-        np.testing.assert_array_equal(rep.stratum_counts, [plan.n])
+        np.testing.assert_array_equal(rep.stratum_counts, [counts])
         assert rep.variance == pytest.approx(rep.est_variance * 400)
 
     def test_mc_draws_blocks_in_sequence(self, monkeypatch):
@@ -760,10 +767,10 @@ class TestSharedRows:
         plans = []
         for s in range(len(self.STRIKES)):
             pilot = stratified_estimate(lambda z: self.rows(z)[s], dirs, spec,
-                                        const_allocation(p, n_pilot).n,
+                                        const_allocation(p, n_pilot),
                                         stream.child(1))
             plans.append(optimal_allocation(p, pilot.stratum_sigmas[0],
-                                            n_total - n_pilot).n)
+                                            n_total - n_pilot))
         plans = np.array(plans)
         assert len({tuple(n) for n in plans}) == len(self.STRIKES)
         np.testing.assert_array_equal(rep.stratum_counts, plans)
@@ -787,14 +794,14 @@ class TestSharedRows:
         small = const_allocation(p, 3 * spec.total)
         large = const_allocation(p, 60 * spec.total)
         ev = lambda z: np.stack([np.exp(z[:, 0]), np.exp(0.5 * z[:, 1])])
-        rep = stratified_estimate(ev, dirs, spec, [small.n, large.n],
+        rep = stratified_estimate(ev, dirs, spec, [small, large],
                                   RandomStream(95))
 
-        strata, vals, weight = self.pool_values(ev, dirs, spec, large.n,
+        strata, vals, weight = self.pool_values(ev, dirs, spec, large,
                                                 RandomStream(95))
-        for s, plan in enumerate((small, large)):
+        for s, n in enumerate((small, large)):
             for k in range(spec.total):
-                mine = slice(0, plan.n[k])
+                mine = slice(0, n[k])
                 w = weight[strata == k][mine]
                 assert rep.stratum_empty[s, k] == np.any(w == 0.0)
                 if not rep.stratum_empty[s, k]:
@@ -804,7 +811,7 @@ class TestSharedRows:
         assert np.any(rep.stratum_empty[0] != rep.stratum_empty[1])
         np.testing.assert_array_equal(rep.stratum_counts,
                                       np.where(rep.stratum_empty, 0,
-                                               [small.n, large.n]))
+                                               [small, large]))
         assert rep.n_samples == int(rep.stratum_counts.max(axis=0).sum())
 
 
@@ -875,8 +882,8 @@ class TestChunkThreads:
                                              [np.cos(theta), np.sin(theta), 0.0]]))
         spec = StratumSpec((6, 6))
         p = np.full(spec.total, 1 / spec.total)
-        counts = [const_allocation(p, 500 * spec.total).n,
-                  const_allocation(p, 700 * spec.total).n]
+        counts = [const_allocation(p, 500 * spec.total),
+                  const_allocation(p, 700 * spec.total)]
         assert 3 * _CHUNK < counts[1].sum() <= 4 * _CHUNK
         return stratified_estimate(ev, dirs, spec, counts,
                                    stream or RandomStream(96))
