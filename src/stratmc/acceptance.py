@@ -302,7 +302,7 @@ def _criterion_6():
 
 def _criterion_7():
     rng = np.random.default_rng(707)
-    worst = 0.0
+    worst = -np.inf
     for _ in range(100):
         k = int(rng.integers(2, 40))
         p = rng.random(k) + 1e-3

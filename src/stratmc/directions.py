@@ -83,18 +83,20 @@ def pca_directions(sigma: np.ndarray, m: int) -> DirectionSet:
         [normalize_sign(c) for c in v[:, ::-1][:, :m].T]))
 
 
-def _lt_directions(gradient, point, dim: int, count: int) -> DirectionSet:
-    """LT columns: column p is the gradient at point(previous columns),
-    projected against the previous columns, normalized and sign-fixed.  The
-    projection runs twice, which keeps the column orthogonal to machine
-    precision even when the gradient nearly lies in their span.  A column
-    vanishes when projection leaves at most 1e-12 of its gradient's norm,
-    whatever that norm's scale."""
+def _lt_directions(gradients, dim: int, count: int) -> DirectionSet:
+    """LT columns: gradients(count) gives the model's gradient function,
+    and column p is that function of the previous columns (the gradient at
+    column p's point), projected against the previous columns, normalized
+    and sign-fixed.  The projection runs twice, which keeps the column
+    orthogonal to machine precision even when the gradient nearly lies in
+    their span.  A column vanishes when projection leaves at most 1e-12 of
+    its gradient's norm, whatever that norm's scale."""
     if not 1 <= count <= dim:
         raise ValueError(f"column count must lie in 1..{dim}")
+    gradient = gradients(count)
     cols: list[np.ndarray] = []
     for _ in range(count):
-        raw = gradient(point(cols))
+        raw = gradient(cols)
         b = raw
         for _ in range(2):
             for prev in cols:
@@ -149,27 +151,30 @@ def cir_gradient(params: CirParams, z: np.ndarray) -> np.ndarray:
     beta[m] = sigma sqrt(dt S_m) = dS_{m+1}/dz_m and alpha[m] =
     dS_{m+2}/dS_{m+1} = 1 - a dt + (sigma/2) sqrt(dt / S_{m+1}) z_{m+1};
     u[N-1] = 1, u[m] = 1 + alpha[m] u[m+1], and the gradient is beta u, so
-    its last component is beta[N-1] exactly.
+    its last component is beta[N-1] exactly.  z may hold a batch of
+    drivers, shape (..., N): one Euler pass and one backward pass serve
+    them all, and each gradient equals the one of its driver alone.
     """
     z = np.asarray(z, dtype=float)
     n = params.n_steps
-    if z.shape != (n,):
+    if z.ndim == 0 or z.shape[-1] != n:
         raise ValueError("driver must have length n_steps")
     dt = params.dt
-    s = np.r_[params.s0, cir_euler_path(z, params).values[0]]
-    negative = np.flatnonzero(s[:n] < 0.0)
+    s = np.concatenate([np.full(z.shape[:-1] + (1,), float(params.s0)),
+                        cir_euler_path(z, params).values[..., 0, :]], axis=-1)
+    negative = np.flatnonzero((s[..., :n] < 0.0).reshape(-1, n).any(axis=0))
     if negative.size:
         raise StratMcError(
             f"induced path went negative at step {negative[0]}")
-    inner = s[1:n]
+    inner = s[..., 1:n]
     if np.any(inner <= 0.0):
         raise StratMcError("induced path hit zero inside the horizon")
     alpha = 1.0 - params.alpha * dt \
-        + 0.5 * params.sigma * np.sqrt(dt / inner) * z[1:]
-    u = np.ones(n)
+        + 0.5 * params.sigma * np.sqrt(dt / inner) * z[..., 1:]
+    u = np.ones(z.shape)
     for m in range(n - 2, -1, -1):
-        u[m] += alpha[m] * u[m + 1]
-    return params.sigma * np.sqrt(dt * s[:n]) * u
+        u[..., m] += alpha[..., m] * u[..., m + 1]
+    return params.sigma * np.sqrt(dt * s[..., :n]) * u
 
 
 def pilot_covariance(params: CirParams, stream: RandomStream) -> np.ndarray:
@@ -206,11 +211,19 @@ def engines(params: BsParams | CirParams,
     dim = params.dim
     if isinstance(params, BsParams):
         gradient = lambda eps: bs_gradient(params, eps)
-        lt_point = lambda cols: sum(cols, np.zeros(dim))
+        # each point is the sum of the previous columns: one at a time
+        lt_gradients = lambda count: \
+            lambda cols: gradient(sum(cols, np.zeros(dim)))
         pca, cov = "pca", lambda: path_covariance(params)
     else:
         gradient = lambda z: cir_gradient(params, z)
-        lt_point = lambda cols: (np.arange(dim) <= len(cols)).astype(float)
+
+        def lt_gradients(count):
+            # the points do not depend on the previous columns: every
+            # gradient in one batched call
+            ones = np.arange(dim) <= np.arange(count)[:, None]
+            raw = gradient(ones.astype(float))
+            return lambda cols: raw[len(cols)]
 
         def cov():
             if stream is None:
@@ -219,7 +232,7 @@ def engines(params: BsParams | CirParams,
         pca = "pilot-pca"
     return {
         "la": lambda k: la_directions_multi(gradient, dim, k),
-        "lt": lambda k: _lt_directions(gradient, lt_point, dim, k),
+        "lt": lambda k: _lt_directions(lt_gradients, dim, k),
         pca: lambda k: pca_directions(cov(), k),
     }
 

@@ -67,8 +67,11 @@ class RandomStream:
         ints = self.generator.integers(0, 1 << 53, size=size, dtype=np.int64)
         return (ints + 0.5) / float(1 << 53)
 
-    def normal(self, size=None):
-        return self.generator.standard_normal(size=size)
+    def normal(self, size=None, out=None):
+        """Standard normals of shape `size`, or written into `out` (a
+        C-contiguous float64 array, which is returned) when given: the same
+        values either way, so a caller may reuse one buffer across draws."""
+        return self.generator.standard_normal(size=size, out=out)
 
 
 def stratum_uniform(k: int, n_strata: int, stream: RandomStream, size=None):

@@ -18,6 +18,7 @@ import ctypes
 import functools
 import numbers
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -46,11 +47,11 @@ __all__ = [
 
 _P_FLOOR = np.nextafter(0.0, 1.0)
 _P_CEIL = np.nextafter(1.0, 0.0)
-# draws per sampler call within a stage: large enough to amortize the
-# per-call overhead, small enough to bound a call's working set (the
-# chunk's d normals per draw) whatever the stage size
+# draws per sampler call within a stage, and per evaluator call in plain
+# MC: large enough to amortize the per-call overhead, small enough to bound
+# a call's working set (the chunk's d normals per draw) whatever the size
 _CHUNK = 8192
-# draws per evaluator call in plain MC; the MC rows' bytes depend on it
+# draws per stream call in plain MC; the MC rows' bytes depend on it
 _MC_CHUNK = 200_000
 # fewest draws a reachable stratum gets in any stage: two give a
 # within-stratum variance estimate
@@ -180,7 +181,8 @@ class StrataDraw(NamedTuple):
 
 
 def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
-                                 strata, stream: RandomStream) -> StrataDraw:
+                                 strata, stream: RandomStream,
+                                 out: np.ndarray | None = None) -> StrataDraw:
     """Draw one z per entry of `strata`, with every projection in its box.
 
     `strata` holds flat 0-based stratum indices, last direction fastest
@@ -196,6 +198,11 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
     in for p_k in the estimator, so the joint box probability is never
     needed.  For orthonormal sets every weight is p_k.  A weight of 0 marks
     a row whose box is unreachable from its earlier coordinates.
+
+    `out`, a flat C-contiguous float64 array of at least d * n entries,
+    holds z: its first d * n entries are overwritten and z is a view of
+    them, so a caller can draw chunk after chunk into one buffer.  Without
+    it the sampler allocates that array itself; the draws are the same.
     """
     f, m = directions.frame, directions.m
     d, dp = f.shape
@@ -222,7 +229,9 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
         p = np.clip(p_lo + u[i] * width, _P_FLOOR, _P_CEIL)
         x[i] = np.clip(ndtri(p), ta_lo, ta_hi)
         weight *= width
-    z = stream.normal((d, n)).T
+    if out is None:
+        out = np.empty(d * n)
+    z = stream.normal(out=out[:d * n].reshape(d, n)).T
     if n:  # gemm rejects an empty c
         # imported here: scipy.linalg adds about 60 ms to `import stratmc`
         from scipy.linalg.blas import dgemm
@@ -417,7 +426,9 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     a pure function of the stream and the counts.  The chunks are sampled
     and evaluated on every usable core (see _map_chunks), so the evaluator
     must be safe to call from several threads at once; the payoff
-    evaluators are.
+    evaluators are.  Each worker thread draws its chunks' normals into one
+    _CHUNK x d buffer, so the evaluator's z is overwritten by that thread's
+    next chunk: the evaluator must not keep it.
     """
     n_strata = spec.total
     n = np.atleast_2d(counts)
@@ -430,11 +441,16 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
     strata = np.repeat(np.arange(n_strata), pool)
     # position of each draw within its stratum
     rank = np.arange(strata.size) - np.repeat(np.cumsum(pool) - pool, pool)
+    # one normal buffer per worker thread, reused chunk after chunk and
+    # freed when the stage returns
+    buffers = threading.local()
 
     def chunk(c):
+        if not hasattr(buffers, "z"):
+            buffers.z = np.empty(directions.dim * min(_CHUNK, strata.size))
         start = c * _CHUNK
         z, weight = sample_strata(directions, spec, strata[start:start + _CHUNK],
-                                  stream.child(c))
+                                  stream.child(c), out=buffers.z)
         # an unreachable draw enters no estimate, and it may sit far out on
         # its box's boundary, where the payoff overflows: evaluate it at 0
         # (a product, since a row of step-major z is d strided writes)
@@ -550,12 +566,24 @@ def two_stage_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 
 def plain_mc_estimate(evaluator, dim: int, n_total: int,
                       stream: RandomStream) -> EstimateReport:
-    """Plain Monte Carlo baseline: n_total draws reduced as one stratum."""
+    """Plain Monte Carlo baseline: n_total draws reduced as one stratum.
+
+    The draws come from the one stream in blocks of min(n_total, _MC_CHUNK)
+    step-major (dim, m) normals, each block drawn in one call, and the
+    evaluator sees each block _CHUNK draws at a time, on the calling
+    thread.  Only one block is held at a time, so the working set is one
+    block plus one chunk's evaluation, and an evaluator that prices each
+    row on its own gives the values of evaluating each block whole.
+    """
     if n_total < 2:
         raise ValueError("need at least two draws")
-    vals = np.concatenate([
-        evaluator(stream.normal((dim, min(_MC_CHUNK, n_total - done))).T)
-        for done in range(0, n_total, _MC_CHUNK)], axis=-1).reshape(-1, n_total)
+    parts = []
+    for done in range(0, n_total, _MC_CHUNK):
+        z = stream.normal((dim, min(_MC_CHUNK, n_total - done)))
+        parts += [evaluator(z[:, a:a + _CHUNK].T)
+                  for a in range(0, z.shape[1], _CHUNK)]
+        del z  # free the block before the next one is drawn
+    vals = np.concatenate(parts, axis=-1).reshape(-1, n_total)
     one = np.zeros(n_total, dtype=np.intp)
     return _stratum_report(vals, one, one, np.full((len(vals), 1), n_total))
 

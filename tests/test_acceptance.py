@@ -44,6 +44,15 @@ def test_determinism_config_runs_threaded_paths(tmp_path, monkeypatch):
     assert spans["stratified_estimate"] >= 2 and spans["lhs_estimate"] >= 2, spans
 
 
+def test_criterion_7_prints_its_margin():
+    # every instance has var_opt below var_prop, so the printed worst case
+    # is a real, negative margin
+    ok, detail = acceptance._criterion_7()
+    assert ok
+    margin = float(detail.split("= ")[1].split()[0])
+    assert margin < 0.0, detail
+
+
 def test_criterion_over_budget_fails():
     ok, detail = acceptance.Criterion(99, "slow", 0.0,
                                       lambda: (True, "done")).run()

@@ -271,6 +271,19 @@ class TestCirWorkspace:
         with pytest.raises(StratMcError, match="hit zero inside the horizon"):
             cir_gradient(p, np.array([-1.0, 0.0, 0.0, 0.0]))
 
+    def test_batch_equals_each_driver(self):
+        # one batched pass gives every driver's own gradient, bit for bit,
+        # for a (2, 3, N) batch as for the LT points' (N, N) batch
+        p = cir_asian_params()
+        n = p.n_steps
+        batches = (0.4 * RandomStream(98).normal((2, 3, n)),
+                   (np.arange(n) <= np.arange(n)[:, None]).astype(float))
+        for z in batches:
+            grad = cir_gradient(p, z)
+            assert grad.shape == z.shape
+            for idx in np.ndindex(z.shape[:-1]):
+                np.testing.assert_array_equal(grad[idx], cir_gradient(p, z[idx]))
+
     def test_driver_length_checked(self):
         with pytest.raises(ValueError, match="driver must have length"):
             cir_gradient(cir_asian_params(), np.zeros(63))

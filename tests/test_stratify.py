@@ -12,6 +12,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
 from stratmc import (
+    BsParams,
+    CirParams,
     DirectionSet,
+    PayoffSpec,
     RandomStream,
     StratMcError,
     StratumSpec,
@@ -29,6 +33,7 @@ from stratmc import (
     lhs_estimate,
     min_budget,
     optimal_allocation,
+    payoff_evaluator,
     plain_mc_estimate,
     sample_strata,
     stratified_estimate,
@@ -954,8 +959,8 @@ class TestChunkThreads:
         found = []
         real = stratify.sample_strata
 
-        def spy(directions, spec, strata, chunk_stream):
-            draw = real(directions, spec, strata, chunk_stream)
+        def spy(directions, spec, strata, chunk_stream, out=None):
+            draw = real(directions, spec, strata, chunk_stream, out=out)
             if chunk_stream.stream_id == stream.child(2).stream_id:
                 found.append(draw.z)
             return draw
@@ -1143,3 +1148,86 @@ class TestDriverLayout:
         two_stage_estimate(ev, la_pca_pair(), StratumSpec((4, 5)), 4_000,
                            RandomStream(85), "opt")
         assert seen == [((400, 64), True), ((3_600, 64), True)]
+
+
+class TestWorkingSet:
+    """Plain MC holds one block of normals and evaluates it _CHUNK draws at
+    a time; a stratified worker draws every chunk into one buffer."""
+
+    bs = BsParams(s0=[100.0], sigma=0.2, steps=16)
+    evaluators = {
+        "bs-basket": (bs, [PayoffSpec(100.0), PayoffSpec(110.0)]),
+        "bs-barrier": (bs, [PayoffSpec(100.0, "asian-barrier-complete", 130.0)]),
+        "cir": (CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=8.0,
+                          n_steps=16), [PayoffSpec(100.0)]),
+    }
+
+    def test_mc_evaluates_at_most_a_chunk(self):
+        sizes = []
+
+        def spy(z):
+            sizes.append(z.shape[0])
+            return z[:, 0]
+        plain_mc_estimate(spy, 3, 2 * _CHUNK + 1_000, RandomStream(110))
+        assert sizes == [_CHUNK, _CHUNK, 1_000]
+
+    @pytest.mark.parametrize("name", sorted(evaluators))
+    def test_mc_slices_move_no_bytes(self, monkeypatch, name):
+        # two blocks, each evaluated in slices, against each block
+        # evaluated whole from the same stream
+        monkeypatch.setattr(stratify, "_MC_CHUNK", 2 * _CHUNK + 3_000)
+        params, specs = self.evaluators[name]
+        ev = payoff_evaluator(params, specs)
+        n = 3 * _CHUNK + 5_000
+        rep = plain_mc_estimate(ev, params.dim, n, RandomStream(111))
+        stream = RandomStream(111)
+        vals = np.concatenate([ev(stream.normal((params.dim, m)).T)
+                               for m in (2 * _CHUNK + 3_000, _CHUNK + 2_000)],
+                              axis=1)
+        one = np.zeros(n, dtype=np.intp)
+        want = stratify._stratum_report(vals, one, one,
+                                        np.full((len(specs), 1), n))
+        np.testing.assert_array_equal(rep.price, want.price)
+        np.testing.assert_array_equal(rep.variance, want.variance)
+
+    def test_mc_peak_is_one_block_and_a_few_slices(self):
+        # evaluating a whole block would add its (d, n) work array, as large
+        # as the block itself
+        params, specs = self.evaluators["bs-basket"]
+        ev = payoff_evaluator(params, specs)
+        d, n = params.dim, 100_000
+        plain_mc_estimate(ev, d, 1_000, RandomStream(112))  # warm the imports
+        tracemalloc.start()
+        try:
+            plain_mc_estimate(ev, d, n, RandomStream(112))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n + 4 * _CHUNK) * d * 8
+
+    def test_sampler_draws_into_the_buffer(self):
+        dirs, spec = la_pca_pair(), StratumSpec((5, 4))
+        strata = np.repeat(np.arange(spec.total), 30)
+        z, weight = sample_strata(dirs, spec, strata, RandomStream(113))
+        buf = np.full(dirs.dim * (strata.size + 7), np.nan)
+        z_out, weight_out = sample_strata(dirs, spec, strata, RandomStream(113),
+                                          out=buf)
+        np.testing.assert_array_equal(z_out, z)
+        np.testing.assert_array_equal(weight_out, weight)
+        assert np.shares_memory(z_out, buf)
+        assert np.isnan(buf[dirs.dim * strata.size:]).all()
+
+    @pytest.mark.parametrize("cores", [1, 4])
+    def test_stage_reuses_one_buffer_per_thread(self, monkeypatch, cores):
+        buffers = {}
+        real = stratify.sample_strata
+
+        def spy(directions, spec, strata, chunk_stream, out=None):
+            assert out is not None
+            buffers.setdefault(threading.get_ident(), set()).add(id(out))
+            return real(directions, spec, strata, chunk_stream, out=out)
+        monkeypatch.setattr(stratify, "sample_strata", spy)
+        use_cores(monkeypatch, cores)
+        TestChunkThreads.stage(TestChunkThreads.rows)
+        assert 1 <= len(buffers) <= cores
+        assert all(len(ids) == 1 for ids in buffers.values())
