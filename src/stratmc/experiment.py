@@ -324,12 +324,16 @@ def load_config(path: str) -> ExperimentConfig:
 
 def direction_sets(config: ExperimentConfig) -> dict[str, DirectionSet]:
     """{method: DirectionSet} for every direction-based method of a config,
-    built by its engine table on the substream reserved for directions."""
+    built by its engine table on the substream reserved for directions; a
+    failed build's error names its method."""
     sets = {}
     for method in config.grids:
         names, count = METHODS[method]
-        sets[method] = DirectionSet(np.column_stack(
-            [config.engines[name](count).columns for name in names]))
+        try:
+            sets[method] = DirectionSet(np.column_stack(
+                [config.engines[name](count).columns for name in names]))
+        except StratMcError as exc:  # the same class keeps the exit code
+            raise type(exc)(f"{method}: {exc}") from exc
     return sets
 
 
@@ -381,8 +385,12 @@ def run_experiment(config: ExperimentConfig) -> list[ResultRow]:
         if method == "lhs":
             # rotated by the full LT matrix: d normals and d rotated
             # coordinates per draw
+            try:
+                rotation = config.engines["lt"](dim).columns
+            except StratMcError as exc:
+                raise type(exc)(f"lhs: {exc}") from exc
             cells.append(cell_rows("lhs", "-", 1, 2 * dim, partial(
-                lhs_estimate, evaluator, config.engines["lt"](dim).columns,
+                lhs_estimate, evaluator, rotation,
                 config.n_samples, config.lhs_replications, cell_base)))
             continue
         dirs, strat_spec = directions[method], config.grids[method]

@@ -10,7 +10,6 @@ whatever order the children are consumed in.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import StratMcError
 
@@ -94,6 +93,9 @@ def lhs_normals(n: int, d: int, stream: RandomStream) -> np.ndarray:
     cells: value = Phi^{-1}((perm + U)/n) with an independent permutation
     and in-cell uniforms per column.
     """
+    # imported here, not with the module, to keep SciPy off `import stratmc`
+    from scipy.special import ndtri
+
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     cells = np.empty((d, n))

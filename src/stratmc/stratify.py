@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import StratMcError
 from .gaussian import RandomStream
@@ -62,6 +61,13 @@ _PILOT_FRACTION = 0.1
 # stage, "opt" in a pilot stage and a main stage
 _STAGES = {"const": 1, "opt": 2}
 ALLOCS = tuple(_STAGES)
+
+
+def ndtri(p):
+    """scipy.special.ndtri, bound with _ndtr by _openblas_threads on first
+    use; bench/tracer.py times the samplers' quantiles under this name."""
+    _openblas_threads()
+    return _ndtri(p)
 
 
 @dataclass(frozen=True)
@@ -220,12 +226,12 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
     x = np.empty((dp, n))
     weight = np.ones(n)
     for i in range(dp):
-        edges = spec.edges(i)
+        edges = spec.edges(i)  # calls ndtri first, which binds _ndtr
         shift = m[i, :i] @ x[:i]
         ta_lo = (edges[ks[i]] - shift) / m[i, i]
         ta_hi = (edges[ks[i] + 1] - shift) / m[i, i]
-        p_lo = ndtr(ta_lo)
-        width = ndtr(ta_hi) - p_lo
+        p_lo = _ndtr(ta_lo)
+        width = _ndtr(ta_hi) - p_lo
         p = np.clip(p_lo + u[i] * width, _P_FLOOR, _P_CEIL)
         x[i] = np.clip(ndtri(p), ta_lo, ta_hi)
         weight *= width
@@ -233,7 +239,7 @@ def sample_stratum_nonorthogonal(directions: DirectionSet, spec: StratumSpec,
         out = np.empty(d * n)
     z = stream.normal(out=out[:d * n].reshape(d, n)).T
     if n:  # gemm rejects an empty c
-        # imported here: scipy.linalg adds about 60 ms to `import stratmc`
+        # imported here: from a cold start scipy.linalg costs about 0.3 s
         from scipy.linalg.blas import dgemm
         dgemm(1.0, (x - f.T @ z.T).T, f.T, beta=1.0, c=z, overwrite_c=True)
     return StrataDraw(z, weight)
@@ -319,9 +325,15 @@ _OPENBLAS_THREADS = (
 def _openblas_threads() -> tuple[tuple, ...]:
     """(get, set) thread-count functions of every OpenBLAS mapped into the
     process, read once from /proc/self/maps (none where that file is
-    missing): an OpenBLAS loaded after the first call is not found."""
-    # loads scipy's OpenBLAS, which the sampler calls, before the scan
+    missing): an OpenBLAS loaded after the first call is not found.
+    It first imports what the sampler calls of SciPy, kept off `import
+    stratmc`: scipy.linalg.blas, whose OpenBLAS the scan must find, and
+    ndtr and ndtri.  run_experiment and _map_chunks call it on the calling
+    thread before a cell's clock or a helper thread starts: a helper that
+    imported SciPy grew its own malloc arena, 9 MB at peak."""
+    global _ndtr, _ndtri
     import scipy.linalg.blas  # noqa: F401
+    from scipy.special import ndtr as _ndtr, ndtri as _ndtri
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = {ln.split()[-1] for ln in fh if "openblas" in ln.lower()}

@@ -123,15 +123,28 @@ def test_what_moved_names_the_largest_move():
 
 
 def test_loading_configs_imports_no_heavy_scipy():
-    # scipy.linalg and scipy.stats each add tens of ms to every start-up,
-    # so importing stratmc and checking a config must not pull them in
+    # importing scipy.special alone is two thirds of a cold start-up, so
+    # importing stratmc and checking a config must load no scipy module
     proc = run("-c", "import sys, stratmc\n"
                f"for name in {GOLDEN!r}:\n"
                "    stratmc.load_config(f'demos/configs/{name}.ini')\n"
-               "print(' '.join(m for m in sys.modules\n"
-               "               if m.startswith(('scipy.linalg', 'scipy.stats'))))")
+               "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_directions_imports_no_scipy():
+    # building directions never samples, so it never needs scipy
+    proc = run("-c", "import contextlib, io, sys\n"
+               "from stratmc import cli\n"
+               f"for name in {GOLDEN!r}:\n"
+               "    with contextlib.redirect_stdout(io.StringIO()):\n"
+               "        code = cli.main(['directions', '--config',\n"
+               "                         f'demos/configs/{name}.ini'])\n"
+               "    print(code)\n"
+               "print(' '.join(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"] * len(GOLDEN)
 
 
 @pytest.mark.parametrize("name, preset", [("bs_asian", bs_asian_params),

@@ -362,6 +362,20 @@ class TestBuildDirections:
                 direction_sets(config)["la"].columns[:, 0],
                 normalize_sign(grad / float(np.linalg.norm(grad))))
 
+    @pytest.mark.parametrize("error", [StratMcError, ConfigInvalid])
+    def test_a_failed_build_names_its_method(self, monkeypatch, error):
+        # the message names the method; the class, and so the exit code,
+        # stays the engine's
+        config = small_bs_config(methods=["la", "two-dir-lt"])
+
+        def failing(count):
+            raise error("engine failed")
+        monkeypatch.setitem(config.engines, "lt", failing)
+        with pytest.raises(error) as exc:
+            direction_sets(config)
+        assert type(exc.value) is error
+        assert str(exc.value) == "two-dir-lt: engine failed"
+
 
 class TestValidation:
     def test_unknown_method(self):
@@ -1002,13 +1016,26 @@ class TestCli:
 
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # a CIR path this far above mu drowns the noise term of the la/lt
-        # expansions: a numeric failure, not a config one
+        # expansions: a numeric failure, not a config one, first met in
+        # the LT matrix that rotates lhs
         ini = tmp_path / "exp.ini"
         ini.write_text((DEMOS / "configs" / "cir_asian.ini").read_text()
                        .replace("s0 = 100", "s0 = 1e20"))
         assert main(["experiment", "--config", str(ini)]) == 3
         err = capsys.readouterr().err
-        assert err == "error: expansion column vanished after projection\n"
+        assert err == "error: lhs: expansion column vanished after projection\n"
+
+    @pytest.mark.parametrize("command", ["experiment", "directions"])
+    def test_dependent_directions_name_their_method(self, tmp_path, capsys,
+                                                    command):
+        # at sigma = 50 the second iterated LA direction is the first one
+        # again: a numeric failure, named by the method whose set it is
+        ini = tmp_path / "exp.ini"
+        ini.write_text(BS_INI.replace("sigma = 0.3", "sigma = 50")
+                       .replace("mc, la", "mc, la, two-dir-la"))
+        assert main([command, "--config", str(ini)]) == 3
+        assert capsys.readouterr().err == (
+            "error: two-dir-la: vector 1 is dependent on its predecessors\n")
 
     def test_noiseless_pilot_pca_exit_code(self, tmp_path, capsys):
         # sigma = 0 is a valid model, but its pilot covariance is rounding
@@ -1018,7 +1045,8 @@ class TestCli:
                        .replace("mu = 100", "mu = 95")
                        .replace("mc, la", "mc, pilot-pca"))
         assert main(["directions", "--config", str(ini)]) == 3
-        assert capsys.readouterr().err == "error: pilot paths carry no variance\n"
+        assert capsys.readouterr().err == (
+            "error: pilot-pca: pilot paths carry no variance\n")
 
     def test_worthless_strike_prices_at_zero(self, tmp_path, capsys):
         # far out of the money every pilot stratum std of that row is zero;

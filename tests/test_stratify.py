@@ -9,10 +9,12 @@ Oracles:
   estimator agrees
 """
 import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1094,6 +1096,45 @@ class TestLhsThreads:
 
     def test_helper_threads_see_one_blas_thread(self, monkeypatch):
         assert_helpers_see_one_blas_thread(monkeypatch, self.lhs, self.rows)
+
+
+# a fresh process on two usable cores runs one estimator whose work spans two
+# threads, and prints, for each pool it started, whether scipy.special was
+# loaded when the pool was made
+FIRST_POOL = """\
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+import numpy as np
+from stratmc import DirectionSet, RandomStream, StratumSpec, stratify
+loaded = []
+
+class Pool(stratify.ThreadPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+stratify.ThreadPoolExecutor = Pool
+ev = lambda z: np.exp(z[:, 0])
+if sys.argv[1] == "stage":  # two chunks
+    stratify.stratified_estimate(ev, DirectionSet(np.eye(3)[:, 0]), StratumSpec(4),
+                                 np.full(4, stratify._CHUNK // 2), RandomStream(1))
+else:  # two groups of one replication
+    stratify.lhs_estimate(ev, np.eye(3), 2 * stratify._CHUNK, 2, RandomStream(1))
+print(*loaded)
+"""
+
+
+@pytest.mark.parametrize("estimator", ["stage", "lhs"])
+def test_scipy_loads_before_the_first_helper_thread(estimator):
+    # a helper thread that imported scipy grew a malloc arena of its own,
+    # about 9 MB of peak memory on the many-strata benchmark
+    src = str(Path(stratify.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", FIRST_POOL, estimator],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]
 
 
 class TestLhsEstimator:
