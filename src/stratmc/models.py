@@ -6,7 +6,11 @@ the monitoring dates through the Cholesky factor of the Kronecker
 covariance Sigma_B (x) Sigma_A; BsParams computes that factor (one
 np.linalg.cholesky, with a relative pivot check), the drift exponents and
 the payoff coefficients once, as its derived fields factor, drift and
-coef.  CIR paths use the Euler scheme
+coef.  On the equally spaced dates that factor is
+(sqrt(dt) lower-ones) (x) L_A, the random-walk construction, so the BS maps
+apply it as one M x M product per date and a running sum over the dates,
+O(M^2 N) per draw rather than the dense product's O((M N)^2); the dense
+factor serves the gradients and the checks.  CIR paths use the Euler scheme
 S_{j+1} = S_j (1 - alpha dt) + alpha mu dt + sigma sqrt(dt) sqrt(max(S_j, 0)) z_j,
 with the square-root argument floored at zero; cir_euler_path returns a
 PathMatrix whose floored flag marks a batch in which a state fed to the
@@ -219,9 +223,24 @@ def path_covariance(params: BsParams) -> np.ndarray:
 def _lognormal_grid(eps: np.ndarray, params: BsParams) -> np.ndarray:
     """exp(drift_k + (C eps)_k) over the flattened grid index k, for
     eps of shape (..., M*N), in one step-major (M*N, rows) work array with
-    one column per batch entry of eps; eps is read, never written."""
-    flat = np.moveaxis(np.asarray(eps, dtype=float), -1, 0)
-    y = params.factor @ flat.reshape(params.dim, -1)
+    one column per batch entry of eps; eps is read, never written.
+
+    On the equally spaced dates C = (sqrt(dt) lower-ones) (x) L_A, so C eps
+    is a random walk: date row j of the array is y_j = y_{j-1} + L z_j,
+    with z_j the M drivers of date j and L = C[:M, :M] = sqrt(dt) L_A.  One
+    asset scales by the number L, several take one batched M x M product,
+    and a running sum adds each date row to its predecessor in place."""
+    m, n = params.n_assets, params.steps
+    flat = np.moveaxis(np.asarray(eps, dtype=float), -1, 0).reshape(params.dim, -1)
+    y = np.empty(flat.shape)
+    if m == 1:
+        np.multiply(flat, params.factor[0, 0], out=y)
+    else:
+        np.matmul(params.factor[:m, :m], flat.reshape(n, m, -1),
+                  out=y.reshape(n, m, -1))
+    dates = y.reshape(n, -1)
+    for j in range(1, n):
+        dates[j] += dates[j - 1]
     y += params.drift[:, None]
     return np.exp(y, out=y)
 

@@ -486,14 +486,20 @@ def stratified_estimate(evaluator, directions: DirectionSet, spec: StratumSpec,
 def _stratum_report(rows: np.ndarray, strata: np.ndarray, rank: np.ndarray,
                     counts: np.ndarray, size: int = 1) -> EstimateReport:
     """Every estimator's report on rows (S, n) of values, each the mean of
-    `size` draws: row s uses value i, in stratum strata[i] at rank[i], when
-    rank[i] < counts[s, strata[i]].  stratum_empty is all False."""
+    `size` draws: row s uses value i, the rank[i]-th (from 0) of stratum
+    strata[i], when rank[i] < counts[s, strata[i]].  stratum_empty is all
+    False."""
     n_strata = counts.shape[1]
     means, sigmas = np.empty((2,) + counts.shape)
     price, est_var = np.empty((2, rows.shape[0]))
+    # a row whose counts reach every stratum's size keeps every value (MC,
+    # LHS, "const" stages, pilots): it skips the mask and its two copies
+    sizes = np.bincount(strata, minlength=n_strata)
     for s, (row, c) in enumerate(zip(rows, counts)):
-        keep = rank < c[strata]
-        st, v = strata[keep], row[keep]
+        st, v = strata, row
+        if np.any(c < sizes):
+            keep = rank < c[strata]
+            st, v = strata[keep], row[keep]
         # two passes: means first, then squared deviations from them, so
         # the within-stratum variance does not cancel
         means[s] = np.bincount(st, v, n_strata) / np.maximum(c, 1)

@@ -1,12 +1,14 @@
 """Path models: lognormal basket driver and the square-root Euler scheme.
 
 Ground truth: hand-built index maps for the flattened (asset, date) layout,
-the closed-form zero-noise skeleton for the mean-reverting model, a scalar
+the dense Cholesky product for the running-sum lognormal maps, the
+closed-form zero-noise skeleton for the mean-reverting model, a scalar
 Euler recursion for its vectorized kernel, and the discounted-martingale
 property E[S(t)] = S0 e^{rt} checked statistically.
 """
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +18,19 @@ from stratmc import (
     CirParams,
     RandomStream,
     StratMcError,
+    basket_params,
+    bs_asian_params,
+    bs_barrier_params,
     bs_basket_g,
     bs_paths,
     cir_euler_path,
     cir_zero_noise_path,
+    load_config,
     path_covariance,
 )
+from stratmc.stratify import _CHUNK
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 def two_asset_params():
@@ -175,13 +184,39 @@ def one_asset_params():
     return BsParams(s0=50.0, sigma=0.3, steps=4, rate=0.05)
 
 
-@pytest.mark.parametrize("p", [one_asset_params(), two_asset_params()],
-                         ids=["1-asset", "2-asset"])
+def five_asset_params():
+    return BsParams(s0=[40.0, 45.0, 50.0, 55.0, 60.0], sigma=0.25, steps=4,
+                    rho=0.3, rate=0.03)
+
+
+@pytest.mark.parametrize("p", [
+    one_asset_params(), two_asset_params(), five_asset_params(),
+    bs_asian_params(), bs_barrier_params(), basket_params(),
+    *(load_config(str(DEMO_CONFIGS / f"{name}.ini")).params
+      for name in ("bs_asian", "bs_barrier", "basket"))],
+    ids=["1-asset", "2-asset", "5-asset", "bs_asian_params",
+         "bs_barrier_params", "basket_params", "bs_asian.ini",
+         "bs_barrier.ini", "basket.ini"])
+def test_factor_is_a_random_walk_of_date_blocks(p):
+    # the path maps build C eps as a running sum of L z_j, L = C[:M, :M]:
+    # that is exact when C = (sqrt(dt) lower-ones) (x) L_A, the Cholesky
+    # factor of Sigma_B (x) Sigma_A on equally spaced dates
+    m, n = p.n_assets, p.steps
+    root_dt = math.sqrt(p.maturity / n)
+    walk = np.kron(root_dt * np.tril(np.ones((n, n))), p.factor[:m, :m] / root_dt)
+    np.testing.assert_allclose(p.factor, walk, rtol=0,
+                               atol=1e-14 * np.abs(p.factor).max())
+
+
+@pytest.mark.parametrize("p", [one_asset_params(), two_asset_params(),
+                               five_asset_params(), basket_params()],
+                         ids=["1-asset", "2-asset", "5-asset-4-date",
+                              "40-asset-1-date"])
 @pytest.mark.parametrize("lead", [(), (5,), (2, 5)], ids=["d", "n-d", "2-n-d"])
 def test_in_place_maps_match_out_of_place(p, lead):
-    # the maps build their values in place in step-major memory; IEEE add
-    # and multiply commute, so they equal the out-of-place step-major
-    # expressions bit for bit, and they leave a read-only eps as it was
+    # the maps build their values in place in step-major memory, as a
+    # running sum over the dates; they agree to rounding with the dense
+    # product C eps, and they leave a read-only eps as it was
     eps = RandomStream(95).normal(lead + (p.dim,))
     eps.setflags(write=False)
     before = eps.copy()
@@ -191,30 +226,44 @@ def test_in_place_maps_match_out_of_place(p, lead):
     flat = p.s0[np.arange(p.dim) % p.n_assets][:, None] * grid
     paths = np.moveaxis(flat.reshape((p.steps, p.n_assets) + lead), (0, 1), (-1, -2))
     got_g, got_paths = bs_basket_g(eps, p), bs_paths(eps, p)
-    assert got_g.shape == g.shape and got_g.tobytes() == g.tobytes()
+    assert got_g.shape == g.shape
+    np.testing.assert_allclose(got_g, g, rtol=1e-13, atol=0)
     assert got_paths.shape == paths.shape
-    assert got_paths.tobytes() == paths.tobytes()
+    np.testing.assert_allclose(got_paths, paths, rtol=1e-13, atol=0)
     assert eps.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("p", [one_asset_params(), two_asset_params()],
                          ids=["1-asset", "2-asset"])
-@pytest.mark.parametrize("lead", [(), (5,), (2, 5)], ids=["d", "n-d", "2-n-d"])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 5), (_CHUNK,)],
+                         ids=["d", "n-d", "2-n-d", "mc-chunk"])
 def test_path_maps_do_not_depend_on_the_layout(p, lead):
-    # the estimators hand the maps step-major drivers, F-ordered (n, d)
-    # views; a C-ordered copy of the same z gives the same Euler bits, and
-    # the lognormal maps' gemm agrees to rounding
+    # the estimators hand the maps step-major drivers: F-ordered (n, d)
+    # views in a stratified stage, and in plain MC a _CHUNK-column slice of
+    # a (d, m) block, transposed.  A C-ordered copy of the same z gives the
+    # same Euler bits and, for one asset, where no matmul runs, the same
+    # lognormal bits; several assets' M x M products agree to rounding
+    def layouts(seed, d):
+        if lead == (_CHUNK,):
+            block = RandomStream(seed).normal((d, 3 * _CHUNK))
+            z = block[:, _CHUNK:2 * _CHUNK].T
+        else:
+            z = RandomStream(seed).normal(lead + (d,))
+        return z, np.ascontiguousarray(z), np.asfortranarray(z)
+
     cir = CirParams(s0=100.0, alpha=1.5, mu=100.0, sigma=10.0, n_steps=64)
-    z = RandomStream(97).normal(lead + (cir.n_steps,))
-    euler = [cir_euler_path(a, cir)
-             for a in (np.ascontiguousarray(z), np.asfortranarray(z))]
-    assert euler[0].values.tobytes() == euler[1].values.tobytes()
-    assert euler[0].floored == euler[1].floored
-    eps = RandomStream(98).normal(lead + (p.dim,))
-    c, f = np.ascontiguousarray(eps), np.asfortranarray(eps)
-    np.testing.assert_allclose(bs_basket_g(f, p), bs_basket_g(c, p), rtol=1e-15, atol=0)
-    np.testing.assert_allclose(bs_paths(f, p), bs_paths(c, p),
-                               rtol=1e-15, atol=0)
+    euler = [cir_euler_path(z, cir) for z in layouts(97, cir.n_steps)]
+    for e in euler[1:]:
+        assert e.values.tobytes() == euler[0].values.tobytes()
+        assert e.floored == euler[0].floored
+    base, *others = layouts(98, p.dim)
+    for eps in others:
+        for path_map in (bs_basket_g, bs_paths):
+            want, got = path_map(base, p), path_map(eps, p)
+            if p.n_assets == 1:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 def scalar_euler(z, p):
